@@ -56,6 +56,16 @@ def _resolve_tolerance(value: Optional[float]) -> Tolerance:
     return Tolerance(DEFAULT_EPS)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _read_input(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
@@ -116,7 +126,7 @@ def _cmd_ptrace(state, args, tol: Tolerance) -> dict:
         t = _as_bipartite(state, dims)
         if abs(t.norm - 1.0) > tol.eps:
             raise ValueError(f"state must have unit norm, got {t.norm!r}")
-        rho = projector(PureState(t.vec, tol))
+        rho = projector(PureState(t.vec, tol), tol)
         dims = t.dims
     elif isinstance(state, DensityOperator):
         if dims is None:
@@ -225,7 +235,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p = sub.add_parser("verify", parents=[common], help="run the built-in verification suites")
     p.add_argument(
-        "--instances", type=int, default=DEFAULT_INSTANCES, help="instances per suite"
+        "--instances",
+        type=_positive_int,
+        default=DEFAULT_INSTANCES,
+        help="instances per suite (at least 1)",
     )
 
     args = parser.parse_args(argv)
@@ -256,14 +269,18 @@ def main(argv: Optional[list[str]] = None) -> int:
             exit_code = 0 if report["result"]["all_passed"] else 1
         else:
             raw = _read_input(args.path)
-            state = loads_state(raw.decode("utf-8"), tol)
+            digest = "sha256:" + hashlib.sha256(raw).hexdigest()
+            text = raw.decode("utf-8")
+            del raw  # only the text is parsed; free the bytes before the tree is built
+            state = loads_state(text, tol)
+            del text
             handler = {
                 "classify": _cmd_classify,
                 "schmidt": _cmd_schmidt,
                 "ptrace": _cmd_ptrace,
                 "marginal": _cmd_marginal,
             }[args.command]
-            report["input_digest"] = "sha256:" + hashlib.sha256(raw).hexdigest()
+            report["input_digest"] = digest
             report["tolerance"] = tol.eps
             report["result"] = handler(state, args, tol)
             exit_code = 0

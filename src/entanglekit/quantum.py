@@ -85,10 +85,10 @@ class MixedEnsemble:
         return self.terms[0][1].dim
 
 
-def projector(x: PureState) -> DensityOperator:
-    """Rank-one projector onto x: the operator u -> <x, u> x."""
+def projector(x: PureState, tol: Tolerance = Tolerance()) -> DensityOperator:
+    """Rank-one projector onto x: the operator u -> <x, u> x, validated at ``tol``."""
     v = x.vec
-    return DensityOperator(np.outer(v, v.conj()))
+    return DensityOperator(np.outer(v, v.conj()), tol)
 
 
 def expectation(a, rho: DensityOperator, tol: Tolerance = Tolerance()) -> float:

@@ -122,7 +122,7 @@ def product_pure(x: PureState, y: PureState, tol: Tolerance = Tolerance()) -> De
     """
     t = kron_vec(x.vec, y.vec)
     joint = np.outer(t.vec, t.vec.conj())
-    split = kron_op(projector(x).mat, projector(y).mat)
+    split = kron_op(projector(x, tol).mat, projector(y, tol).mat)
     if float(np.abs(joint - split).max()) > tol.eps:
         raise InternalConsistencyError(
             "projector of the product vector deviates from the product of projectors"

@@ -16,13 +16,24 @@ values that parse but violate a state invariant (bad normalization,
 negative probability, non-positive matrix) surface as ValueError from the
 domain constructors.  Serialization writes floats with 17 significant
 digits, so serialize -> parse round-trips are exact.
+
+Complex arrays take a bulk path in both directions, with a per-entry path
+behind it that defines the contract.  A vector or matrix is converted by
+one ``np.array`` call when it is a rectangular array of ``[re, im]`` pairs
+of finite JSON numbers (no booleans); anything else goes to the per-entry
+walk, which raises the SchemaError naming the exact offending element.
+Lists of float pairs are written by one formatting pass, with the integral
+values (and -0.0) sent through ``format_float``.  Both paths give the same
+values, bit for bit, the same errors and the same bytes.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
-from typing import Any, Union
+from itertools import chain
+from typing import Any, Optional, Union
 
 import numpy as np
 
@@ -83,7 +94,11 @@ def _as_str(value, loc: str) -> str:
 def _as_number(value, loc: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"expected a number, got {type(value).__name__}", loc)
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:
+        message = f"number does not fit a double: an integer with {len(str(abs(value)))} digits"
+        raise SchemaError(message, loc) from None
     if not math.isfinite(x):
         raise SchemaError(f"number must be finite, got {value!r}", loc)
     return x
@@ -102,23 +117,60 @@ def _as_complex(value, loc: str) -> complex:
     return complex(_as_number(pair[0], f"{loc}[0]"), _as_number(pair[1], f"{loc}[1]"))
 
 
-def _as_cvec(value, loc: str) -> np.ndarray:
+def _walk_cvec(value, loc: str) -> np.ndarray:
     entries = _as_list(value, loc)
     if not entries:
         raise SchemaError("vector must be non-empty", loc)
     return np.array([_as_complex(e, f"{loc}[{k}]") for k, e in enumerate(entries)])
 
 
-def _as_cmat(value, loc: str) -> np.ndarray:
+def _walk_cmat(value, loc: str) -> np.ndarray:
     rows = _as_list(value, loc)
     if not rows:
         raise SchemaError("matrix must be non-empty", loc)
-    parsed = [_as_cvec(row, f"{loc}[{k}]") for k, row in enumerate(rows)]
+    parsed = [_walk_cvec(row, f"{loc}[{k}]") for k, row in enumerate(rows)]
     width = parsed[0].shape[0]
     for k, row in enumerate(parsed):
         if row.shape[0] != width:
             raise SchemaError(f"row has length {row.shape[0]}, expected {width}", f"{loc}[{k}]")
     return np.array(parsed)
+
+
+def _fast_complex(value, ndim: int) -> Optional[np.ndarray]:
+    """Convert a well-formed ``ndim``-D array of ``[re, im]`` pairs in one numpy call.
+
+    Returns None, judging nothing, unless ``value`` is a non-empty
+    rectangular array of finite JSON numbers; the per-entry walk then
+    reports the error.  ``np.array`` alone would take booleans as numbers,
+    hence the check of the leaf types.
+    """
+    if not isinstance(value, list):
+        return None
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged, or nested deeper than numpy allows
+        return None
+    if arr.dtype.kind not in "fi" or arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        return None
+    leaves = value
+    for _ in range(ndim):
+        leaves = chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= {float, int}:
+        return None
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        return None
+    return arr.view(complex)[..., 0]  # reinterpreted, not computed: signed zeros survive
+
+
+def _as_cvec(value, loc: str) -> np.ndarray:
+    fast = _fast_complex(value, 1)
+    return fast if fast is not None else _walk_cvec(value, loc)
+
+
+def _as_cmat(value, loc: str) -> np.ndarray:
+    fast = _fast_complex(value, 2)
+    return fast if fast is not None else _walk_cmat(value, loc)
 
 
 def _as_labels(value, loc: str) -> tuple[str, ...]:
@@ -198,10 +250,17 @@ def parse_state(obj, tol: Tolerance = Tolerance(), loc: str = "$") -> State:
 
 def loads_state(text: str, tol: Tolerance = Tolerance()) -> State:
     """Parse a state file from its JSON text."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()  # the decoded tree has no cycles; collections during decoding only rescan it
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an over-long integer literal; too deep nesting
+        raise SchemaError(f"invalid JSON: {exc}") from exc
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return parse_state(obj, tol)
 
 
@@ -209,17 +268,14 @@ def loads_state(text: str, tol: Tolerance = Tolerance()) -> State:
 # serialization
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def cvec_to_json(v: np.ndarray) -> list[list[float]]:
-    return [complex_to_pair(z) for z in np.asarray(v).ravel()]
+    v = np.asarray(v, dtype=complex).ravel()
+    return np.column_stack((v.real, v.imag)).tolist()
 
 
 def cmat_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    return [cvec_to_json(row) for row in np.asarray(m)]
+    m = np.asarray(m, dtype=complex)
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def state_to_json(state: State) -> dict:
@@ -356,7 +412,8 @@ def _emit(obj, out: list[str], depth: int, pretty: bool) -> None:
             pretty,
         )
     elif isinstance(obj, (list, tuple)):
-        _emit_items([("", v) for v in obj], out, "[]", depth, pretty)
+        if not _emit_float_pairs(obj, out, depth, pretty):
+            _emit_items([("", v) for v in obj], out, "[]", depth, pretty)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
@@ -378,3 +435,29 @@ def _emit_items(items, out: list[str], brackets: str, depth: int, pretty: bool) 
     if pretty:
         out.append("\n" + "  " * depth)
     out.append(close_b)
+
+
+def _emit_float_pairs(obj, out: list[str], depth: int, pretty: bool) -> bool:
+    """Emit a non-empty list of ``[float, float]`` lists in one pass; False for any other value.
+
+    The text equals what ``_emit`` writes entry by entry: ``.17g`` for
+    every float, and ``format_float`` for the integral ones (which get a
+    ".0" or collapse -0.0) and the non-finite ones (which it rejects).
+    """
+    if not obj or set(map(type, obj)) != {list} or set(map(len, obj)) != {2}:
+        return False
+    flat = list(chain.from_iterable(obj))
+    if set(map(type, flat)) != {float}:
+        return False
+    text = list(map("{:.17g}".format, flat))
+    values = np.array(flat)
+    for k in np.flatnonzero(~np.isfinite(values) | (values == np.floor(values))).tolist():
+        text[k] = format_float(flat[k])
+    if pretty:
+        pad0, pad1, pad2 = ("  " * (depth + i) for i in range(3))
+        pair, close = f"\n{pad1}[\n{pad2}{{}},\n{pad2}{{}}\n{pad1}]", f"\n{pad0}]"
+    else:
+        pair, close = "[{},{}]", "]"
+    leaves = iter(text)
+    out.append("[" + ",".join(map(pair.format, leaves, leaves)) + close)
+    return True

@@ -254,3 +254,54 @@ class TestVerifyCommand:
         assert code == 0
         lines = [line for line in out.splitlines() if line.startswith("PASS")]
         assert len(lines) == 14
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_verify_rejects_fewer_than_one_instance(self, capsys, n):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--instances", n])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "all suites passed" not in captured.out
+        assert "--instances: must be at least 1" in captured.err
+
+    def test_verify_instances_must_be_an_integer(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--instances", "many"])
+        assert info.value.code == 2
+        assert "--instances: invalid int value: 'many'" in capsys.readouterr().err
+
+    def test_verify_accepts_one_instance(self, capsys):
+        code, report = _run_json(capsys, "verify", "--instances", "1")
+        assert code == 0
+        assert report["result"]["all_passed"] is True
+
+
+class TestRunTolerance:
+    def test_ptrace_validates_the_projector_at_the_run_tolerance(self, capsys, tmp_path):
+        # |v| = 1 + 3e-6: inside --tol 1e-5 for the norm (and the trace, 1 + 6e-6)
+        s = (1 + 3e-6) / np.sqrt(2)
+        path = tmp_path / "loose_bell.json"
+        path.write_text(json.dumps({"type": "bipartite", "dims": [2, 2],
+                                    "vec": [[s, 0.0], [0.0, 0.0], [0.0, 0.0], [s, 0.0]]}))
+        code, out, err = _run(capsys, "classify", str(path), "--tol", "1e-5")
+        assert code == 0, err
+        code, report = _run_json(capsys, "ptrace", str(path), "--tol", "1e-5", "--keep", "1")
+        assert code == 0
+        reduced = np.array([[complex(*z) for z in row] for row in report["result"]["mat"]])
+        np.testing.assert_allclose(reduced, np.eye(2) * s * s, atol=1e-15)
+
+    def test_separable_terms_are_projected_at_the_run_tolerance(self, capsys, tmp_path):
+        # a factor with |x| = 1 + 3e-6 parses at --tol 1e-5, so its projector must pass too
+        s = 1 + 3e-6
+        path = tmp_path / "loose_separable.json"
+        path.write_text(json.dumps({"type": "separable", "dims": [2, 2], "terms": [
+            {"p": 0.5, "x": [[s, 0.0], [0.0, 0.0]], "y": [[1.0, 0.0], [0.0, 0.0]]},
+            {"p": 0.5, "x": [[0.0, 0.0], [1.0, 0.0]], "y": [[0.0, 0.0], [1.0, 0.0]]},
+        ]}))
+        code, report = _run_json(capsys, "classify", str(path), "--tol", "1e-5")
+        assert code == 0
+        assert report["result"]["verdict"] == "QuantumSeparableByConstruction"
+        code, report = _run_json(capsys, "ptrace", str(path), "--tol", "1e-5", "--keep", "2")
+        assert code == 0

@@ -1,0 +1,149 @@
+"""Golden CLI output: report bytes, pretty output and exit codes stay fixed.
+
+Every file in ``sample_states/`` and in ``tests/golden/inputs/`` (seeded
+random states with generic floats) is run through each subcommand that
+accepts it, in ``--json`` and in pretty form.  The expected stdout lives in
+``tests/golden/<case>.json`` / ``<case>.txt``, with the report's
+``elapsed_s`` value replaced by ``T``.
+
+The reports carry eigenvectors and singular vectors, whose last digits
+depend on the LAPACK build; these files were written with numpy 2.4 on
+OpenBLAS.  To regenerate them under another build, on a commit whose
+output is trusted, from the repo root:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "sample_states"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+_BIPARTITE = [["classify"], ["schmidt"], ["ptrace", "--keep", "1"], ["ptrace", "--keep", "2"]]
+_CLASSICAL2 = [["classify"], ["marginal", "--side", "1"], ["marginal", "--side", "2"]]
+_SEPARABLE = [["classify"], ["ptrace", "--keep", "1"], ["ptrace", "--keep", "2"]]
+
+
+def _with_dims(commands, d1, d2):
+    return [cmd + ["--dims", str(d1), str(d2)] for cmd in commands]
+
+
+# file -> the argument lists (after the path) that the file is valid for
+COMMANDS = {
+    "sample_states/bell.json": _BIPARTITE,
+    "sample_states/product.json": _BIPARTITE,
+    "sample_states/classical_pure.json": _CLASSICAL2,
+    "sample_states/correlated_classical.json": _CLASSICAL2,
+    "sample_states/maximally_mixed.json": _with_dims(_SEPARABLE, 2, 2),
+    "sample_states/separable_2term.json": _SEPARABLE,
+    "tests/golden/inputs/entangled_3x4.json": _BIPARTITE,
+    "tests/golden/inputs/product_pure_2x3.json": _with_dims(_BIPARTITE, 2, 3),
+    "tests/golden/inputs/density_2x3_rank3.json": _with_dims(_SEPARABLE, 2, 3),
+    "tests/golden/inputs/separable_3x2_4terms.json": _SEPARABLE,
+    "tests/golden/inputs/correlated_3x3.json": _CLASSICAL2,
+}
+
+
+def _case_id(path: str, cmd: list[str]) -> str:
+    return "__".join([Path(path).stem, *(a.lstrip("-") for a in cmd)])
+
+
+CASES = [
+    (_case_id(path, cmd) + suffix, [cmd[0], str(ROOT / path), *cmd[1:], *fmt])
+    for path, commands in COMMANDS.items()
+    for cmd in commands
+    for suffix, fmt in ((".json", ["--json"]), (".txt", []))
+]
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    from entanglekit.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert err.getvalue() == ""
+    return code, re.sub(r'"elapsed_s":[0-9.e+-]+', '"elapsed_s":T', out.getvalue())
+
+
+@pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
+def test_output_matches_golden(name, argv):
+    code, text = _run(argv)
+    assert code == 0
+    assert text == (GOLDEN / name).read_text()
+
+
+def test_every_sample_state_is_covered():
+    covered = {Path(path).name for path in COMMANDS if path.startswith("sample_states/")}
+    assert covered == {p.name for p in SAMPLES.glob("*.json")}
+
+
+# ---------------------------------------------------------------------------
+# regeneration
+
+
+def _write_inputs(seed: int = 20260) -> None:
+    """Seeded random states with generic floats (17-digit, negative, tiny)."""
+    from entanglekit.statefile import cmat_to_json, cvec_to_json, dumps_canonical
+
+    rng = np.random.default_rng(seed)
+
+    def unit(d):
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return v / np.linalg.norm(v)
+
+    q, _ = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+    rho = (q * rng.dirichlet(np.ones(3))) @ q.conj().T
+    rho = (rho + rho.conj().T) / 2
+    weights = rng.dirichlet(np.ones(4))
+    probs = rng.dirichlet(np.ones(4)).tolist()
+    probs[3] = 1.0 - sum(probs[:3])
+    states = {
+        "entangled_3x4": {"type": "bipartite", "dims": [3, 4], "vec": cvec_to_json(unit(12))},
+        "product_pure_2x3": {"type": "pure", "vec": cvec_to_json(np.kron(unit(2), unit(3)))},
+        "density_2x3_rank3": {"type": "density", "dim": 6, "mat": cmat_to_json(rho)},
+        "separable_3x2_4terms": {
+            "type": "separable",
+            "dims": [3, 2],
+            "terms": [
+                {"p": float(p), "x": cvec_to_json(unit(3)), "y": cvec_to_json(unit(2))}
+                for p in weights
+            ],
+        },
+        "correlated_3x3": {
+            "type": "classical2",
+            "spaceX": ["a", "b", "c"],
+            "spaceY": ["x", "y", "z"],
+            "probs": [["a", "x", probs[0]], ["b", "y", probs[1]], ["c", "z", probs[2]],
+                      ["a", "z", probs[3]]],
+        },
+    }
+    INPUTS.mkdir(parents=True, exist_ok=True)
+    for stem, payload in states.items():
+        (INPUTS / f"{stem}.json").write_text(dumps_canonical(payload, pretty=True) + "\n")
+
+
+def regenerate() -> None:
+    if not INPUTS.is_dir():  # the inputs stay fixed once written
+        _write_inputs()
+    for name, argv in CASES:
+        code, text = _run(argv)
+        if code != 0:
+            raise SystemExit(f"{name}: exit {code}")
+        (GOLDEN / name).write_text(text)
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
+    regenerate()

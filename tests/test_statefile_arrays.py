@@ -1,0 +1,316 @@
+"""Complex arrays in state files: the bulk paths against the per-entry ones.
+
+``statefile`` converts each ``[re, im]`` vector or matrix with one numpy
+call when the input is well formed, and falls back to the per-entry walk
+otherwise.  These tests pin the contract: the same values bit for bit, the
+same ``SchemaError`` message and location for every malformed input, and
+the same canonical bytes on output.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entanglekit import statefile
+from entanglekit.cli import main
+from entanglekit.errors import SchemaError
+from entanglekit.statefile import dumps_canonical, format_float, loads_state
+
+GOOD_VEC = "[[1.0, 0.0], [0.0, 0.0]]"
+GOOD_MAT = "[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]"
+
+# (case, vector JSON, location suffix, message)
+VEC_CASES = [
+    ("true", "[[1.0, 0.0], [true, 0.0]]", "[1][0]", "expected a number, got bool"),
+    ("false", "[[1.0, 0.0], [0.0, false]]", "[1][1]", "expected a number, got bool"),
+    ("string", '[[1.0, 0.0], ["0.0", 0.0]]', "[1][0]", "expected a number, got str"),
+    ("null", "[[1.0, 0.0], [null, 0.0]]", "[1][0]", "expected a number, got NoneType"),
+    ("nan", "[[1.0, 0.0], [NaN, 0.0]]", "[1][0]", "number must be finite, got nan"),
+    ("infinity", "[[1.0, 0.0], [0.0, Infinity]]", "[1][1]", "number must be finite, got inf"),
+    ("-infinity", "[[-Infinity, 0.0], [0.0, 0.0]]", "[0][0]", "number must be finite, got -inf"),
+    ("pair-of-1", "[[1.0, 0.0], [0.0]]", "[1]",
+     "complex entry must be a [re, im] pair, got length 1"),
+    ("pair-of-3", "[[1.0, 0.0, 0.0], [0.0, 0.0]]", "[0]",
+     "complex entry must be a [re, im] pair, got length 3"),
+    ("ragged-leaf", "[[1.0, 0.0], [0.0, [0.0]]]", "[1][1]", "expected a number, got list"),
+    ("extra-nesting", "[[1.0, 0.0], [[0.0, 0.0], [0.0, 0.0]]]", "[1][0]",
+     "expected a number, got list"),
+    ("all-extra-nesting", "[[[1.0, 0.0], [0.0, 0.0]]]", "[0][0]", "expected a number, got list"),
+    ("too-shallow", "[1.0, 0.0]", "[0]", "expected an array, got float"),
+    ("bare-number-entry", "[[1.0, 0.0], 0.0]", "[1]", "expected an array, got float"),
+    ("deeper-than-numpy", "[" * 70 + "1.0" + "]" * 70, "[0]",
+     "complex entry must be a [re, im] pair, got length 1"),
+    ("empty", "[]", "", "vector must be non-empty"),
+    ("object", '{"re": 1.0}', "", "expected an array, got dict"),
+]
+
+MAT_CASES = [
+    ("true", "[[[0.5, 0.0], [0.0, 0.0]], [[0.0, true], [0.5, 0.0]]]", "[1][0][1]",
+     "expected a number, got bool"),
+    ("false", "[[[0.5, false], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]", "[0][0][1]",
+     "expected a number, got bool"),
+    ("string", '[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], ["0.5", 0.0]]]', "[1][1][0]",
+     "expected a number, got str"),
+    ("null", "[[[0.5, 0.0], [null, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]", "[0][1][0]",
+     "expected a number, got NoneType"),
+    ("nan", "[[[0.5, 0.0], [0.0, 0.0]], [[0.0, NaN], [0.5, 0.0]]]", "[1][0][1]",
+     "number must be finite, got nan"),
+    ("infinity", "[[[Infinity, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]", "[0][0][0]",
+     "number must be finite, got inf"),
+    ("-infinity", "[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, -Infinity]]]", "[1][1][1]",
+     "number must be finite, got -inf"),
+    ("ragged-rows", "[[[0.5, 0.0], [0.0, 0.0]], [[0.5, 0.0]]]", "[1]",
+     "row has length 1, expected 2"),
+    ("pair-of-1", "[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5]]]", "[1][1]",
+     "complex entry must be a [re, im] pair, got length 1"),
+    ("pair-of-3", "[[[0.5, 0.0], [0.0, 0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]", "[0][1]",
+     "complex entry must be a [re, im] pair, got length 3"),
+    ("extra-nesting", "[[[[0.5, 0.0], [0.0, 0.0]], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]",
+     "[0][0][0]", "expected a number, got list"),
+    ("too-shallow", "[[0.5, 0.0], [0.0, 0.5]]", "[0][0]", "expected an array, got float"),
+    ("bare-number-row", "[[[0.5, 0.0], [0.0, 0.0]], 0.5]", "[1]", "expected an array, got float"),
+    ("empty", "[]", "", "matrix must be non-empty"),
+    ("empty-rows", "[[], []]", "[0]", "vector must be non-empty"),
+]
+
+
+def _pure(vec: str) -> str:
+    return f'{{"type": "pure", "vec": {vec}}}'
+
+
+def _density(mat: str) -> str:
+    return f'{{"type": "density", "dim": 2, "mat": {mat}}}'
+
+
+def _separable(x: str) -> str:
+    return (
+        '{"type": "separable", "dims": [2, 2], "terms": ['
+        f'{{"p": 0.5, "x": {GOOD_VEC}, "y": {GOOD_VEC}}}, '
+        f'{{"p": 0.5, "x": {x}, "y": {GOOD_VEC}}}]}}'
+    )
+
+
+REJECTIONS = (
+    [(f"pure.vec:{c}", _pure(v), f"$.vec{s}", m) for c, v, s, m in VEC_CASES]
+    + [(f"density.mat:{c}", _density(v), f"$.mat{s}", m) for c, v, s, m in MAT_CASES]
+    + [(f"separable.x:{c}", _separable(v), f"$.terms[1].x{s}", m) for c, v, s, m in VEC_CASES]
+)
+
+
+@pytest.mark.parametrize("text, loc, message", [r[1:] for r in REJECTIONS],
+                         ids=[r[0] for r in REJECTIONS])
+def test_malformed_array_gives_the_walks_error(text, loc, message, tmp_path, capsys):
+    with pytest.raises(SchemaError) as info:
+        loads_state(text)
+    assert info.value.location == loc
+    assert str(info.value) == f"{loc}: {message}"
+
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err == f"entanglekit: schema error: {loc}: {message}\n"
+
+
+def test_well_formed_samples_still_parse():
+    assert loads_state(_pure(GOOD_VEC)).dim == 2
+    assert loads_state(_density(GOOD_MAT)).dim == 2
+    assert len(loads_state(_separable(GOOD_VEC)).terms) == 2
+
+
+# ---------------------------------------------------------------------------
+# an integer literal beyond the double range
+
+
+HUGE = "1" + "0" * 400
+HUGE_MESSAGE = "number does not fit a double: an integer with 401 digits"
+
+
+@pytest.mark.parametrize(
+    "text, loc",
+    [
+        (_pure(f"[[{HUGE}, 0.0], [0.0, 0.0]]"), "$.vec[0][0]"),
+        (_density(f"[[[0.5, 0.0], [0.0, {HUGE}]], [[0.0, 0.0], [0.5, 0.0]]]"), "$.mat[0][1][1]"),
+        (_separable(f"[[1.0, 0.0], [-{HUGE}, 0.0]]"), "$.terms[1].x[1][0]"),
+        ('{"type": "classical", "space": ["a"], "probs": {"a": ' + HUGE + "}}", "$.probs.a"),
+    ],
+    ids=["pure.vec", "density.mat", "separable.x", "classical.probs"],
+)
+def test_integer_too_large_for_a_double_is_a_schema_error(text, loc, tmp_path, capsys):
+    with pytest.raises(SchemaError) as info:
+        loads_state(text)
+    assert str(info.value) == f"{loc}: {HUGE_MESSAGE}"
+
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err == f"entanglekit: schema error: {loc}: {HUGE_MESSAGE}\n"
+
+
+# ---------------------------------------------------------------------------
+# fast parse == per-entry walk, bit for bit
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, 0.1, 1 / 3]
+leaves = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EDGE_FLOATS),
+    st.integers(min_value=-(2**53), max_value=2**53),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+)
+pairs = st.lists(leaves, min_size=2, max_size=2)
+
+
+def _bits(a: np.ndarray) -> tuple:
+    return a.dtype, a.shape, a.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(pairs, min_size=1, max_size=12))
+def test_fast_vector_parse_is_bit_identical_to_the_walk(vec):
+    fast = statefile._fast_complex(vec, 1)
+    assert fast is not None
+    assert _bits(fast) == _bits(statefile._walk_cvec(vec, "$"))
+    assert _bits(statefile._as_cvec(vec, "$")) == _bits(fast)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_fast_matrix_parse_is_bit_identical_to_the_walk(rows, cols, data):
+    mat = data.draw(st.lists(st.lists(pairs, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+    fast = statefile._fast_complex(mat, 2)
+    assert fast is not None
+    assert _bits(fast) == _bits(statefile._walk_cmat(mat, "$"))
+    assert _bits(statefile._as_cmat(mat, "$")) == _bits(fast)
+
+
+def test_fast_parse_keeps_signed_zeros():
+    v = statefile._fast_complex([[-0.0, 0.0], [0.0, -0.0]], 1)
+    assert [math.copysign(1, x) for x in (v[0].real, v[0].imag, v[1].real, v[1].imag)] == [
+        -1, 1, 1, -1
+    ]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[[True, 0.0]], [["1", 0.0]], [[None, 0.0]], [[float("nan"), 0.0]], [[0.0, float("inf")]],
+     [[1.0]], [[1.0, 0.0, 0.0]], [[[1.0, 0.0]]], [], [[1.0, 0.0], [0.0]], [[10**400, 0.0]],
+     [[2**64, 0.0]], [1.0, 0.0]],
+)
+def test_fast_parse_declines_what_the_walk_must_judge(value):
+    assert statefile._fast_complex(value, 1) is None
+
+
+# ---------------------------------------------------------------------------
+# bulk emitter == per-float emitter
+
+
+def _reference_dumps(obj, pretty: bool) -> str:
+    """The per-float recursive emitter, kept as the reference."""
+    out: list[str] = []
+
+    def emit(o, depth):
+        if o is None:
+            out.append("null")
+        elif isinstance(o, bool):
+            out.append("true" if o else "false")
+        elif isinstance(o, (int, np.integer)):
+            out.append(str(int(o)))
+        elif isinstance(o, (float, np.floating)):
+            out.append(format_float(float(o)))
+        elif isinstance(o, str):
+            out.append(json.dumps(o))
+        elif isinstance(o, dict):
+            items([(json.dumps(str(k)) + (": " if pretty else ":"), v) for k, v in o.items()],
+                  "{}", depth)
+        else:
+            items([("", v) for v in o], "[]", depth)
+
+    def items(pairs_, brackets, depth):
+        if not pairs_:
+            out.append(brackets)
+            return
+        out.append(brackets[0])
+        pad = "  " * (depth + 1) if pretty else ""
+        for k, (prefix, value) in enumerate(pairs_):
+            if k:
+                out.append(",")
+            if pretty:
+                out.append("\n" + pad)
+            out.append(prefix)
+            emit(value, depth + 1)
+        if pretty:
+            out.append("\n" + "  " * depth)
+        out.append(brackets[1])
+
+    emit(obj, 0)
+    return "".join(out)
+
+
+finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_FLOATS),
+                   st.integers(-(10**20), 10**20).map(float))
+float_pairs = st.lists(st.lists(finite, min_size=2, max_size=2), max_size=8)
+payloads = st.recursive(
+    st.one_of(float_pairs, finite, st.integers(), st.booleans(), st.none(), st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(float_pairs, max_size=3),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads, st.booleans())
+def test_bulk_emitter_matches_per_float_formatting(payload, pretty):
+    assert dumps_canonical(payload, pretty=pretty) == _reference_dumps(payload, pretty)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("pretty", [False, True])
+def test_bulk_emitter_rejects_non_finite(bad, pretty):
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps_canonical({"vec": [[0.5, 0.0], [bad, 0.0]]}, pretty=pretty)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"type": "pure", "vec": [[' + "1" * 5000 + ", 0.0]]}", "Exceeds the limit"),
+        ("[" * 100000 + "]" * 100000, "maximum recursion depth"),
+    ],
+    ids=["integer-beyond-conversion-limit", "nesting-too-deep"],
+)
+def test_undecodable_json_is_a_schema_error(text, message, tmp_path, capsys):
+    with pytest.raises(SchemaError, match=message) as info:
+        loads_state(text)
+    assert info.value.location == "$"
+
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("entanglekit: schema error: $: invalid JSON: ")
+
+
+def test_decoding_restores_the_collector_state():
+    import gc
+
+    assert gc.isenabled()
+    loads_state('{"type": "pure", "vec": [[1.0, 0.0]]}')
+    assert gc.isenabled()
+    with pytest.raises(SchemaError):
+        loads_state("{not json")
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        loads_state('{"type": "pure", "vec": [[1.0, 0.0]]}')
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
