@@ -20,7 +20,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ZeroVectorError
-from .linalg import Tolerance, as_matrix, as_vector
+from .linalg import Tolerance, as_matrix, as_vector, count_above
 from .quantum import DensityOperator
 
 Side = Literal["first", "second"]
@@ -158,7 +158,7 @@ def schmidt(t: BipartiteVector, tol: Tolerance = Tolerance()) -> SchmidtDecompos
             r *= phase
         left.append(l)
         right.append(r)
-    nrank = int(np.count_nonzero(s > tol.eps * max(1.0, float(s[0]))))
+    nrank = int(count_above(s, tol))
     return SchmidtDecomposition(
         coeffs=s.copy(), left=tuple(left), right=tuple(right), rank=nrank, dims=t.dims
     )

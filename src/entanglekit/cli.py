@@ -27,7 +27,7 @@ from .bipartite import BipartiteDims, BipartiteVector, partial_trace, schmidt
 from .classical import ClassicalState, CompositeClassicalState, classify_classical, marginal
 from .errors import SchemaError, ZeroVectorError
 from .linalg import DEFAULT_EPS, Tolerance
-from .quantum import DensityOperator, PureState, projector
+from .quantum import DensityOperator, PureState, check_unit_norm, projector
 from .separability import SeparableDecomposition, Verdict, classify, separable_density
 from .statefile import (
     classical_cert_to_json,
@@ -115,8 +115,7 @@ def _cmd_schmidt(state, args, tol: Tolerance) -> dict:
     t = _as_bipartite(state, _dims_from_args(args))
     if t.norm == 0.0:
         raise ZeroVectorError("cannot Schmidt-decompose the zero vector")
-    if abs(t.norm - 1.0) > tol.eps:
-        raise ValueError(f"state must have unit norm, got {t.norm!r}")
+    check_unit_norm(t.vec, tol)
     return schmidt_to_json(schmidt(t, tol))
 
 
@@ -124,8 +123,6 @@ def _cmd_ptrace(state, args, tol: Tolerance) -> dict:
     dims = _dims_from_args(args)
     if isinstance(state, (PureState, BipartiteVector)):
         t = _as_bipartite(state, dims)
-        if abs(t.norm - 1.0) > tol.eps:
-            raise ValueError(f"state must have unit norm, got {t.norm!r}")
         rho = projector(PureState(t.vec, tol), tol)
         dims = t.dims
     elif isinstance(state, DensityOperator):

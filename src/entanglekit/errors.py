@@ -17,10 +17,9 @@ class ZeroVectorError(ValueError):
 
 
 class InternalConsistencyError(RuntimeError):
-    """Two redundant computations of the same quantity disagreed.
+    """A result contradicts what its construction guarantees.
 
-    Raised when paired checks (e.g. rank-based and purity-based pureness,
-    or the two constructions of a product projector) fall on opposite
-    sides of the tolerance; this signals a bug or a tolerance pathology,
-    never a property of the input state.
+    Raised only by ``quantum.expectation``, when the expectation of a
+    Hermitian observable comes out with an imaginary part beyond the
+    tolerance; this signals a bug, never a property of the input state.
     """

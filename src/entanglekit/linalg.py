@@ -75,11 +75,20 @@ def trace(m) -> complex:
     return complex(np.trace(m))
 
 
+def count_above(values, tol: Tolerance = Tolerance()):
+    """Count the entries of descending ``values`` above ``eps * max(1, first)``.
+
+    Counts along the last axis, so a stack of spectra gives one count per
+    spectrum.  This is the one rank-threshold rule of the package.
+    """
+    values = np.asarray(values)
+    return np.count_nonzero(values > tol.eps * np.maximum(1.0, values[..., :1]), axis=-1)
+
+
 def rank(m, tol: Tolerance = Tolerance()) -> int:
     """Number of singular values above ``eps * max(1, largest)``."""
     m = as_matrix(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > tol.eps * max(1.0, float(s[0]))))
+    return int(count_above(np.linalg.svd(m, compute_uv=False), tol))
 
 
 def is_hermitian(m, tol: Tolerance = Tolerance()) -> bool:

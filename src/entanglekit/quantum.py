@@ -16,6 +16,18 @@ from .errors import InternalConsistencyError
 from .linalg import Tolerance, as_matrix, as_vector, is_hermitian, is_positive, rank
 
 
+def check_unit_norm(v: np.ndarray, tol: Tolerance) -> None:
+    """Reject v unless ``|norm(v)**2 - 1| <= eps``.
+
+    The bound is on the squared norm because that is the trace of v's
+    projector: a vector accepted here has a projector of unit trace at the
+    same tolerance.
+    """
+    nrm = float(np.linalg.norm(v))
+    if abs(nrm * nrm - 1.0) > tol.eps:
+        raise ValueError(f"pure state must have unit norm, got {nrm!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector representing a pure state."""
@@ -24,11 +36,8 @@ class PureState:
     tol: InitVar[Optional[Tolerance]] = None
 
     def __post_init__(self, tol):
-        eps = (tol or Tolerance()).eps
         v = as_vector(self.vec)
-        nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > eps:
-            raise ValueError(f"pure state must have unit norm, got {nrm!r}")
+        check_unit_norm(v, tol or Tolerance())
         object.__setattr__(self, "vec", v)
 
     @property
@@ -123,19 +132,8 @@ def is_density(m, tol: Tolerance = Tolerance()) -> bool:
 
 
 def is_pure_density(rho: DensityOperator, tol: Tolerance = Tolerance()) -> bool:
-    """True iff rho has rank one; cross-checked against Tr(rho^2) = 1.
-
-    The two purity tests must agree; if they straddle the tolerance an
-    InternalConsistencyError is raised rather than guessing.
-    """
-    by_rank = rank(rho.mat, tol) == 1
-    purity = complex(np.trace(rho.mat @ rho.mat)).real
-    by_purity = abs(purity - 1.0) <= tol.eps
-    if by_rank != by_purity:
-        raise InternalConsistencyError(
-            f"purity checks disagree: rank-one={by_rank}, Tr(rho^2)={purity!r}"
-        )
-    return by_rank
+    """True iff rho has rank one at ``tol``."""
+    return rank(rho.mat, tol) == 1
 
 
 def mixture_vs_superposition(

@@ -31,7 +31,6 @@ from .classical import (
 from .linalg import (
     Tolerance,
     adjoint,
-    eig_hermitian,
     factor_positive,
     inner,
     is_hermitian,

@@ -292,6 +292,18 @@ class TestRunTolerance:
         reduced = np.array([[complex(*z) for z in row] for row in report["result"]["mat"]])
         np.testing.assert_allclose(reduced, np.eye(2) * s * s, atol=1e-15)
 
+    def test_one_unit_norm_bound_for_every_subcommand(self, capsys, tmp_path):
+        # |v| = 1 + 6e-6: the norm is inside --tol 1e-5 but its square, the
+        # projector's trace, is not; all three subcommands must refuse it
+        s = (1 + 6e-6) / np.sqrt(2)
+        path = tmp_path / "edge_bell.json"
+        path.write_text(json.dumps({"type": "bipartite", "dims": [2, 2],
+                                    "vec": [[s, 0.0], [0.0, 0.0], [0.0, 0.0], [s, 0.0]]}))
+        for argv in (["classify"], ["schmidt"], ["ptrace", "--keep", "1"]):
+            code, out, err = _run(capsys, *argv, str(path), "--tol", "1e-5")
+            assert (code, out) == (3, ""), argv
+            assert "unit norm" in err, argv
+
     def test_separable_terms_are_projected_at_the_run_tolerance(self, capsys, tmp_path):
         # a factor with |x| = 1 + 3e-6 parses at --tol 1e-5, so its projector must pass too
         s = 1 + 3e-6

@@ -12,6 +12,7 @@ from entanglekit.linalg import (
     adjoint,
     as_matrix,
     as_vector,
+    count_above,
     eig_hermitian,
     factor_positive,
     inner,
@@ -154,6 +155,30 @@ class TestRank:
             rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             m = rng.integers(-3, 4, (rows, cols))
             assert rank(m.astype(complex)) == _exact_rank_over_rationals(m)
+
+
+class TestCountAbove:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.floats(min_value=0, max_value=1e3), min_size=4, max_size=4),
+            min_size=1,
+            max_size=5,
+        ),
+        st.sampled_from([1e-15, 1e-9, 1e-3, 0.5]),
+    )
+    def test_matches_the_threshold_rule_row_by_row(self, rows, eps):
+        # the formula rank, schmidt, range_basis and the span each used to inline
+        tol = Tolerance(eps)
+        stack = -np.sort(-np.array(rows), axis=-1)
+        expected = [int(np.count_nonzero(s > eps * max(1.0, float(s[0])))) for s in stack]
+        assert count_above(stack, tol).tolist() == expected
+        assert [int(count_above(s, tol)) for s in stack] == expected
+
+    def test_floor_at_one_strict_cut_and_empty_stack(self):
+        assert count_above([0.5, 0.4, 0.0], Tolerance(0.45)) == 1
+        assert count_above([1.0, 1e-9, 0.0], Tolerance(1e-9)) == 1
+        assert count_above(np.zeros((0, 3))).shape == (0,)
 
 
 class TestHermitian:

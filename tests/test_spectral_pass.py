@@ -1,0 +1,195 @@
+"""One spectral pass per state, one validation per mixture.
+
+The ``_old_*`` functions are the implementations these paths replaced,
+kept as the reference: the density classifier, its range report and the
+separable mixture must come out the same.  The budget tests count the
+``numpy.linalg`` decompositions a call makes, through the same hooks the
+benchmark's tracer uses, so a second pass cannot come back unnoticed.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from entanglekit.bipartite import BipartiteDims, BipartiteVector, kron_op, kron_vec, schmidt
+from entanglekit.linalg import Tolerance, eig_hermitian
+from entanglekit.quantum import DensityOperator, PureState, projector
+from entanglekit.separability import (
+    Classification,
+    RangeReport,
+    SeparableDecomposition,
+    Verdict,
+    classify,
+    product_pure,
+    separable_density,
+)
+from entanglekit.statefile import classification_to_json, dumps_canonical, loads_state, state_to_json
+
+TOL = Tolerance()
+
+
+def _old_rank(m, tol):
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.count_nonzero(s > tol.eps * max(1.0, float(s[0]))))
+
+
+def _old_range_basis(rho, tol):
+    values, vectors = eig_hermitian(rho.mat, tol)
+    cut = tol.eps * max(1.0, float(values[0]))
+    return [vectors[:, k].copy() for k in range(values.shape[0]) if values[k] > cut]
+
+
+def _old_classify_density(rho, dims, tol):
+    """The density branch of ``classify``: an SVD for the rank, then eigh twice."""
+    if _old_rank(rho.mat, tol) == 1:
+        _, vectors = eig_hermitian(rho.mat, tol)
+        return classify(BipartiteVector(vectors[:, 0], dims), tol=tol)
+    basis = _old_range_basis(rho, tol)
+    ranks = tuple(schmidt(BipartiteVector(b, dims), tol).rank for b in basis)
+    return Classification(Verdict.UNDETERMINED, RangeReport(tuple(basis), ranks, all(r == 1 for r in ranks)))
+
+
+def _old_product_pure(x, y, tol):
+    t = kron_vec(x.vec, y.vec)
+    joint = np.outer(t.vec, t.vec.conj())
+    split = kron_op(projector(x, tol).mat, projector(y, tol).mat)
+    assert float(np.abs(joint - split).max()) <= tol.eps
+    return DensityOperator(joint, tol)
+
+
+def _old_separable_density(dec, tol):
+    acc = np.zeros((dec.dims.total, dec.dims.total), dtype=complex)
+    for p, x, y in dec.terms:
+        acc += p * _old_product_pure(x, y, tol).mat
+    return DensityOperator(acc, tol)
+
+
+def _report_bytes(classification):
+    return dumps_canonical(classification_to_json(classification))
+
+
+def _unit(rng, d):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def _orthonormal_columns(rng, d, k):
+    q, _ = np.linalg.qr(rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k)))
+    return q
+
+
+def _density(weights, vectors):
+    return DensityOperator(sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vectors)))
+
+
+@st.composite
+def _planted(draw):
+    """A density whose eigenvectors are n_prod product and n_ent entangled vectors."""
+    d1, d2 = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+    n_prod = draw(st.integers(1, d1))
+    n_ent = draw(st.integers(1, min(4, d1 * d2 - n_prod)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = _orthonormal_columns(rng, d1, n_prod)
+    products = [np.kron(xs[:, k], _unit(rng, d2)) for k in range(n_prod)]
+    # the entangled eigenvectors: random vectors orthonormalized against the products
+    extra = rng.standard_normal((d1 * d2, n_ent)) + 1j * rng.standard_normal((d1 * d2, n_ent))
+    full, _ = np.linalg.qr(np.column_stack(products + [extra]))
+    vectors = products + [full[:, n_prod + k] for k in range(n_ent)]
+    weights = np.arange(1, n_prod + n_ent + 1, dtype=float) + rng.uniform(0, 0.5, n_prod + n_ent)
+    return _density(weights / weights.sum(), vectors), BipartiteDims(d1, d2), n_prod
+
+
+class TestDensityClassify:
+    @settings(max_examples=60, deadline=None)
+    @given(_planted())
+    def test_range_report_ranks_match_one_schmidt_per_vector(self, planted):
+        rho, dims, n_prod = planted
+        result = classify(rho, dims, TOL)
+        report = result.certificate
+        assert result.verdict is Verdict.UNDETERMINED
+        expected = [schmidt(BipartiteVector(b, dims), TOL).rank for b in report.basis]
+        assert list(report.schmidt_ranks) == expected
+        assert report.schmidt_ranks.count(1) == n_prod
+        assert _report_bytes(result) == _report_bytes(_old_classify_density(rho, dims, TOL))
+
+    @pytest.mark.parametrize("second", [0.0, 0.5 * TOL.eps, 2 * TOL.eps, 0.1])
+    @settings(max_examples=15, deadline=None)
+    @given(d1=st.integers(2, 5), d2=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_rank_one_branch_as_before(self, second, d1, d2, seed):
+        rng = np.random.default_rng(seed)
+        dims = BipartiteDims(d1, d2)
+        q = _orthonormal_columns(rng, dims.total, 2)
+        rho = _density([1.0 - second, second], [q[:, 0], q[:, 1]])
+        result = classify(rho, dims, TOL)
+        old_pure = _old_rank(rho.mat, TOL) == 1
+        assert (result.verdict is not Verdict.UNDETERMINED) == old_pure
+        assert old_pure == (second < TOL.eps)
+        assert _report_bytes(result) == _report_bytes(_old_classify_density(rho, dims, TOL))
+
+    def test_empty_range_stays_undetermined(self):
+        # eps above every eigenvalue: no range vector clears the cut
+        tol = Tolerance(0.3)
+        rho = DensityOperator(np.eye(4) / 4, tol)
+        result = classify(rho, BipartiteDims(2, 2), tol)
+        assert result.verdict is Verdict.UNDETERMINED
+        assert result.certificate.basis == () and result.certificate.schmidt_ranks == ()
+        assert _report_bytes(result) == _report_bytes(_old_classify_density(rho, BipartiteDims(2, 2), tol))
+
+
+class TestSeparableDensity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d1=st.integers(2, 5),
+        d2=st.integers(2, 5),
+        k=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        eps=st.sampled_from([1e-9, 1e-6, 1e-3]),
+    )
+    def test_same_matrix_as_per_term_projectors(self, d1, d2, k, seed, eps):
+        rng = np.random.default_rng(seed)
+        tol = Tolerance(eps)
+        terms = tuple(
+            (float(w), PureState(_unit(rng, d1), tol), PureState(_unit(rng, d2), tol))
+            for w in rng.dirichlet(np.ones(k))
+        )
+        dec = SeparableDecomposition(BipartiteDims(d1, d2), terms)
+        np.testing.assert_array_equal(separable_density(dec, tol).mat, _old_separable_density(dec, tol).mat)
+        _, x, y = terms[0]
+        np.testing.assert_array_equal(product_pure(x, y, tol).mat, _old_product_pure(x, y, tol).mat)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Counts of the ``numpy.linalg`` decompositions called while the test runs."""
+    counts = Counter()
+    for name in ("eigh", "eigvalsh", "svd"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+class TestDecompositionBudget:
+    def test_parse_and_classify_a_density_is_one_pass_of_each(self, decompositions):
+        rng = np.random.default_rng(3)
+        q = _orthonormal_columns(rng, 16, 4)
+        rho = _density([0.4, 0.3, 0.2, 0.1], [q[:, k] for k in range(4)])
+        text = dumps_canonical(state_to_json(rho))
+        decompositions.clear()
+        result = classify(loads_state(text, TOL), BipartiteDims(4, 4), TOL)
+        assert len(result.certificate.basis) == 4
+        assert decompositions == {"eigvalsh": 1, "eigh": 1, "svd": 1}
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_separable_density_validates_once(self, decompositions, k):
+        rng = np.random.default_rng(k)
+        terms = tuple((1.0 / k, PureState(_unit(rng, 3)), PureState(_unit(rng, 2))) for _ in range(k))
+        dec = SeparableDecomposition(BipartiteDims(3, 2), terms)
+        decompositions.clear()
+        separable_density(dec, TOL)
+        assert decompositions == {"eigvalsh": 1}
