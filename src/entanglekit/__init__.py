@@ -36,7 +36,7 @@ from .classical import (
     is_product_composite,
     marginal,
 )
-from .errors import InternalConsistencyError, SchemaError, ZeroVectorError
+from .errors import SchemaError, ZeroVectorError
 from .linalg import (
     DEFAULT_EPS,
     Tolerance,
@@ -87,7 +87,6 @@ __all__ = [
     "DEFAULT_EPS",
     "DensityOperator",
     "EntangledCertificate",
-    "InternalConsistencyError",
     "MixedEnsemble",
     "PhaseSpace",
     "ProductCertificate",

@@ -15,10 +15,7 @@ from typing import Literal, Optional
 
 import numpy as np
 
-from .linalg import Tolerance, rank
-
-# Absolute tolerance on total probability.
-PROB_SUM_EPS = 1e-9
+from .linalg import Tolerance, check_weights, count_above
 
 Side = Literal["first", "second"]
 
@@ -52,13 +49,6 @@ class PhaseSpace:
             raise ValueError(f"label {label!r} not in phase space {self.labels}") from None
 
 
-def _check_weight(p, what: str) -> float:
-    p = float(p)
-    if not np.isfinite(p) or p < 0.0:
-        raise ValueError(f"{what} must be finite and >= 0, got {p!r}")
-    return p
-
-
 @dataclass(frozen=True)
 class ClassicalState:
     """Probability density with finite support on a phase space."""
@@ -70,15 +60,13 @@ class ClassicalState:
         for label in self.probs:
             if label not in self.space:
                 raise ValueError(f"probability assigned to unknown label {label!r}")
-        cleaned: dict[str, float] = {}
-        for label in self.space.labels:
-            p = _check_weight(self.probs.get(label, 0.0), f"probability of {label!r}")
-            if p > 0.0:
-                cleaned[label] = p
-        total = sum(cleaned.values())
-        if abs(total - 1.0) > PROB_SUM_EPS:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
-        object.__setattr__(self, "probs", cleaned)
+        labels = self.space.labels
+        weights = check_weights(
+            [self.probs.get(label, 0.0) for label in labels],
+            "probabilities",
+            [f"probability of {label!r}" for label in labels],
+        )
+        object.__setattr__(self, "probs", {lab: p for lab, p in zip(labels, weights) if p > 0.0})
 
     def prob(self, label: str) -> float:
         self.space.index(label)
@@ -105,16 +93,13 @@ class CompositeClassicalState:
         for x, y in self.probs:
             if x not in self.space_x or y not in self.space_y:
                 raise ValueError(f"probability assigned to unknown point ({x!r}, {y!r})")
-        cleaned: dict[tuple[str, str], float] = {}
-        for x in self.space_x.labels:
-            for y in self.space_y.labels:
-                p = _check_weight(self.probs.get((x, y), 0.0), f"probability of ({x!r}, {y!r})")
-                if p > 0.0:
-                    cleaned[(x, y)] = p
-        total = sum(cleaned.values())
-        if abs(total - 1.0) > PROB_SUM_EPS:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
-        object.__setattr__(self, "probs", cleaned)
+        points = [(x, y) for x in self.space_x.labels for y in self.space_y.labels]
+        weights = check_weights(
+            [self.probs.get(pt, 0.0) for pt in points],
+            "probabilities",
+            [f"probability of ({x!r}, {y!r})" for x, y in points],
+        )
+        object.__setattr__(self, "probs", {pt: p for pt, p in zip(points, weights) if p > 0.0})
 
     def prob(self, x: str, y: str) -> float:
         self.space_x.index(x)
@@ -144,16 +129,17 @@ class ClassicalSeparableCert:
     terms: tuple[tuple[float, ClassicalState, ClassicalState], ...]
 
     def __post_init__(self):
-        terms = tuple((_check_weight(p, "certificate weight"), fx, gy) for p, fx, gy in self.terms)
-        object.__setattr__(self, "terms", terms)
+        terms = tuple(self.terms)
         if not terms:
             raise ValueError("certificate needs at least one term")
+        weights = check_weights(
+            [p for p, _, _ in terms], "certificate weights", ["certificate weight"] * len(terms)
+        )
+        terms = tuple((p, fx, gy) for p, (_, fx, gy) in zip(weights, terms))
+        object.__setattr__(self, "terms", terms)
         for _, fx, gy in terms:
             if not (fx.is_pure and gy.is_pure):
                 raise ValueError("certificate factors must be pure states")
-        total = sum(p for p, _, _ in terms)
-        if abs(total - 1.0) > PROB_SUM_EPS:
-            raise ValueError(f"certificate weights must sum to 1, got {total!r}")
 
     def recombine(self) -> CompositeClassicalState:
         """Evaluate the convex sum of product terms back into a composite state."""
@@ -236,9 +222,9 @@ def is_product_composite(
     pushed into g.
     """
     m = h.probability_matrix()
-    if rank(m, tol) != 1:
-        return None
     u, s, vh = np.linalg.svd(m)
+    if count_above(s, tol) != 1:
+        return None
     a = u[:, 0].real
     b = vh[0, :].real * float(s[0])
     if a.sum() < 0.0:

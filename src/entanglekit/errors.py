@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; any other invalid input raises ``ValueError``."""
 
 
 class SchemaError(ValueError):
@@ -14,12 +14,3 @@ class SchemaError(ValueError):
 
 class ZeroVectorError(ValueError):
     """An operation that needs a nonzero vector received the zero vector."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """A result contradicts what its construction guarantees.
-
-    Raised only by ``quantum.expectation``, when the expectation of a
-    Hermitian observable comes out with an imaginary part beyond the
-    tolerance; this signals a bug, never a property of the input state.
-    """

@@ -7,6 +7,7 @@ is modified in place and every result is freshly allocated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,26 @@ class Tolerance:
         if not (np.isfinite(eps) and eps > 0.0):
             raise ValueError(f"eps must be a positive finite real, got {self.eps!r}")
         object.__setattr__(self, "eps", eps)
+
+
+def check_weights(weights, what: str, names=None) -> list[float]:
+    """Return the weights as floats if each is finite and >= 0 and, summed in order, they make 1.
+
+    The sum may miss 1 by ``DEFAULT_EPS``.  A bad weight is named by its
+    entry of ``names``, with its value, or by ``what`` without names.
+    """
+    checked = []
+    for k, p in enumerate(weights):
+        p = float(p)
+        if not math.isfinite(p) or p < 0.0:
+            if names is None:
+                raise ValueError(f"{what} must be finite and >= 0")
+            raise ValueError(f"{names[k]} must be finite and >= 0, got {p!r}")
+        checked.append(p)
+    total = sum(checked)
+    if abs(total - 1.0) > DEFAULT_EPS:
+        raise ValueError(f"{what} must sum to 1, got {total!r}")
+    return checked
 
 
 def as_vector(entries) -> np.ndarray:
@@ -133,14 +154,16 @@ def factor_positive(t, tol: Tolerance = Tolerance()) -> np.ndarray:
 
     B carries the square roots of the eigenvalues on the diagonal in the
     eigenbasis of the input (i.e. the Hermitian square root), so
-    ``adjoint(B) @ B == B @ B`` reconstructs the input.  Eigenvalues in
-    the band ``[-eps * max(1, largest), 0]`` are clamped to zero before
-    the square root; anything more negative fails the positivity
-    precondition and is rejected.
+    ``adjoint(B) @ B == B @ B`` reconstructs the input.  Positivity is
+    decided on the one eigendecomposition, with ``is_positive``'s floor:
+    eigenvalues in the band ``[-eps * max(1, largest), 0]`` are clamped to
+    zero before the square root; anything more negative is rejected.
     """
     t = as_matrix(t)
-    if not is_positive(t, tol):
+    if t.shape[0] != t.shape[1] or not is_hermitian(t, tol):
         raise ValueError("factor_positive requires a positive operator")
-    values, vectors = eig_hermitian(t, tol)
+    values, vectors = np.linalg.eigh(t)
+    if values[0] < -tol.eps * max(1.0, float(values[-1])):
+        raise ValueError("factor_positive requires a positive operator")
     values = np.where(values < 0.0, 0.0, values)
     return (vectors * np.sqrt(values)) @ vectors.conj().T

@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bipartite import BipartiteDims, BipartiteVector, SchmidtDecomposition, kron_vec, schmidt
-from .linalg import Tolerance, count_above
+from .linalg import Tolerance, check_weights, count_above
 from .quantum import DensityOperator, PureState, check_unit_norm
 
 
@@ -29,20 +29,17 @@ class SeparableDecomposition:
     terms: tuple[tuple[float, PureState, PureState], ...]
 
     def __post_init__(self):
-        terms = tuple((float(p), x, y) for p, x, y in self.terms)
-        object.__setattr__(self, "terms", terms)
+        terms = tuple(self.terms)
         if not terms:
             raise ValueError("decomposition needs at least one term")
-        for p, x, y in terms:
-            if not np.isfinite(p) or p < 0.0:
-                raise ValueError(f"weights must be finite and >= 0, got {p!r}")
+        weights = check_weights([p for p, _, _ in terms], "weights", ["weights"] * len(terms))
+        terms = tuple((p, x, y) for p, (_, x, y) in zip(weights, terms))
+        object.__setattr__(self, "terms", terms)
+        for _, x, y in terms:
             if x.dim != self.dims.d1 or y.dim != self.dims.d2:
                 raise ValueError(
                     f"term dimensions ({x.dim}, {y.dim}) do not match {self.dims}"
                 )
-        total = sum(p for p, _, _ in terms)
-        if abs(total - 1.0) > Tolerance().eps:
-            raise ValueError(f"weights must sum to 1, got {total!r}")
 
 
 class Verdict(str, Enum):
@@ -153,19 +150,22 @@ def _in_span(v: np.ndarray, basis_columns: np.ndarray, tol: Tolerance) -> bool:
 def check_range_criterion(dec: SeparableDecomposition, tol: Tolerance = Tolerance()) -> bool:
     """Verify span{x_i (x) y_i} equals the range of the assembled density.
 
-    Both containments are checked by projection residuals.  True for
-    every valid decomposition; a False return indicates an implementation
-    bug and is surfaced by the test suites.  Terms with negligible weight
-    contribute nothing to the density and are excluded from the candidate
-    spanning set.
+    The range keeps the eigenvalues above ``cut = eps * max(1, largest)``;
+    as ``p |t><t| <= rho``, each term's product vector t must satisfy
+    ``p * |(I - P_range) t|**2 <= cut``, and the range must lie in the span
+    of the terms with p > 0.  True for every valid decomposition; a False
+    return indicates an implementation bug, surfaced by the test suites.
     """
     rho = separable_density(dec, tol)
     basis = range_basis(rho, tol)
-    candidates = [kron_vec(x.vec, y.vec).vec for p, x, y in dec.terms if p > tol.eps]
     range_columns = np.column_stack(basis)
-    span_columns = _orthonormal_span(candidates, tol)
-    if not all(_in_span(c, range_columns, tol) for c in candidates):
-        return False
+    cut = tol.eps * max(1.0, float(np.vdot(basis[0], rho.mat @ basis[0]).real))
+    terms = [(p, kron_vec(x.vec, y.vec).vec) for p, x, y in dec.terms if p > 0.0]
+    for p, t in terms:
+        outside = t - range_columns @ (range_columns.conj().T @ t)
+        if p * float(np.vdot(outside, outside).real) > cut:
+            return False
+    span_columns = _orthonormal_span([t for _, t in terms], tol)
     return all(_in_span(b, span_columns, tol) for b in basis)
 
 

@@ -428,7 +428,7 @@ def _suite_projector_laws(rng, n, tol):
     for k in range(n):
         d = int(rng.integers(2, 7))
         x = rand_pure_state(rng, d)
-        p = projector(x)
+        p = projector(x, tol)
         fail = lambda reason, x=x: {"vector": cvec_to_json(x.vec), "reason": reason}
         _ensure(is_hermitian(p.mat, tol), lambda: fail("not self-adjoint"))
         _ensure(float(np.abs(p.mat @ p.mat - p.mat).max()) <= 1e-9, lambda: fail("not idempotent"))
@@ -590,7 +590,7 @@ def _suite_product_projector(rng, n, tol):
         x, y = rand_pure_state(rng, d1), rand_pure_state(rng, d2)
         t = kron_vec(x.vec, y.vec).vec
         joint = np.outer(t, t.conj())
-        split = kron_op(projector(x).mat, projector(y).mat)
+        split = kron_op(projector(x, tol).mat, projector(y, tol).mat)
         err = float(np.abs(joint - split).max())
         _ensure(
             err <= 1e-10,
@@ -628,7 +628,7 @@ def _suite_product_states(rng, n, tol):
         first = partial_trace(rho, dims, "first", tol)
         second = partial_trace(rho, dims, "second", tol)
         _ensure(
-            float(np.abs(first.mat - projector(x).mat).max()) <= 1e-9,
+            float(np.abs(first.mat - projector(x, tol).mat).max()) <= 1e-9,
             lambda: fail("first reduction is not the factor projector"),
         )
         _ensure(
@@ -729,13 +729,13 @@ def _suite_entangled_pure(rng, n, tol):
         # re-check from the certificate alone: the projector's range is one
         # line spanned by a non-elementary tensor
         rebuilt = dec.reconstruct()
-        basis = range_basis(projector(PureState(rebuilt.vec, tol)), tol)
+        basis = range_basis(projector(PureState(rebuilt.vec, tol), tol), tol)
         _ensure(len(basis) == 1, lambda: fail("projector range is not one-dimensional"))
         _ensure(
             schmidt(BipartiteVector(basis[0], dims), tol).rank >= 2,
             lambda: fail("range vector is elementary"),
         )
-        rho = projector(PureState(t.vec, tol))
+        rho = projector(PureState(t.vec, tol), tol)
         first = partial_trace(rho, dims, "first", tol)
         second = partial_trace(rho, dims, "second", tol)
         _ensure(
@@ -761,7 +761,7 @@ def _suite_entangled_pure(rng, n, tol):
         float(np.abs(result.certificate.schmidt.coeffs - 1 / np.sqrt(2)).max()) <= 1e-12,
         {"reason": "bell coefficients are not 1/sqrt(2)"},
     )
-    rho = projector(PureState(bell.vec))
+    rho = projector(PureState(bell.vec), tol)
     for side in ("first", "second"):
         reduced = partial_trace(rho, bell.dims, side, tol)
         _ensure(

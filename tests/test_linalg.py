@@ -7,11 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entanglekit.bipartite import BipartiteDims
+from entanglekit.classical import (
+    ClassicalSeparableCert,
+    ClassicalState,
+    CompositeClassicalState,
+    PhaseSpace,
+    classical_pure,
+)
 from entanglekit.linalg import (
+    DEFAULT_EPS,
     Tolerance,
     adjoint,
     as_matrix,
     as_vector,
+    check_weights,
     count_above,
     eig_hermitian,
     factor_positive,
@@ -21,6 +31,8 @@ from entanglekit.linalg import (
     rank,
     trace,
 )
+from entanglekit.quantum import MixedEnsemble, PureState
+from entanglekit.separability import SeparableDecomposition
 
 TOL = Tolerance()
 
@@ -299,6 +311,88 @@ class TestFactorPositive:
     def test_rejects_genuinely_negative(self):
         with pytest.raises(ValueError, match="positive"):
             factor_positive(np.diag([1.0, -0.5]))
+
+    @pytest.mark.parametrize("low", [-2.5, -3.5])
+    def test_floor_scales_with_the_largest_eigenvalue(self, low):
+        # the floor is -eps * max(1, largest) = -3 eps here, as in is_positive
+        t = np.diag([3.0, low * TOL.eps])
+        assert is_positive(t) == (low > -3.0)
+        if low > -3.0:
+            factor_positive(t)
+        else:
+            with pytest.raises(ValueError, match="positive"):
+                factor_positive(t)
+
+    @pytest.mark.parametrize(
+        "t", [np.ones((2, 3)), np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, -0.5])],
+        ids=["non-square", "non-hermitian", "non-positive"],
+    )
+    def test_rejection_message(self, t):
+        with pytest.raises(ValueError) as exc:
+            factor_positive(t)
+        assert str(exc.value) == "factor_positive requires a positive operator"
+
+
+_E1 = PureState(np.array([1.0, 0.0]))
+_E2 = PureState(np.array([0.0, 1.0]))
+_AB, _A, _CD = PhaseSpace(("a", "b")), PhaseSpace(("a",)), PhaseSpace(("c", "d"))
+
+# name -> (build a two-weight state, message for a bad first weight, what a bad sum names)
+_WEIGHTED = {
+    "ClassicalState": (
+        lambda w0, w1: ClassicalState(_AB, {"a": w0, "b": w1}),
+        "probability of 'a' must be finite and >= 0, got {}",
+        "probabilities",
+    ),
+    "CompositeClassicalState": (
+        lambda w0, w1: CompositeClassicalState(_A, _CD, {("a", "c"): w0, ("a", "d"): w1}),
+        "probability of ('a', 'c') must be finite and >= 0, got {}",
+        "probabilities",
+    ),
+    "ClassicalSeparableCert": (
+        lambda w0, w1: ClassicalSeparableCert(
+            (
+                (w0, classical_pure(_AB, "a"), classical_pure(_CD, "c")),
+                (w1, classical_pure(_AB, "b"), classical_pure(_CD, "d")),
+            )
+        ),
+        "certificate weight must be finite and >= 0, got {}",
+        "certificate weights",
+    ),
+    "MixedEnsemble": (
+        lambda w0, w1: MixedEnsemble(((w0, _E1), (w1, _E2))),
+        "ensemble weights must be finite and >= 0",
+        "ensemble weights",
+    ),
+    "SeparableDecomposition": (
+        lambda w0, w1: SeparableDecomposition(BipartiteDims(2, 2), ((w0, _E1, _E1), (w1, _E2, _E2))),
+        "weights must be finite and >= 0, got {}",
+        "weights",
+    ),
+}
+
+
+class TestCheckWeights:
+    @pytest.mark.parametrize("name", list(_WEIGHTED))
+    @pytest.mark.parametrize(
+        "weights, bad",
+        [((-0.5, 1.5), "-0.5"), ((float("nan"), 1.0), "nan"), ((0.5, 0.5 + 2e-9), None)],
+        ids=["negative", "nan", "sum-1+2e-9"],
+    )
+    def test_constructors_keep_their_messages(self, name, weights, bad):
+        build, bad_weight, what = _WEIGHTED[name]
+        expected = bad_weight.format(bad) if bad else f"{what} must sum to 1, got {sum(weights)!r}"
+        with pytest.raises(ValueError) as exc:
+            build(*weights)
+        assert str(exc.value) == expected
+
+    @pytest.mark.parametrize("name", list(_WEIGHTED))
+    def test_sum_within_default_eps_is_accepted(self, name):
+        build, _, _ = _WEIGHTED[name]
+        build(0.5, 0.5 + 0.5 * DEFAULT_EPS)
+
+    def test_returns_floats_in_order(self):
+        assert check_weights([1, np.float64(0.0)], "w") == [1.0, 0.0]
 
 
 class TestValueConstruction:

@@ -96,6 +96,14 @@ class TestExpectation:
         with pytest.raises(ValueError, match="mismatch"):
             expectation(np.eye(3), projector(E1))
 
+    def test_state_hermitian_within_eps_gives_a_real_value(self):
+        # rho passes the density check, yet Tr(A rho) = 9e-9j: A and rho are
+        # Hermitian to eps only, so the imaginary part is rounding, not a bug
+        e01_e10 = np.zeros((4, 4), dtype=complex)
+        e01_e10[0, 1] = e01_e10[1, 0] = 1.0
+        rho = DensityOperator(np.eye(4) / 4 + 0.45e-9j * e01_e10)
+        assert expectation(10 * e01_e10, rho) == 0.0
+
 
 class TestMix:
     def test_single_term_is_the_projector(self):
@@ -138,6 +146,13 @@ class TestIsDensity:
 
     def test_non_square_fails(self):
         assert not is_density(np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "m", [np.array([[np.nan]]), np.zeros((0, 0)), np.ones(4)], ids=["nan", "empty", "1-d"]
+    )
+    def test_malformed_input_raises(self, m):
+        with pytest.raises(ValueError):
+            is_density(m)
 
 
 class TestIsPureDensity:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from entanglekit import separability
 from entanglekit.bipartite import BipartiteDims, BipartiteVector, kron_vec, partial_trace, schmidt
 from entanglekit.linalg import Tolerance, rank
 from entanglekit.quantum import DensityOperator, MixedEnsemble, PureState, mix, projector
@@ -192,6 +193,28 @@ class TestRangeCriterion:
             dims = BipartiteDims(int(rng.integers(2, 4)), int(rng.integers(2, 4)))
             dec = _rand_decomposition(rng, dims, int(rng.integers(1, 5)))
             assert check_range_criterion(dec)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
+    def test_light_term_leaning_out_of_the_range(self, eps):
+        # a term of weight 10 eps along 0.995|00> + 0.1|10> beside |00>: its
+        # share outside |00> adds an eigenvalue of about 0.1 eps, under the
+        # cut, so the range is one line that the term's vector leaves by 0.1
+        tol = Tolerance(eps)
+        p, s = 10 * eps, 0.1
+        zero = PureState(E[0], tol)
+        lean = PureState(np.array([np.sqrt(1 - s * s), s]), tol)
+        dec = SeparableDecomposition(D22, ((1 - p, zero, zero), (p, lean, zero)))
+        assert len(range_basis(separable_density(dec, tol), tol)) == 1
+        assert check_range_criterion(dec, tol)
+
+    @pytest.mark.parametrize("eps, dropped", [(1e-9, 1e-6), (1e-9, 0.5), (1e-3, 0.1)])
+    def test_density_missing_a_term_fails(self, monkeypatch, eps, dropped):
+        tol = Tolerance(eps)
+        zero, one = PureState(E[0]), PureState(E[1])
+        dec = SeparableDecomposition(D22, ((1 - dropped, zero, zero), (dropped, one, one)))
+        only_first = DensityOperator(np.diag([1.0, 0.0, 0.0, 0.0]), tol)
+        monkeypatch.setattr(separability, "separable_density", lambda dec, tol: only_first)
+        assert not check_range_criterion(dec, tol)
 
 
 class TestClassify:

@@ -1,4 +1,4 @@
-"""One spectral pass per state, one validation per mixture.
+"""One spectral pass per state, one validation per mixture, one decomposition per matrix.
 
 The ``_old_*`` functions are the implementations these paths replaced,
 kept as the reference: the density classifier, its range report and the
@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entanglekit.bipartite import BipartiteDims, BipartiteVector, kron_op, kron_vec, schmidt
-from entanglekit.linalg import Tolerance, eig_hermitian
+from entanglekit.classical import ClassicalState, PhaseSpace, classical_tensor, is_product_composite
+from entanglekit.linalg import Tolerance, eig_hermitian, factor_positive
 from entanglekit.quantum import DensityOperator, PureState, projector
 from entanglekit.separability import (
     Classification,
@@ -193,3 +194,23 @@ class TestDecompositionBudget:
         decompositions.clear()
         separable_density(dec, TOL)
         assert decompositions == {"eigvalsh": 1}
+
+    @pytest.mark.parametrize(
+        "t, eighs",
+        [(np.diag([2.0, 1.0, 0.5]), 1), (np.diag([2.0, 1.0, -0.5]), 1), (np.triu(np.ones((3, 3))), 0)],
+        ids=["positive", "non-positive", "non-hermitian"],
+    )
+    def test_factor_positive_decides_on_one_eigh(self, decompositions, t, eighs):
+        try:
+            factor_positive(t, TOL)
+        except ValueError:
+            pass
+        assert decompositions == ({"eigh": eighs} if eighs else {})
+
+    def test_product_recovery_is_one_svd(self, decompositions):
+        space = PhaseSpace(("a", "b", "c"))
+        f = ClassicalState(space, {"a": 0.2, "b": 0.3, "c": 0.5})
+        h = classical_tensor(f, ClassicalState(space, {"a": 0.6, "c": 0.4}))
+        decompositions.clear()
+        assert is_product_composite(h, TOL) is not None
+        assert decompositions == {"svd": 1}

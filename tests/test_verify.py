@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from entanglekit import verify
 from entanglekit.linalg import Tolerance
+from entanglekit.quantum import projector
 from entanglekit.verify import (
     DEFAULT_SEED,
     SuiteResult,
@@ -66,3 +68,23 @@ def test_random_unitary_is_unitary():
 
 def test_default_seed_is_stable_constant():
     assert DEFAULT_SEED == 1729
+
+
+def test_suites_build_projectors_at_the_run_tolerance(monkeypatch):
+    seen = []
+
+    def recording(x, tol=Tolerance()):
+        seen.append(tol)
+        return projector(x, tol)
+
+    monkeypatch.setattr(verify, "projector", recording)
+    results = run_all(instances=5, tol=Tolerance(1e-6))
+    assert all(r.passed for r in results)
+    assert seen and set(seen) == {Tolerance(1e-6)}
+
+
+@pytest.mark.parametrize("seed, instances", [(1729, 25), (5, 50)])
+def test_range_criterion_passes_at_coarse_tolerance(seed, instances):
+    # these runs draw valid decompositions with a term of weight just above eps
+    results = {r.name: r for r in run_all(seed=seed, instances=instances, tol=Tolerance(1e-3))}
+    assert results["range-criterion"].passed, results["range-criterion"].counterexample
