@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ZeroVectorError
 from .linalg import Tolerance, as_matrix, as_vector, count_above
-from .quantum import DensityOperator
+from .quantum import DensityOperator, _built_density
 
 Side = Literal["first", "second"]
 
@@ -169,10 +169,12 @@ def is_elementary(t: BipartiteVector, tol: Tolerance = Tolerance()) -> bool:
     return schmidt(t, tol).rank == 1
 
 
-def partial_trace(
-    rho: DensityOperator, dims: BipartiteDims, keep: Side, tol: Tolerance = Tolerance()
-) -> DensityOperator:
-    """Contract a bipartite density operator over the discarded factor."""
+def partial_trace(rho: DensityOperator, dims: BipartiteDims, keep: Side) -> DensityOperator:
+    """Contract a bipartite density operator over the discarded factor.
+
+    The reduction of a density is a density, so the result is not checked
+    again: at the tolerance edges it is returned as computed.
+    """
     if rho.dim != dims.total:
         raise ValueError(f"state dimension {rho.dim} does not factor as {dims.d1} x {dims.d2}")
     r4 = rho.mat.reshape(dims.d1, dims.d2, dims.d1, dims.d2)
@@ -182,4 +184,4 @@ def partial_trace(
         reduced = np.einsum("ijil->jl", r4)
     else:
         raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
-    return DensityOperator(reduced, tol)
+    return _built_density(reduced)

@@ -123,7 +123,7 @@ def _cmd_ptrace(state, args, tol: Tolerance) -> dict:
     dims = _dims_from_args(args)
     if isinstance(state, (PureState, BipartiteVector)):
         t = _as_bipartite(state, dims)
-        rho = projector(PureState(t.vec, tol), tol)
+        rho = projector(PureState(t.vec, tol))
         dims = t.dims
     elif isinstance(state, DensityOperator):
         if dims is None:
@@ -132,14 +132,14 @@ def _cmd_ptrace(state, args, tol: Tolerance) -> dict:
     elif isinstance(state, SeparableDecomposition):
         if dims is not None and dims != state.dims:
             raise ValueError(f"--dims {dims} disagree with the file's dims {state.dims}")
-        rho = separable_density(state, tol)
+        rho = separable_density(state)
         dims = state.dims
     else:
         raise ValueError(
             f"partial trace needs a quantum state, got {type(state).__name__}; "
             "classical files go through 'marginal'"
         )
-    reduced = partial_trace(rho, dims, _SIDE_NAMES[args.keep], tol)
+    reduced = partial_trace(rho, dims, _SIDE_NAMES[args.keep])
     return state_to_json(reduced)
 
 
@@ -202,7 +202,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         metavar="EPS",
         help=f"relative tolerance (default {DEFAULT_EPS}; {TOL_ENV_VAR} overrides)",
     )
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for 'verify'")
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit the canonical JSON report")
     fmt.add_argument("--pretty", action="store_true", help="human-readable output (default)")
@@ -231,6 +230,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--side", type=int, choices=(1, 2), required=True)
 
     p = sub.add_parser("verify", parents=[common], help="run the built-in verification suites")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of the suites' generator")
     p.add_argument(
         "--instances",
         type=_positive_int,

@@ -2,13 +2,15 @@
 
 Normalization policy: constructors REJECT non-normalized input instead of
 silently renormalizing, so a bad upstream state can never masquerade as a
-valid one.
+valid one.  Densities are validated when read, trusted when built: the
+library functions that assemble a density from states it has already
+validated (a projector, a product, a convex sum, a partial trace) wrap the
+result with ``_built_density`` and run no second check.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,11 +34,11 @@ class PureState:
     """Unit vector representing a pure state."""
 
     vec: np.ndarray
-    tol: InitVar[Optional[Tolerance]] = None
+    tol: InitVar[Tolerance] = Tolerance()
 
     def __post_init__(self, tol):
         v = as_vector(self.vec)
-        check_unit_norm(v, tol or Tolerance())
+        check_unit_norm(v, tol)
         object.__setattr__(self, "vec", v)
 
     @property
@@ -49,23 +51,35 @@ class DensityOperator:
     """Positive operator of unit trace."""
 
     mat: np.ndarray
-    tol: InitVar[Optional[Tolerance]] = None
+    tol: InitVar[Tolerance] = Tolerance()
 
     def __post_init__(self, tol):
-        t = tol or Tolerance()
         m = as_matrix(self.mat)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
-        if not is_positive(m, t):
+        if not is_positive(m, tol):
             raise ValueError("density operator must be positive")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > t.eps:
+        if abs(tr - 1.0) > tol.eps:
             raise ValueError(f"density operator must have unit trace, got {tr!r}")
         object.__setattr__(self, "mat", m)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def _built_density(m: np.ndarray) -> DensityOperator:
+    """A ``DensityOperator`` on m, a matrix the library assembled from validated states.
+
+    No check runs: the operations that build m preserve positivity and unit
+    trace, so m is made read-only and complex and set as it is.
+    """
+    m = np.asarray(m, dtype=complex)
+    m.flags.writeable = False
+    rho = object.__new__(DensityOperator)
+    object.__setattr__(rho, "mat", m)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -89,10 +103,10 @@ class MixedEnsemble:
         return self.terms[0][1].dim
 
 
-def projector(x: PureState, tol: Tolerance = Tolerance()) -> DensityOperator:
-    """Rank-one projector onto x: the operator u -> <x, u> x, validated at ``tol``."""
+def projector(x: PureState) -> DensityOperator:
+    """Rank-one projector onto x: the operator u -> <x, u> x."""
     v = x.vec
-    return DensityOperator(np.outer(v, v.conj()), tol)
+    return _built_density(np.outer(v, v.conj()))
 
 
 def expectation(a, rho: DensityOperator, tol: Tolerance = Tolerance()) -> float:
@@ -110,7 +124,7 @@ def mix(ensemble: MixedEnsemble) -> DensityOperator:
     acc = np.zeros((ensemble.dim, ensemble.dim), dtype=complex)
     for p, x in ensemble.terms:
         acc += p * np.outer(x.vec, x.vec.conj())
-    return DensityOperator(acc)
+    return _built_density(acc)
 
 
 def is_density(m, tol: Tolerance = Tolerance()) -> bool:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bipartite import BipartiteDims, BipartiteVector, SchmidtDecomposition, kron_vec, schmidt
 from .linalg import Tolerance, check_weights, count_above
-from .quantum import DensityOperator, PureState, check_unit_norm
+from .quantum import DensityOperator, PureState, _built_density, check_unit_norm
 
 
 @dataclass(frozen=True)
@@ -102,27 +102,27 @@ class Classification:
     certificate: Certificate
 
 
-def product_pure(x: PureState, y: PureState, tol: Tolerance = Tolerance()) -> DensityOperator:
-    """Projector onto x (x) y, validated at ``tol``.
+def product_pure(x: PureState, y: PureState) -> DensityOperator:
+    """Projector onto x (x) y.
 
     It equals ``kron_op(projector(x), projector(y))``; the
     ``product-projector-identity`` verify suite checks that identity.
     """
     t = np.kron(x.vec, y.vec)
-    return DensityOperator(np.outer(t, t.conj()), tol)
+    return _built_density(np.outer(t, t.conj()))
 
 
-def separable_density(dec: SeparableDecomposition, tol: Tolerance = Tolerance()) -> DensityOperator:
+def separable_density(dec: SeparableDecomposition) -> DensityOperator:
     """Convex combination of the decomposition's product projectors.
 
-    The terms' factors are already validated states, so only the sum is
-    validated, once.
+    The terms' factors and weights are already validated, so the sum is a
+    density by construction and is not checked again.
     """
     acc = np.zeros((dec.dims.total, dec.dims.total), dtype=complex)
     for p, x, y in dec.terms:
         t = np.kron(x.vec, y.vec)
         acc += p * np.outer(t, t.conj())
-    return DensityOperator(acc, tol)
+    return _built_density(acc)
 
 
 def range_basis(rho: DensityOperator, tol: Tolerance = Tolerance()) -> list[np.ndarray]:
@@ -155,11 +155,17 @@ def check_range_criterion(dec: SeparableDecomposition, tol: Tolerance = Toleranc
     ``p * |(I - P_range) t|**2 <= cut``, and the range must lie in the span
     of the terms with p > 0.  True for every valid decomposition; a False
     return indicates an implementation bug, surfaced by the test suites.
+    When eps lies above every eigenvalue the range is empty: the cut is then
+    ``eps`` and the reverse containment holds vacuously.
     """
-    rho = separable_density(dec, tol)
+    rho = separable_density(dec)
     basis = range_basis(rho, tol)
-    range_columns = np.column_stack(basis)
-    cut = tol.eps * max(1.0, float(np.vdot(basis[0], rho.mat @ basis[0]).real))
+    range_columns = np.zeros((rho.dim, 0), dtype=complex)
+    largest = 0.0
+    if basis:
+        range_columns = np.column_stack(basis)
+        largest = float(np.vdot(basis[0], rho.mat @ basis[0]).real)
+    cut = tol.eps * max(1.0, largest)
     terms = [(p, kron_vec(x.vec, y.vec).vec) for p, x, y in dec.terms if p > 0.0]
     for p, t in terms:
         outside = t - range_columns @ (range_columns.conj().T @ t)

@@ -428,7 +428,7 @@ def _suite_projector_laws(rng, n, tol):
     for k in range(n):
         d = int(rng.integers(2, 7))
         x = rand_pure_state(rng, d)
-        p = projector(x, tol)
+        p = projector(x)
         fail = lambda reason, x=x: {"vector": cvec_to_json(x.vec), "reason": reason}
         _ensure(is_hermitian(p.mat, tol), lambda: fail("not self-adjoint"))
         _ensure(float(np.abs(p.mat @ p.mat - p.mat).max()) <= 1e-9, lambda: fail("not idempotent"))
@@ -590,8 +590,9 @@ def _suite_product_projector(rng, n, tol):
         x, y = rand_pure_state(rng, d1), rand_pure_state(rng, d2)
         t = kron_vec(x.vec, y.vec).vec
         joint = np.outer(t, t.conj())
-        split = kron_op(projector(x, tol).mat, projector(y, tol).mat)
-        err = float(np.abs(joint - split).max())
+        split = kron_op(projector(x).mat, projector(y).mat)
+        built = product_pure(x, y).mat
+        err = max(float(np.abs(joint - split).max()), float(np.abs(joint - built).max()))
         _ensure(
             err <= 1e-10,
             lambda x=x, y=y, err=err: {
@@ -600,7 +601,6 @@ def _suite_product_projector(rng, n, tol):
                 "max_abs_difference": err,
             },
         )
-        product_pure(x, y, tol)
     return n
 
 
@@ -623,12 +623,12 @@ def _suite_product_states(rng, n, tol):
         recovered = kron_vec(result.certificate.x.vec, result.certificate.y.vec)
         overlap = abs(complex(np.vdot(recovered.vec, t.vec)))
         _ensure(abs(overlap - 1.0) <= 1e-9, lambda: fail("recovered factors lost overlap"))
-        rho = product_pure(x, y, tol)
+        rho = product_pure(x, y)
         dims = BipartiteDims(d1, d2)
-        first = partial_trace(rho, dims, "first", tol)
-        second = partial_trace(rho, dims, "second", tol)
+        first = partial_trace(rho, dims, "first")
+        second = partial_trace(rho, dims, "second")
         _ensure(
-            float(np.abs(first.mat - projector(x, tol).mat).max()) <= 1e-9,
+            float(np.abs(first.mat - projector(x).mat).max()) <= 1e-9,
             lambda: fail("first reduction is not the factor projector"),
         )
         _ensure(
@@ -637,7 +637,7 @@ def _suite_product_states(rng, n, tol):
         )
         single = SeparableDecomposition(dims, ((1.0, x, y),))
         _ensure(
-            float(np.abs(separable_density(single, tol).mat - rho.mat).max()) <= 1e-12,
+            float(np.abs(separable_density(single).mat - rho.mat).max()) <= 1e-12,
             lambda: fail("one-term decomposition differs from the product state"),
         )
     return n
@@ -729,15 +729,15 @@ def _suite_entangled_pure(rng, n, tol):
         # re-check from the certificate alone: the projector's range is one
         # line spanned by a non-elementary tensor
         rebuilt = dec.reconstruct()
-        basis = range_basis(projector(PureState(rebuilt.vec, tol), tol), tol)
+        basis = range_basis(projector(PureState(rebuilt.vec, tol)), tol)
         _ensure(len(basis) == 1, lambda: fail("projector range is not one-dimensional"))
         _ensure(
             schmidt(BipartiteVector(basis[0], dims), tol).rank >= 2,
             lambda: fail("range vector is elementary"),
         )
-        rho = projector(PureState(t.vec, tol), tol)
-        first = partial_trace(rho, dims, "first", tol)
-        second = partial_trace(rho, dims, "second", tol)
+        rho = projector(PureState(t.vec, tol))
+        first = partial_trace(rho, dims, "first")
+        second = partial_trace(rho, dims, "second")
         _ensure(
             rank(first.mat, tol) == dec.rank and rank(second.mat, tol) == dec.rank,
             lambda: fail("reduction rank differs from Schmidt rank"),
@@ -761,9 +761,9 @@ def _suite_entangled_pure(rng, n, tol):
         float(np.abs(result.certificate.schmidt.coeffs - 1 / np.sqrt(2)).max()) <= 1e-12,
         {"reason": "bell coefficients are not 1/sqrt(2)"},
     )
-    rho = projector(PureState(bell.vec), tol)
+    rho = projector(PureState(bell.vec))
     for side in ("first", "second"):
-        reduced = partial_trace(rho, bell.dims, side, tol)
+        reduced = partial_trace(rho, bell.dims, side)
         _ensure(
             float(np.abs(reduced.mat - np.eye(2) / 2).max()) <= 1e-10,
             {"reason": f"bell {side} reduction is not maximally mixed"},

@@ -277,6 +277,20 @@ class TestArgumentValidation:
         assert code == 0
         assert report["result"]["all_passed"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", BELL], ["schmidt", BELL], ["ptrace", BELL, "--keep", "1"],
+         ["marginal", CORRELATED, "--side", "1"]],
+        ids=["classify", "schmidt", "ptrace", "marginal"],
+    )
+    def test_seed_belongs_to_verify_only(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--seed", "5"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --seed 5" in captured.err
+
 
 class TestRunTolerance:
     def test_ptrace_validates_the_projector_at_the_run_tolerance(self, capsys, tmp_path):
@@ -317,3 +331,49 @@ class TestRunTolerance:
         assert report["result"]["verdict"] == "QuantumSeparableByConstruction"
         code, report = _run_json(capsys, "ptrace", str(path), "--tol", "1e-5", "--keep", "2")
         assert code == 0
+
+
+class TestBuiltDensitiesAtTheEdge:
+    """Densities the library builds from accepted input are not refused again."""
+
+    def test_reduction_of_an_accepted_density_is_emitted_as_computed(self, capsys, tmp_path):
+        # diag(1 + 2d, 0, -d, -d) passes at eps = 1e-9; its first reduction
+        # diag(1 + 2d, -2d) would not, and is reported as computed
+        d = 0.9e-9
+        diag = [1 + 2 * d, 0.0, -d, -d]
+        mat = [[[v, 0.0] for v in row] for row in np.diag(diag).tolist()]
+        path = tmp_path / "edge_density.json"
+        path.write_text(json.dumps({"type": "density", "dim": 4, "mat": mat}))
+        code, out, err = _run(capsys, "classify", str(path), "--dims", "2", "2")
+        assert code == 0, err
+        code, report = _run_json(capsys, "ptrace", str(path), "--dims", "2", "2", "--keep", "1")
+        assert code == 0
+        reduced = np.array([[complex(*z) for z in row] for row in report["result"]["mat"]])
+        np.testing.assert_array_equal(reduced, np.diag([diag[0] + diag[1], diag[2] + diag[3]]))
+
+    def test_separable_file_whose_parts_pass_classifies(self, capsys, tmp_path):
+        # p and both squared norms are 1 + 9e-10, each inside eps = 1e-9;
+        # the assembled trace, about 1 + 2.7e-9, is not checked again
+        a = float(np.sqrt(1 + 9e-10))
+        path = tmp_path / "edge_separable.json"
+        path.write_text(json.dumps({"type": "separable", "dims": [2, 2], "terms": [
+            {"p": 1 + 9e-10, "x": [[a, 0.0], [0.0, 0.0]], "y": [[a, 0.0], [0.0, 0.0]]},
+        ]}))
+        code, report = _run_json(capsys, "classify", str(path))
+        assert code == 0
+        assert report["result"]["verdict"] == "QuantumSeparableByConstruction"
+        assert report["result"]["certificate"]["range_criterion_passed"] is True
+        code, report = _run_json(capsys, "ptrace", str(path), "--keep", "1")
+        assert code == 0
+
+    def test_empty_range_keeps_the_separable_verdict(self, capsys, tmp_path):
+        # rho = I/4 at --tol 0.3: every eigenvalue is under the cut, so the
+        # range is empty and only the terms' weights are compared with eps
+        e = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        terms = [{"p": 0.25, "x": e[i], "y": e[j]} for i in range(2) for j in range(2)]
+        path = tmp_path / "product_basis.json"
+        path.write_text(json.dumps({"type": "separable", "dims": [2, 2], "terms": terms}))
+        code, report = _run_json(capsys, "classify", str(path), "--tol", "0.3")
+        assert code == 0
+        assert report["result"]["verdict"] == "QuantumSeparableByConstruction"
+        assert report["result"]["certificate"]["range_criterion_passed"] is True

@@ -204,7 +204,7 @@ class TestRangeCriterion:
         zero = PureState(E[0], tol)
         lean = PureState(np.array([np.sqrt(1 - s * s), s]), tol)
         dec = SeparableDecomposition(D22, ((1 - p, zero, zero), (p, lean, zero)))
-        assert len(range_basis(separable_density(dec, tol), tol)) == 1
+        assert len(range_basis(separable_density(dec), tol)) == 1
         assert check_range_criterion(dec, tol)
 
     @pytest.mark.parametrize("eps, dropped", [(1e-9, 1e-6), (1e-9, 0.5), (1e-3, 0.1)])
@@ -213,7 +213,7 @@ class TestRangeCriterion:
         zero, one = PureState(E[0]), PureState(E[1])
         dec = SeparableDecomposition(D22, ((1 - dropped, zero, zero), (dropped, one, one)))
         only_first = DensityOperator(np.diag([1.0, 0.0, 0.0, 0.0]), tol)
-        monkeypatch.setattr(separability, "separable_density", lambda dec, tol: only_first)
+        monkeypatch.setattr(separability, "separable_density", lambda dec: only_first)
         assert not check_range_criterion(dec, tol)
 
 

@@ -1,10 +1,12 @@
-"""One spectral pass per state, one validation per mixture, one decomposition per matrix.
+"""One spectral pass per state, no validation of built densities, one decomposition per matrix.
 
 The ``_old_*`` functions are the implementations these paths replaced,
 kept as the reference: the density classifier, its range report and the
 separable mixture must come out the same.  The budget tests count the
 ``numpy.linalg`` decompositions a call makes, through the same hooks the
 benchmark's tracer uses, so a second pass cannot come back unnoticed.
+The densities the library builds from validated states are not checked
+again; a property test confirms that they are densities all the same.
 """
 
 from collections import Counter
@@ -14,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entanglekit.bipartite import BipartiteDims, BipartiteVector, kron_op, kron_vec, schmidt
+from entanglekit.bipartite import BipartiteDims, BipartiteVector, kron_op, kron_vec, partial_trace, schmidt
 from entanglekit.classical import ClassicalState, PhaseSpace, classical_tensor, is_product_composite
 from entanglekit.linalg import Tolerance, eig_hermitian, factor_positive
-from entanglekit.quantum import DensityOperator, PureState, projector
+from entanglekit.quantum import DensityOperator, MixedEnsemble, PureState, is_density, mix, projector
 from entanglekit.separability import (
     Classification,
     RangeReport,
@@ -56,7 +58,7 @@ def _old_classify_density(rho, dims, tol):
 def _old_product_pure(x, y, tol):
     t = kron_vec(x.vec, y.vec)
     joint = np.outer(t.vec, t.vec.conj())
-    split = kron_op(projector(x, tol).mat, projector(y, tol).mat)
+    split = kron_op(projector(x).mat, projector(y).mat)
     assert float(np.abs(joint - split).max()) <= tol.eps
     return DensityOperator(joint, tol)
 
@@ -84,6 +86,25 @@ def _orthonormal_columns(rng, d, k):
 
 def _density(weights, vectors):
     return DensityOperator(sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vectors)))
+
+
+def _builder_calls(rng, d1, d2, k):
+    """The five density builders on random valid states, as zero-argument calls."""
+    dims = BipartiteDims(d1, d2)
+    weights = [float(w) for w in rng.dirichlet(np.ones(k))]
+    xs = [PureState(_unit(rng, d1)) for _ in range(k)]
+    ys = [PureState(_unit(rng, d2)) for _ in range(k)]
+    ensemble = MixedEnsemble(tuple(zip(weights, xs)))
+    dec = SeparableDecomposition(dims, tuple(zip(weights, xs, ys)))
+    joint = PureState(_unit(rng, dims.total))
+    joint_rho = projector(joint)
+    return {
+        "projector": lambda: projector(joint),
+        "mix": lambda: mix(ensemble),
+        "product_pure": lambda: product_pure(xs[0], ys[0]),
+        "separable_density": lambda: separable_density(dec),
+        "partial_trace": lambda: partial_trace(joint_rho, dims, "first"),
+    }
 
 
 @st.composite
@@ -157,9 +178,25 @@ class TestSeparableDensity:
             for w in rng.dirichlet(np.ones(k))
         )
         dec = SeparableDecomposition(BipartiteDims(d1, d2), terms)
-        np.testing.assert_array_equal(separable_density(dec, tol).mat, _old_separable_density(dec, tol).mat)
+        np.testing.assert_array_equal(separable_density(dec).mat, _old_separable_density(dec, tol).mat)
         _, x, y = terms[0]
-        np.testing.assert_array_equal(product_pure(x, y, tol).mat, _old_product_pure(x, y, tol).mat)
+        np.testing.assert_array_equal(product_pure(x, y).mat, _old_product_pure(x, y, tol).mat)
+
+
+class TestBuiltDensities:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d1=st.integers(1, 5),
+        d2=st.integers(1, 5),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_builders_return_read_only_complex_densities(self, d1, d2, k, seed):
+        for name, call in _builder_calls(np.random.default_rng(seed), d1, d2, k).items():
+            rho = call()
+            assert isinstance(rho, DensityOperator), name
+            assert rho.mat.dtype == complex and not rho.mat.flags.writeable, name
+            assert is_density(rho.mat, TOL), name
 
 
 @pytest.fixture
@@ -187,13 +224,20 @@ class TestDecompositionBudget:
         assert decompositions == {"eigvalsh": 1, "eigh": 1, "svd": 1}
 
     @pytest.mark.parametrize("k", [1, 4, 16])
-    def test_separable_density_validates_once(self, decompositions, k):
+    def test_separable_density_makes_no_decomposition(self, decompositions, k):
         rng = np.random.default_rng(k)
         terms = tuple((1.0 / k, PureState(_unit(rng, 3)), PureState(_unit(rng, 2))) for _ in range(k))
         dec = SeparableDecomposition(BipartiteDims(3, 2), terms)
         decompositions.clear()
-        separable_density(dec, TOL)
-        assert decompositions == {"eigvalsh": 1}
+        separable_density(dec)
+        assert decompositions == {}
+
+    @pytest.mark.parametrize("builder", ["projector", "mix", "product_pure", "partial_trace"])
+    def test_other_builders_make_no_decomposition(self, decompositions, builder):
+        call = _builder_calls(np.random.default_rng(11), 3, 2, 4)[builder]
+        decompositions.clear()
+        call()
+        assert decompositions == {}
 
     @pytest.mark.parametrize(
         "t, eighs",

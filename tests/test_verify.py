@@ -5,7 +5,8 @@ import pytest
 
 from entanglekit import verify
 from entanglekit.linalg import Tolerance
-from entanglekit.quantum import projector
+from entanglekit.quantum import DensityOperator
+from entanglekit.separability import product_pure
 from entanglekit.verify import (
     DEFAULT_SEED,
     SuiteResult,
@@ -70,17 +71,18 @@ def test_default_seed_is_stable_constant():
     assert DEFAULT_SEED == 1729
 
 
-def test_suites_build_projectors_at_the_run_tolerance(monkeypatch):
-    seen = []
+def test_product_projector_suite_checks_product_pure(monkeypatch):
+    # a product_pure that drifts 1e-8 from the joint projector is still a
+    # density; the suite must catch it by comparing the matrices
+    def drifted(x, y):
+        rho = product_pure(x, y)
+        return DensityOperator((1 - 1e-8) * rho.mat + 1e-8 * np.eye(rho.dim) / rho.dim)
 
-    def recording(x, tol=Tolerance()):
-        seen.append(tol)
-        return projector(x, tol)
-
-    monkeypatch.setattr(verify, "projector", recording)
-    results = run_all(instances=5, tol=Tolerance(1e-6))
-    assert all(r.passed for r in results)
-    assert seen and set(seen) == {Tolerance(1e-6)}
+    monkeypatch.setattr(verify, "product_pure", drifted)
+    results = {r.name: r for r in run_all(instances=5)}
+    suite = results["product-projector-identity"]
+    assert not suite.passed
+    assert 1e-10 < suite.counterexample["max_abs_difference"] <= 1e-8
 
 
 @pytest.mark.parametrize("seed, instances", [(1729, 25), (5, 50)])
