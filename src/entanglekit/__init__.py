@@ -16,8 +16,6 @@ from .bipartite import (
     BipartiteVector,
     SchmidtDecomposition,
     coefficient_matrix,
-    inner_bipartite,
-    is_elementary,
     kron_op,
     kron_vec,
     partial_trace,
@@ -31,8 +29,6 @@ from .classical import (
     classical_pure,
     classical_tensor,
     classify_classical,
-    composite_pure,
-    decompose_pure,
     is_product_composite,
     marginal,
 )
@@ -40,25 +36,16 @@ from .errors import SchemaError, ZeroVectorError
 from .linalg import (
     DEFAULT_EPS,
     Tolerance,
-    adjoint,
-    eig_hermitian,
-    factor_positive,
-    inner,
     is_hermitian,
     is_positive,
     rank,
-    trace,
 )
 from .quantum import (
     DensityOperator,
     MixedEnsemble,
     PureState,
-    ccr_trace_obstruction,
-    expectation,
     is_density,
-    is_pure_density,
     mix,
-    mixture_vs_superposition,
     projector,
 )
 from .separability import (
@@ -99,32 +86,20 @@ __all__ = [
     "Tolerance",
     "Verdict",
     "ZeroVectorError",
-    "adjoint",
-    "ccr_trace_obstruction",
     "check_range_criterion",
     "classical_pure",
     "classical_tensor",
     "classify",
     "classify_classical",
     "coefficient_matrix",
-    "composite_pure",
-    "decompose_pure",
-    "eig_hermitian",
-    "expectation",
-    "factor_positive",
-    "inner",
-    "inner_bipartite",
     "is_density",
-    "is_elementary",
     "is_hermitian",
     "is_positive",
     "is_product_composite",
-    "is_pure_density",
     "kron_op",
     "kron_vec",
     "marginal",
     "mix",
-    "mixture_vs_superposition",
     "partial_trace",
     "product_pure",
     "projector",
@@ -132,5 +107,4 @@ __all__ = [
     "rank",
     "schmidt",
     "separable_density",
-    "trace",
 ]

@@ -119,13 +119,6 @@ def kron_op(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def inner_bipartite(s: BipartiteVector, t: BipartiteVector) -> complex:
-    """Inner product on the tensor space; factorizes on elementary tensors."""
-    if s.dims != t.dims:
-        raise ValueError(f"dimension mismatch: {s.dims} vs {t.dims}")
-    return complex(np.vdot(s.vec, t.vec))
-
-
 def coefficient_matrix(t: BipartiteVector) -> np.ndarray:
     """The d1 x d2 matrix M with M[i, j] = t[i * d2 + j]."""
     return t.vec.reshape(t.dims.d1, t.dims.d2).copy()
@@ -162,11 +155,6 @@ def schmidt(t: BipartiteVector, tol: Tolerance = Tolerance()) -> SchmidtDecompos
     return SchmidtDecomposition(
         coeffs=s.copy(), left=tuple(left), right=tuple(right), rank=nrank, dims=t.dims
     )
-
-
-def is_elementary(t: BipartiteVector, tol: Tolerance = Tolerance()) -> bool:
-    """True iff t factors as x (x) y, i.e. its Schmidt rank is one."""
-    return schmidt(t, tol).rank == 1
 
 
 def partial_trace(rho: DensityOperator, dims: BipartiteDims, keep: Side) -> DensityOperator:

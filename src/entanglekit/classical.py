@@ -158,23 +158,6 @@ def classical_pure(space: PhaseSpace, label: str) -> ClassicalState:
     return ClassicalState(space, {label: 1.0})
 
 
-def composite_pure(space_x: PhaseSpace, space_y: PhaseSpace, point: tuple[str, str]) -> CompositeClassicalState:
-    """The composite state assigning total probability to a single point."""
-    x, y = point
-    space_x.index(x)
-    space_y.index(y)
-    return CompositeClassicalState(space_x, space_y, {(x, y): 1.0})
-
-
-def decompose_pure(f: ClassicalState) -> list[tuple[float, ClassicalState]]:
-    """Split a state into weighted pure states, one per support point.
-
-    The weights are exactly the stored probabilities, so recombining the
-    terms reproduces the input bit for bit.
-    """
-    return [(p, classical_pure(f.space, x)) for x, p in f.probs.items()]
-
-
 def classical_tensor(f: ClassicalState, g: ClassicalState) -> CompositeClassicalState:
     """Product density: (f (x) g)(x, y) = f(x) * g(y)."""
     probs = {(x, y): px * py for x, px in f.probs.items() for y, py in g.probs.items()}

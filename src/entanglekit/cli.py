@@ -23,12 +23,12 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .bipartite import BipartiteDims, BipartiteVector, partial_trace, schmidt
+from .bipartite import BipartiteDims, BipartiteVector, partial_trace
 from .classical import ClassicalState, CompositeClassicalState, classify_classical, marginal
 from .errors import SchemaError, ZeroVectorError
 from .linalg import DEFAULT_EPS, Tolerance
-from .quantum import DensityOperator, PureState, check_unit_norm, projector
-from .separability import SeparableDecomposition, Verdict, classify, separable_density
+from .quantum import DensityOperator, PureState, projector
+from .separability import SeparableDecomposition, Verdict, _unit_schmidt, classify, separable_density
 from .statefile import (
     classical_cert_to_json,
     classification_to_json,
@@ -115,8 +115,7 @@ def _cmd_schmidt(state, args, tol: Tolerance) -> dict:
     t = _as_bipartite(state, _dims_from_args(args))
     if t.norm == 0.0:
         raise ZeroVectorError("cannot Schmidt-decompose the zero vector")
-    check_unit_norm(t.vec, tol)
-    return schmidt_to_json(schmidt(t, tol))
+    return schmidt_to_json(_unit_schmidt(t, tol))
 
 
 def _cmd_ptrace(state, args, tol: Tolerance) -> dict:

@@ -1,8 +1,9 @@
 """Complex linear algebra with explicit tolerance contracts.
 
-Inner products are conjugate-linear in the FIRST argument and linear in
-the second.  All functions treat their inputs as immutable values: nothing
-is modified in place and every result is freshly allocated.
+Inner products, ``np.vdot`` throughout the package, are conjugate-linear
+in the FIRST argument and linear in the second.  All functions treat their
+inputs as immutable values: nothing is modified in place and every result
+is freshly allocated.
 """
 
 from __future__ import annotations
@@ -74,28 +75,6 @@ def as_matrix(entries) -> np.ndarray:
     return m
 
 
-def inner(u, v) -> complex:
-    """<u, v> = sum_k conj(u_k) v_k."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}")
-    return complex(np.vdot(u, v))
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(m).conj().T.copy()
-
-
-def trace(m) -> complex:
-    """Sum of the diagonal entries of a square matrix."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got shape {m.shape}")
-    return complex(np.trace(m))
-
-
 def count_above(values, tol: Tolerance = Tolerance()):
     """Count the entries of descending ``values`` above ``eps * max(1, first)``.
 
@@ -121,23 +100,6 @@ def is_hermitian(m, tol: Tolerance = Tolerance()) -> bool:
     return bool(np.abs(m - m.conj().T).max() <= tol.eps * scale)
 
 
-def eig_hermitian(m, tol: Tolerance = Tolerance()) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns:
-        values: real eigenvalues in descending order.
-        vectors: matrix whose column k is the unit eigenvector for values[k].
-
-    Raises:
-        ValueError: if the input fails ``is_hermitian`` at the tolerance.
-    """
-    m = as_matrix(m)
-    if not is_hermitian(m, tol):
-        raise ValueError("eig_hermitian requires a Hermitian matrix")
-    values, vectors = np.linalg.eigh(m)
-    return values[::-1].copy(), vectors[:, ::-1].copy()
-
-
 def is_positive(m, tol: Tolerance = Tolerance()) -> bool:
     """True iff m is Hermitian with spectrum above ``-eps * max(1, largest)``."""
     m = as_matrix(m)
@@ -147,23 +109,3 @@ def is_positive(m, tol: Tolerance = Tolerance()) -> bool:
         return False
     w = np.linalg.eigvalsh(m)
     return bool(w[0] >= -tol.eps * max(1.0, float(w[-1])))
-
-
-def factor_positive(t, tol: Tolerance = Tolerance()) -> np.ndarray:
-    """Factor a positive operator as ``adjoint(B) @ B``.
-
-    B carries the square roots of the eigenvalues on the diagonal in the
-    eigenbasis of the input (i.e. the Hermitian square root), so
-    ``adjoint(B) @ B == B @ B`` reconstructs the input.  Positivity is
-    decided on the one eigendecomposition, with ``is_positive``'s floor:
-    eigenvalues in the band ``[-eps * max(1, largest), 0]`` are clamped to
-    zero before the square root; anything more negative is rejected.
-    """
-    t = as_matrix(t)
-    if t.shape[0] != t.shape[1] or not is_hermitian(t, tol):
-        raise ValueError("factor_positive requires a positive operator")
-    values, vectors = np.linalg.eigh(t)
-    if values[0] < -tol.eps * max(1.0, float(values[-1])):
-        raise ValueError("factor_positive requires a positive operator")
-    values = np.where(values < 0.0, 0.0, values)
-    return (vectors * np.sqrt(values)) @ vectors.conj().T

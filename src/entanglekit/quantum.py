@@ -14,7 +14,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .linalg import Tolerance, as_matrix, as_vector, check_weights, is_hermitian, is_positive, rank
+from .linalg import Tolerance, as_matrix, as_vector, check_weights, is_positive
 
 
 def check_unit_norm(v: np.ndarray, tol: Tolerance) -> None:
@@ -109,16 +109,6 @@ def projector(x: PureState) -> DensityOperator:
     return _built_density(np.outer(v, v.conj()))
 
 
-def expectation(a, rho: DensityOperator, tol: Tolerance = Tolerance()) -> float:
-    """Expectation value Tr(A rho) of a Hermitian observable; any imaginary part is rounding."""
-    a = as_matrix(a)
-    if not is_hermitian(a, tol):
-        raise ValueError("observable must be Hermitian")
-    if a.shape[0] != rho.dim:
-        raise ValueError(f"dimension mismatch: observable {a.shape[0]}, state {rho.dim}")
-    return complex(np.trace(a @ rho.mat)).real
-
-
 def mix(ensemble: MixedEnsemble) -> DensityOperator:
     """Convex combination of the projectors of the ensemble's pure states."""
     acc = np.zeros((ensemble.dim, ensemble.dim), dtype=complex)
@@ -135,60 +125,3 @@ def is_density(m, tol: Tolerance = Tolerance()) -> bool:
     except ValueError:
         return False
     return True
-
-
-def is_pure_density(rho: DensityOperator, tol: Tolerance = Tolerance()) -> bool:
-    """True iff rho has rank one at ``tol``."""
-    return rank(rho.mat, tol) == 1
-
-
-def mixture_vs_superposition(
-    a, x1: PureState, x2: PureState, p1: float, *, normalize: bool = True
-) -> tuple[float, float]:
-    """Expectation in a two-state mixture vs in the naive vector sum.
-
-    The mixture value is ``p1 <x1, A x1> + (1 - p1) <x2, A x2>``, the
-    correct expectation when the system is in x1 or x2 with those
-    probabilities.  The naive value evaluates A in the single vector
-    z = p1 x1 + (1 - p1) x2 instead: ``<z, A z> / <z, z>`` when
-    ``normalize`` is true, or the raw quadratic form ``<z, A z>`` (which
-    expands to the p1^2 / cross / p2^2 terms) when false.  Both are
-    returned so callers can exhibit that no vector reproduces the mixture
-    statistics.
-    """
-    a = as_matrix(a)
-    if not is_hermitian(a):
-        raise ValueError("observable must be Hermitian")
-    if not (x1.dim == x2.dim == a.shape[0]):
-        raise ValueError(
-            f"dimension mismatch: observable {a.shape[0]}, states {x1.dim} and {x2.dim}"
-        )
-    p1 = float(p1)
-    if not (0.0 <= p1 <= 1.0):
-        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
-    p2 = 1.0 - p1
-    mixture = p1 * complex(np.vdot(x1.vec, a @ x1.vec)).real + p2 * complex(
-        np.vdot(x2.vec, a @ x2.vec)
-    ).real
-    z = p1 * x1.vec + p2 * x2.vec
-    zz = complex(np.vdot(z, z)).real
-    naive = complex(np.vdot(z, a @ z)).real
-    if normalize:
-        if zz == 0.0:
-            raise ValueError("superposition vector vanishes; cannot normalize")
-        naive /= zz
-    return mixture, naive
-
-
-def ccr_trace_obstruction(xm, pm) -> complex:
-    """Trace of the commutator X P - P X.
-
-    Always zero for finite matrices, which is exactly why no finite pair
-    can satisfy X P - P X = (i hbar) I: the right side has trace
-    i hbar n != 0.
-    """
-    xm = as_matrix(xm)
-    pm = as_matrix(pm)
-    if xm.shape[0] != xm.shape[1] or xm.shape != pm.shape:
-        raise ValueError(f"expected square matrices of one dimension, got {xm.shape} and {pm.shape}")
-    return complex(np.trace(xm @ pm - pm @ xm))

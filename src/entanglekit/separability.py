@@ -175,9 +175,25 @@ def check_range_criterion(dec: SeparableDecomposition, tol: Tolerance = Toleranc
     return all(_in_span(b, span_columns, tol) for b in basis)
 
 
-def _classify_pure_vector(t: BipartiteVector, tol: Tolerance) -> Classification:
+def _unit_schmidt(t: BipartiteVector, tol: Tolerance) -> SchmidtDecomposition:
+    """Schmidt form of t, which must be a unit vector with a coefficient above the cut.
+
+    A unit vector has Schmidt rank >= 1.  Rank 0 means eps lies above the
+    largest coefficient, so the tolerance is refused rather than read as a
+    verdict.
+    """
     check_unit_norm(t.vec, tol)
     dec = schmidt(t, tol)
+    if dec.rank == 0:
+        raise ValueError(
+            f"tolerance {tol.eps!r} lies above every Schmidt coefficient "
+            f"(largest {float(dec.coeffs[0])!r}); a unit vector has Schmidt rank >= 1"
+        )
+    return dec
+
+
+def _classify_pure_vector(t: BipartiteVector, tol: Tolerance) -> Classification:
+    dec = _unit_schmidt(t, tol)
     if dec.rank == 1:
         x = PureState(dec.left[0], tol)
         y = PureState(dec.right[0], tol)

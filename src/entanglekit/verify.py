@@ -23,32 +23,11 @@ from .classical import (
     classical_pure,
     classical_tensor,
     classify_classical,
-    composite_pure,
-    decompose_pure,
     is_product_composite,
     marginal,
 )
-from .linalg import (
-    Tolerance,
-    adjoint,
-    factor_positive,
-    inner,
-    is_hermitian,
-    is_positive,
-    rank,
-    trace,
-)
-from .quantum import (
-    DensityOperator,
-    MixedEnsemble,
-    PureState,
-    ccr_trace_obstruction,
-    expectation,
-    is_density,
-    mix,
-    mixture_vs_superposition,
-    projector,
-)
+from .linalg import Tolerance, as_matrix, is_hermitian, is_positive, rank
+from .quantum import DensityOperator, MixedEnsemble, PureState, is_density, mix, projector
 from .separability import (
     SeparableDecomposition,
     Verdict,
@@ -243,7 +222,7 @@ def _suite_classical_decomposition(rng, n, tol):
     for k in range(n):
         space = rand_phase_space(int(rng.integers(2, 7)), "x")
         f = rand_classical_state(rng, space)
-        terms = decompose_pure(f)
+        terms = [(p, classical_pure(f.space, x)) for x, p in f.probs.items()]
         recombined: dict[str, float] = {}
         for w, fx in terms:
             _ensure(fx.is_pure, lambda k=k: {"instance": k, "reason": "non-pure term"})
@@ -270,7 +249,7 @@ def _suite_classical_point_mass_tensor(rng, n, tol):
     for x in space_x.labels:
         for y in space_y.labels:
             left = classical_tensor(classical_pure(space_x, x), classical_pure(space_y, y))
-            right = composite_pure(space_x, space_y, (x, y))
+            right = CompositeClassicalState(space_x, space_y, {(x, y): 1.0})
             _ensure(
                 left.probs == right.probs,
                 lambda x=x, y=y: {"point": [x, y], "reason": "tensor != point mass"},
@@ -282,7 +261,7 @@ def _suite_classical_point_mass_tensor(rng, n, tol):
         y = sy.labels[int(rng.integers(0, len(sy)))]
         left = classical_tensor(classical_pure(sx, x), classical_pure(sy, y))
         _ensure(
-            left.probs == composite_pure(sx, sy, (x, y)).probs,
+            left.probs == CompositeClassicalState(sx, sy, {(x, y): 1.0}).probs,
             lambda k=k, x=x, y=y: {"instance": k, "point": [x, y]},
         )
     return 16 + n
@@ -375,7 +354,7 @@ def _suite_self_adjoint(rng, n, tol):
         d = int(rng.integers(1, 7))
         u, v = rand_complex(rng, d), rand_complex(rng, d)
         _ensure(
-            abs(inner(u, v) - np.conj(inner(v, u))) <= 1e-12,
+            abs(np.vdot(u, v) - np.conj(np.vdot(v, u))) <= 1e-12,
             lambda u=u, v=v: {"u": cvec_to_json(u), "v": cvec_to_json(v)},
         )
     return n
@@ -383,6 +362,23 @@ def _suite_self_adjoint(rng, n, tol):
 
 def complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
+
+
+def _factor_positive(t, tol: Tolerance) -> np.ndarray:
+    """Factor a positive operator t as ``B* B``, refusing any other input.
+
+    B is the Hermitian square root, built from one eigendecomposition:
+    eigenvalues in ``is_positive``'s band ``[-eps * max(1, largest), 0]``
+    are clamped to zero, anything more negative is rejected.
+    """
+    t = as_matrix(t)
+    if t.shape[0] != t.shape[1] or not is_hermitian(t, tol):
+        raise ValueError("factor_positive requires a positive operator")
+    values, vectors = np.linalg.eigh(t)
+    if values[0] < -tol.eps * max(1.0, float(values[-1])):
+        raise ValueError("factor_positive requires a positive operator")
+    values = np.where(values < 0.0, 0.0, values)
+    return (vectors * np.sqrt(values)) @ vectors.conj().T
 
 
 @_suite(
@@ -395,8 +391,8 @@ def _suite_positive_factorization(rng, n, tol):
         b = rand_complex(rng, d, d)
         t = b.conj().T @ b
         _ensure(is_positive(t, tol), lambda t=t: {"matrix": cmat_to_json(t)})
-        b2 = factor_positive(t, tol)
-        err = float(np.abs(adjoint(b2) @ b2 - t).max())
+        b2 = _factor_positive(t, tol)
+        err = float(np.abs(b2.conj().T.copy() @ b2 - t).max())
         bound = 1e-8 * max(1.0, float(np.abs(t).max()))
         _ensure(
             err <= bound,
@@ -410,7 +406,7 @@ def _suite_positive_factorization(rng, n, tol):
         h = (u * values) @ u.conj().T
         _ensure(not is_positive(h, tol), lambda h=h: {"matrix": cmat_to_json(h)})
         try:
-            factor_positive(h, tol)
+            _factor_positive(h, tol)
         except ValueError:
             pass
         else:
@@ -433,7 +429,7 @@ def _suite_projector_laws(rng, n, tol):
         _ensure(is_hermitian(p.mat, tol), lambda: fail("not self-adjoint"))
         _ensure(float(np.abs(p.mat @ p.mat - p.mat).max()) <= 1e-9, lambda: fail("not idempotent"))
         _ensure(rank(p.mat, tol) == 1, lambda: fail("rank != 1"))
-        _ensure(abs(trace(p.mat) - 1.0) <= 1e-12, lambda: fail("trace != 1"))
+        _ensure(abs(complex(np.trace(p.mat)) - 1.0) <= 1e-12, lambda: fail("trace != 1"))
         _ensure(is_positive(p.mat, tol), lambda: fail("not positive"))
         a = rand_hermitian(rng, d)
         gap = abs(complex(np.trace(a @ p.mat)) - complex(np.vdot(x.vec, a @ x.vec)))
@@ -446,6 +442,24 @@ def _suite_projector_laws(rng, n, tol):
             },
         )
     return n
+
+
+def _mixture_vs_superposition(a, x1: PureState, x2: PureState, p1: float, normalize=True):
+    """Expectation of A in the mixture of x1 and x2 vs in their summed vector.
+
+    The mixture value is ``p1 <x1, A x1> + (1 - p1) <x2, A x2>``.  The
+    naive value evaluates A in z = p1 x1 + (1 - p1) x2: ``<z, A z> / <z, z>``,
+    or the raw quadratic form ``<z, A z>`` when ``normalize`` is false.
+    """
+    p2 = 1.0 - p1
+    mixture = p1 * complex(np.vdot(x1.vec, a @ x1.vec)).real + p2 * complex(
+        np.vdot(x2.vec, a @ x2.vec)
+    ).real
+    z = p1 * x1.vec + p2 * x2.vec
+    naive = complex(np.vdot(z, a @ z)).real
+    if normalize:
+        naive /= complex(np.vdot(z, z)).real
+    return mixture, naive
 
 
 @_suite(
@@ -466,7 +480,7 @@ def _suite_mixture_laws(rng, n, tol):
             float(w) * complex(np.vdot(x.vec, a @ x.vec)).real for w, x in zip(weights, states)
         )
         _ensure(
-            abs(expectation(a, rho, tol) - direct) <= 1e-9,
+            abs(complex(np.trace(a @ rho.mat)).real - direct) <= 1e-9,
             lambda k=k: {"instance": k, "reason": "expectation not linear over the ensemble"},
         )
         # flattening two ensembles through outer weights stays a valid density
@@ -487,7 +501,7 @@ def _suite_mixture_laws(rng, n, tol):
     e1 = PureState(np.array([1.0, 0.0], dtype=complex))
     e2 = PureState(np.array([0.0, 1.0], dtype=complex))
     a0 = np.diag([1.0, 0.0]).astype(complex)
-    mixture, raw = mixture_vs_superposition(a0, e1, e2, 0.5, normalize=False)
+    mixture, raw = _mixture_vs_superposition(a0, e1, e2, 0.5, normalize=False)
     _ensure(
         abs(mixture - 0.5) <= 1e-12 and abs(raw - 0.25) <= 1e-12,
         {"mixture": mixture, "raw_quadratic_form": raw},
@@ -500,7 +514,7 @@ def _suite_mixture_laws(rng, n, tol):
         found = False
         for _ in range(20):
             a = rand_hermitian(rng, d)
-            m, naive = mixture_vs_superposition(a, x1, x2, p1)
+            m, naive = _mixture_vs_superposition(a, x1, x2, p1)
             if abs(m - naive) > tol.eps:
                 found = True
                 break
@@ -569,12 +583,20 @@ def _suite_schmidt_dichotomy(rng, n, tol):
         )
         zero = kron_vec(np.zeros(d1), y).vec
         _ensure(float(np.abs(zero).max()) == 0.0, {"instance": k, "identity": "null"})
-    # SVD rank agrees with exact elimination over the rationals
+    # SVD rank agrees with exact elimination over the rationals.  The product
+    # of the r nonzero squared singular values of an integer matrix is a sum
+    # of squared integer minors (Cauchy-Binet), so it is >= 1, and the
+    # smallest is >= F**-(r - 1), F the Frobenius norm.  Where the cut may
+    # lie above that floor, the SVD rank may only come out lower.
     for k in range(n):
         rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         m = rng.integers(-3, 4, (rows, cols))
+        exact = _fraction_rank(m)
+        found = rank(m.astype(complex), tol)
+        frob = float(np.linalg.norm(m))
+        resolved = tol.eps * max(1.0, frob) < frob ** -(exact - 1)
         _ensure(
-            rank(m.astype(complex), tol) == _fraction_rank(m),
+            found == exact if resolved else found <= exact,
             lambda m=m: {"matrix": [[int(v) for v in row] for row in m]},
         )
     return n
@@ -779,7 +801,7 @@ def _suite_traceless_commutators(rng, n, tol):
     for k in range(n):
         d = int(rng.integers(2, 7))
         xm, pm = rand_complex(rng, d, d), rand_complex(rng, d, d)
-        val = ccr_trace_obstruction(xm, pm)
+        val = complex(np.trace(xm @ pm - pm @ xm))
         _ensure(
             abs(val) <= 1e-9,
             lambda xm=xm, pm=pm, val=val: {
@@ -789,7 +811,7 @@ def _suite_traceless_commutators(rng, n, tol):
             },
         )
     same = rand_complex(rng, 4, 4)
-    _ensure(ccr_trace_obstruction(same, same) == 0j, {"reason": "tr[X, X] not exactly zero"})
+    _ensure(np.trace(same @ same - same @ same) == 0, {"reason": "tr[X, X] not exactly zero"})
     return n
 
 
@@ -801,7 +823,7 @@ def _suite_trace_basis_independence(rng, n, tol):
         u = rand_unitary(rng, d)
         basis_sum = sum(complex(np.vdot(u[:, i], m @ u[:, i])) for i in range(d))
         _ensure(
-            abs(basis_sum - trace(m)) <= 1e-9,
+            abs(basis_sum - complex(np.trace(m))) <= 1e-9,
             lambda m=m, u=u: {"matrix": cmat_to_json(m), "basis": cmat_to_json(u)},
         )
     return n

@@ -26,25 +26,17 @@ from entanglekit.classical import (
     classical_pure,
     classical_tensor,
     classify_classical,
-    composite_pure,
 )
 from entanglekit.cli import main
-from entanglekit.linalg import adjoint, factor_positive, is_hermitian, is_positive
-from entanglekit.quantum import (
-    MixedEnsemble,
-    PureState,
-    ccr_trace_obstruction,
-    is_density,
-    mix,
-    mixture_vs_superposition,
-    projector,
-)
+from entanglekit.linalg import Tolerance, is_hermitian, is_positive
+from entanglekit.quantum import MixedEnsemble, PureState, is_density, mix, projector
 from entanglekit.separability import (
     SeparableDecomposition,
     Verdict,
     check_range_criterion,
     classify,
 )
+from entanglekit.verify import _factor_positive, _mixture_vs_superposition
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_states"
 
@@ -95,7 +87,7 @@ def test_classical_point_mass_tensor_identity():
     for x in sx.labels:
         for y in sy.labels:
             left = classical_tensor(classical_pure(sx, x), classical_pure(sy, y))
-            assert left.probs == composite_pure(sx, sy, (x, y)).probs
+            assert left.probs == CompositeClassicalState(sx, sy, {(x, y): 1.0}).probs
     _pass("point-mass tensor equals the composite point mass bit-for-bit (4x4, all pairs)")
 
 
@@ -134,8 +126,8 @@ def test_positive_factorization_and_rejection():
         d = int(rng.integers(2, 9))
         b = _rand_complex(rng, d, d)
         t = b.conj().T @ b
-        b2 = factor_positive(t)
-        err = float(np.abs(adjoint(b2) @ b2 - t).max())
+        b2 = _factor_positive(t, Tolerance())
+        err = float(np.abs(b2.conj().T @ b2 - t).max())
         assert err <= 1e-8 * max(1.0, float(np.abs(t).max()))
     for _ in range(100):
         d = int(rng.integers(2, 9))
@@ -182,7 +174,7 @@ def test_mixture_is_not_a_superposition():
     e1 = PureState(np.array([1.0, 0.0], dtype=complex))
     e2 = PureState(np.array([0.0, 1.0], dtype=complex))
     a = np.diag([1.0, 0.0]).astype(complex)
-    mixture, raw = mixture_vs_superposition(a, e1, e2, 0.5, normalize=False)
+    mixture, raw = _mixture_vs_superposition(a, e1, e2, 0.5, normalize=False)
     assert abs(mixture - 0.5) <= 1e-12
     assert abs(raw - 0.25) <= 1e-12
     rng = np.random.default_rng(1007)
@@ -195,7 +187,7 @@ def test_mixture_is_not_a_superposition():
         for _ in range(20):
             h = _rand_complex(rng, d, d)
             h = (h + h.conj().T) / 2
-            m, naive = mixture_vs_superposition(h, x1, x2, p1)
+            m, naive = _mixture_vs_superposition(h, x1, x2, p1)
             if abs(m - naive) > 1e-9:
                 found = True
                 break
@@ -314,7 +306,7 @@ def test_commutator_trace_and_basis_independence():
     for _ in range(200):
         d = int(rng.integers(2, 7))
         xm, pm = _rand_complex(rng, d, d), _rand_complex(rng, d, d)
-        assert abs(ccr_trace_obstruction(xm, pm)) <= 1e-9
+        assert abs(np.trace(xm @ pm - pm @ xm)) <= 1e-9
     for _ in range(200):
         d = int(rng.integers(2, 7))
         m = _rand_complex(rng, d, d)

@@ -11,11 +11,11 @@ from entanglekit.classical import (
     classical_pure,
     classical_tensor,
     classify_classical,
-    composite_pure,
-    decompose_pure,
     is_product_composite,
     marginal,
 )
+from entanglekit.linalg import Tolerance
+from entanglekit.verify import _suite_classical_decomposition
 
 AB = PhaseSpace(("a", "b"))
 CD = PhaseSpace(("c", "d"))
@@ -24,6 +24,15 @@ CD = PhaseSpace(("c", "d"))
 def _rand_state(rng, space):
     probs = rng.dirichlet(np.ones(len(space)))
     return ClassicalState(space, {lab: float(p) for lab, p in zip(space.labels, probs)})
+
+
+def _point_masses(f):
+    """f split into weighted point masses, as the classical-convex-decomposition suite splits it."""
+    return [(p, classical_pure(f.space, x)) for x, p in f.probs.items()]
+
+
+def _point(sx, sy, x, y):
+    return CompositeClassicalState(sx, sy, {(x, y): 1.0})
 
 
 def _rand_composite(rng, sx, sy):
@@ -77,11 +86,11 @@ class TestClassicalState:
 
 class TestDecomposePure:
     def test_pure_state_is_single_term(self):
-        assert decompose_pure(classical_pure(AB, "a")) == [(1.0, classical_pure(AB, "a"))]
+        assert _point_masses(classical_pure(AB, "a")) == [(1.0, classical_pure(AB, "a"))]
 
     def test_two_point_state(self):
         f = ClassicalState(AB, {"a": 0.3, "b": 0.7})
-        assert decompose_pure(f) == [
+        assert _point_masses(f) == [
             (0.3, classical_pure(AB, "a")),
             (0.7, classical_pure(AB, "b")),
         ]
@@ -92,16 +101,17 @@ class TestDecomposePure:
             space = PhaseSpace(tuple(f"x{k}" for k in range(int(rng.integers(2, 7)))))
             f = _rand_state(rng, space)
             recombined = {}
-            for w, fx in decompose_pure(f):
+            for w, fx in _point_masses(f):
                 assert fx.is_pure
                 recombined[fx.support[0]] = recombined.get(fx.support[0], 0.0) + w
             assert recombined == f.probs
+        assert _suite_classical_decomposition(rng, 50, Tolerance()) == 50
 
 
 class TestClassicalTensor:
     def test_pure_tensor_pure_is_composite_pure(self):
         left = classical_tensor(classical_pure(AB, "a"), classical_pure(CD, "c"))
-        assert left.probs == composite_pure(AB, CD, ("a", "c")).probs
+        assert left.probs == _point(AB, CD, "a", "c").probs
 
     def test_all_pairs_bit_equal(self):
         sx = PhaseSpace(tuple(f"x{k}" for k in range(4)))
@@ -109,7 +119,7 @@ class TestClassicalTensor:
         for x in sx.labels:
             for y in sy.labels:
                 left = classical_tensor(classical_pure(sx, x), classical_pure(sy, y))
-                assert left.probs == composite_pure(sx, sy, (x, y)).probs
+                assert left.probs == _point(sx, sy, x, y).probs
 
     def test_uniform_times_pure(self):
         f = ClassicalState(AB, {"a": 0.5, "b": 0.5})
@@ -130,7 +140,7 @@ class TestClassicalTensor:
 
 class TestMarginal:
     def test_composite_pure_reduces_to_pure(self):
-        h = composite_pure(AB, CD, ("a", "c"))
+        h = _point(AB, CD, "a", "c")
         assert marginal(h, "second").probs == {"c": 1.0}
         assert marginal(h, "first").probs == {"a": 1.0}
 
@@ -139,14 +149,14 @@ class TestMarginal:
         assert marginal(h, "first").probs == {"a": 0.5, "b": 0.5}
 
     def test_bad_side_rejected(self):
-        h = composite_pure(AB, CD, ("a", "c"))
+        h = _point(AB, CD, "a", "c")
         with pytest.raises(ValueError, match="side"):
             marginal(h, "third")
 
 
 class TestClassifyClassical:
     def test_composite_pure_gives_single_product_term(self):
-        cert = classify_classical(composite_pure(AB, CD, ("a", "c")))
+        cert = classify_classical(_point(AB, CD, "a", "c"))
         assert cert.terms == ((1.0, classical_pure(AB, "a"), classical_pure(CD, "c")),)
 
     def test_correlated_state_is_separable_with_two_terms(self):
@@ -199,7 +209,7 @@ class TestIsProductComposite:
         assert is_product_composite(h) is None
 
     def test_composite_pure_is_a_product_of_pures(self):
-        recovered = is_product_composite(composite_pure(AB, CD, ("a", "c")))
+        recovered = is_product_composite(_point(AB, CD, "a", "c"))
         assert recovered is not None
         rf, rg = recovered
         assert rf.probs == {"a": 1.0}

@@ -377,3 +377,30 @@ class TestBuiltDensitiesAtTheEdge:
         assert code == 0
         assert report["result"]["verdict"] == "QuantumSeparableByConstruction"
         assert report["result"]["certificate"]["range_criterion_passed"] is True
+
+
+class TestToleranceAboveEveryCoefficient:
+    """A unit vector has Schmidt rank >= 1, so a tolerance that leaves rank 0 is refused."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", PRODUCT, "--tol", "2"),
+            ("classify", BELL, "--tol", "0.8"),
+            ("classify", BELL, "--tol", "5"),
+            ("schmidt", BELL, "--tol", "2"),
+        ],
+        ids=["classify-product-2", "classify-bell-0.8", "classify-bell-5", "schmidt-bell-2"],
+    )
+    def test_rank_zero_is_refused(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert f"tolerance {float(argv[-1])!r} lies above every Schmidt coefficient" in err
+
+    def test_a_cut_below_the_largest_coefficient_still_decides(self, capsys):
+        # the Bell coefficients are 0.7071..., just above eps = 0.7
+        code, report = _run_json(capsys, "classify", BELL, "--tol", "0.7")
+        assert code == 0
+        assert report["result"]["verdict"] == "QuantumEntangledPure"
+        assert report["result"]["certificate"]["schmidt"]["rank"] == 2

@@ -1,4 +1,4 @@
-"""Core linear algebra: inner products, adjoint, trace, rank, positivity."""
+"""Core linear algebra: the inner-product, adjoint and trace conventions, rank, positivity."""
 
 from fractions import Fraction
 
@@ -18,21 +18,17 @@ from entanglekit.classical import (
 from entanglekit.linalg import (
     DEFAULT_EPS,
     Tolerance,
-    adjoint,
     as_matrix,
     as_vector,
     check_weights,
     count_above,
-    eig_hermitian,
-    factor_positive,
-    inner,
     is_hermitian,
     is_positive,
     rank,
-    trace,
 )
-from entanglekit.quantum import MixedEnsemble, PureState
-from entanglekit.separability import SeparableDecomposition
+from entanglekit.quantum import DensityOperator, MixedEnsemble, PureState, projector
+from entanglekit.separability import SeparableDecomposition, range_basis
+from entanglekit.verify import _factor_positive
 
 TOL = Tolerance()
 
@@ -73,12 +69,14 @@ def _vector_pairs(draw, max_dim=6):
 
 
 class TestInner:
+    """``np.vdot``, the package's inner product: conjugate-linear in the first argument."""
+
     def test_orthogonal_basis_vectors(self):
-        assert inner([1, 0], [0, 1]) == 0
+        assert np.vdot([1, 0], [0, 1]) == 0
 
     def test_conjugate_linear_in_first_argument(self):
-        assert inner([1j, 0], [1, 0]) == -1j
-        assert inner([1, 0], [1j, 0]) == 1j
+        assert np.vdot([1j, 0], [1, 0]) == -1j
+        assert np.vdot([1, 0], [1j, 0]) == 1j
 
     def test_matches_componentwise_summation(self):
         rng = np.random.default_rng(7)
@@ -86,57 +84,55 @@ class TestInner:
             d = int(rng.integers(1, 8))
             u, v = _rand_complex(rng, d), _rand_complex(rng, d)
             direct = sum(complex(u[k]).conjugate() * complex(v[k]) for k in range(d))
-            assert abs(inner(u, v) - direct) <= 1e-12
+            assert abs(np.vdot(u, v) - direct) <= 1e-12
 
     def test_self_inner_is_real_nonnegative(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             u = _rand_complex(rng, 5)
-            val = inner(u, u)
+            val = np.vdot(u, u)
             assert val.imag == 0.0
             assert val.real >= 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            inner([1, 0], [1, 0, 0])
 
     @settings(max_examples=200, deadline=None)
     @given(_vector_pairs())
     def test_conjugate_symmetry(self, pair):
         u, v = pair
-        assert abs(inner(u, v) - np.conj(inner(v, u))) <= 1e-9
+        assert abs(np.vdot(u, v) - np.conj(np.vdot(v, u))) <= 1e-9
+
+
+def _adjoint(m):
+    return np.asarray(m, dtype=complex).conj().T
 
 
 class TestAdjoint:
+    """The adjoint is the conjugate transpose, as ``is_hermitian`` and the suites take it."""
+
     def test_identity(self):
-        np.testing.assert_array_equal(adjoint(np.eye(2)), np.eye(2))
+        np.testing.assert_array_equal(_adjoint(np.eye(2)), np.eye(2))
 
     def test_real_matrix_transposes(self):
-        np.testing.assert_array_equal(adjoint([[0, 1], [0, 0]]), [[0, 0], [1, 0]])
+        np.testing.assert_array_equal(_adjoint([[0, 1], [0, 0]]), [[0, 0], [1, 0]])
 
     def test_one_by_one_conjugates(self):
-        np.testing.assert_array_equal(adjoint([[2 + 3j]]), [[2 - 3j]])
+        np.testing.assert_array_equal(_adjoint([[2 + 3j]]), [[2 - 3j]])
 
     def test_involution(self):
         rng = np.random.default_rng(9)
         m = _rand_complex(rng, 4, 3)
-        np.testing.assert_array_equal(adjoint(adjoint(m)), m)
+        np.testing.assert_array_equal(_adjoint(_adjoint(m)), m)
 
 
 class TestTrace:
     def test_identity(self):
-        assert trace(np.eye(2)) == 2
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            trace(np.ones((2, 3)))
+        assert np.trace(np.eye(2)) == 2
 
     def test_linearity(self):
         rng = np.random.default_rng(10)
         a, b = _rand_complex(rng, 4, 4), _rand_complex(rng, 4, 4)
         alpha = 0.3 - 1.7j
-        assert abs(trace(a + b) - (trace(a) + trace(b))) <= 1e-12
-        assert abs(trace(alpha * a) - alpha * trace(a)) <= 1e-12
+        assert abs(np.trace(a + b) - (np.trace(a) + np.trace(b))) <= 1e-12
+        assert abs(np.trace(alpha * a) - alpha * np.trace(a)) <= 1e-12
 
     def test_equals_basis_sum_in_any_orthonormal_basis(self):
         rng = np.random.default_rng(11)
@@ -145,7 +141,7 @@ class TestTrace:
             m = _rand_complex(rng, d, d)
             q, _ = np.linalg.qr(_rand_complex(rng, d, d))
             basis_sum = sum(complex(np.vdot(q[:, i], m @ q[:, i])) for i in range(d))
-            assert abs(basis_sum - trace(m)) <= 1e-9
+            assert abs(basis_sum - np.trace(m)) <= 1e-9
 
 
 class TestRank:
@@ -223,17 +219,25 @@ class TestHermitian:
             assert abs(complex(np.vdot(x, m @ x)).imag) <= 1e-9 * np.linalg.norm(x) ** 2
 
 
+def _rand_full_rank_density(rng, d):
+    b = _rand_complex(rng, d, d)
+    t = b.conj().T @ b + 0.1 * np.eye(d)
+    return DensityOperator(t / np.trace(t).real)
+
+
 class TestEigHermitian:
+    """``range_basis``, the one Hermitian eigendecomposition of a state: descending, orthonormal."""
+
     def test_diagonal(self):
-        values, vectors = eig_hermitian(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(values, [3.0, 1.0])
-        np.testing.assert_allclose(np.abs(vectors), np.eye(2), atol=1e-12)
+        basis = range_basis(DensityOperator(np.diag([0.25, 0.75])))
+        np.testing.assert_allclose(np.abs(np.column_stack(basis)), [[0, 1], [1, 0]], atol=1e-12)
 
     def test_descending_order_and_orthonormal(self):
         rng = np.random.default_rng(16)
-        a = _rand_complex(rng, 6, 6)
-        m = (a + a.conj().T) / 2
-        values, vectors = eig_hermitian(m)
+        rho = _rand_full_rank_density(rng, 6)
+        vectors = np.column_stack(range_basis(rho))
+        values = [np.vdot(v, rho.mat @ v).real for v in vectors.T]
+        assert len(values) == 6
         assert all(values[k] >= values[k + 1] for k in range(len(values) - 1))
         np.testing.assert_allclose(vectors.conj().T @ vectors, np.eye(6), atol=1e-10)
 
@@ -241,25 +245,18 @@ class TestEigHermitian:
         rng = np.random.default_rng(17)
         for _ in range(20):
             d = int(rng.integers(2, 7))
-            a = _rand_complex(rng, d, d)
-            m = (a + a.conj().T) / 2
-            values, vectors = eig_hermitian(m)
-            rebuilt = sum(
-                values[k] * np.outer(vectors[:, k], vectors[:, k].conj()) for k in range(d)
-            )
-            scale = max(1.0, float(np.abs(m).max()))
-            assert float(np.abs(rebuilt - m).max()) <= 1e-9 * scale
+            rho = _rand_full_rank_density(rng, d)
+            basis = range_basis(rho)
+            rebuilt = sum(np.vdot(v, rho.mat @ v).real * np.outer(v, v.conj()) for v in basis)
+            assert float(np.abs(rebuilt - rho.mat).max()) <= 1e-9
 
     def test_projector_spectrum(self):
         rng = np.random.default_rng(18)
         x = _rand_complex(rng, 4)
         x /= np.linalg.norm(x)
-        values, _ = eig_hermitian(np.outer(x, x.conj()))
-        np.testing.assert_allclose(values, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            eig_hermitian([[0, 1], [0, 0]])
+        basis = range_basis(projector(PureState(x)))
+        assert len(basis) == 1
+        assert abs(abs(np.vdot(basis[0], x)) - 1.0) <= 1e-12
 
 
 class TestPositive:
@@ -284,13 +281,15 @@ class TestPositive:
 
 
 class TestFactorPositive:
+    """The positive-factorization suite's helper: B* B for positive input, rejection otherwise."""
+
     def test_diagonal(self):
-        b = factor_positive(np.diag([4.0, 1.0]))
-        np.testing.assert_allclose(adjoint(b) @ b, np.diag([4.0, 1.0]), atol=1e-12)
+        b = _factor_positive(np.diag([4.0, 1.0]), TOL)
+        np.testing.assert_allclose(b.conj().T @ b, np.diag([4.0, 1.0]), atol=1e-12)
 
     def test_identity(self):
-        b = factor_positive(np.eye(3))
-        np.testing.assert_allclose(adjoint(b) @ b, np.eye(3), atol=1e-12)
+        b = _factor_positive(np.eye(3), TOL)
+        np.testing.assert_allclose(b.conj().T @ b, np.eye(3), atol=1e-12)
 
     def test_random_positive_reconstructs(self):
         rng = np.random.default_rng(21)
@@ -298,19 +297,19 @@ class TestFactorPositive:
             d = int(rng.integers(2, 9))
             c = _rand_complex(rng, d, d)
             t = c.conj().T @ c
-            b = factor_positive(t)
+            b = _factor_positive(t, TOL)
             bound = 1e-8 * max(1.0, float(np.abs(t).max()))
-            assert float(np.abs(adjoint(b) @ b - t).max()) <= bound
+            assert float(np.abs(b.conj().T @ b - t).max()) <= bound
 
     def test_clamps_roundoff_band_only(self):
         # an eigenvalue of -eps/2 (relative) is clamped, not rejected
         t = np.diag([1.0, -TOL.eps / 2])
-        b = factor_positive(t)
-        np.testing.assert_allclose(adjoint(b) @ b, np.diag([1.0, 0.0]), atol=1e-9)
+        b = _factor_positive(t, TOL)
+        np.testing.assert_allclose(b.conj().T @ b, np.diag([1.0, 0.0]), atol=1e-9)
 
     def test_rejects_genuinely_negative(self):
         with pytest.raises(ValueError, match="positive"):
-            factor_positive(np.diag([1.0, -0.5]))
+            _factor_positive(np.diag([1.0, -0.5]), TOL)
 
     @pytest.mark.parametrize("low", [-2.5, -3.5])
     def test_floor_scales_with_the_largest_eigenvalue(self, low):
@@ -318,10 +317,10 @@ class TestFactorPositive:
         t = np.diag([3.0, low * TOL.eps])
         assert is_positive(t) == (low > -3.0)
         if low > -3.0:
-            factor_positive(t)
+            _factor_positive(t, TOL)
         else:
             with pytest.raises(ValueError, match="positive"):
-                factor_positive(t)
+                _factor_positive(t, TOL)
 
     @pytest.mark.parametrize(
         "t", [np.ones((2, 3)), np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, -0.5])],
@@ -329,7 +328,7 @@ class TestFactorPositive:
     )
     def test_rejection_message(self, t):
         with pytest.raises(ValueError) as exc:
-            factor_positive(t)
+            _factor_positive(t, TOL)
         assert str(exc.value) == "factor_positive requires a positive operator"
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from entanglekit.bipartite import BipartiteDims, BipartiteVector, kron_op, kron_vec, partial_trace, schmidt
 from entanglekit.classical import ClassicalState, PhaseSpace, classical_tensor, is_product_composite
-from entanglekit.linalg import Tolerance, eig_hermitian, factor_positive
+from entanglekit.linalg import Tolerance
 from entanglekit.quantum import DensityOperator, MixedEnsemble, PureState, is_density, mix, projector
 from entanglekit.separability import (
     Classification,
@@ -30,6 +30,7 @@ from entanglekit.separability import (
     separable_density,
 )
 from entanglekit.statefile import classification_to_json, dumps_canonical, loads_state, state_to_json
+from entanglekit.verify import _factor_positive
 
 TOL = Tolerance()
 
@@ -39,8 +40,14 @@ def _old_rank(m, tol):
     return int(np.count_nonzero(s > tol.eps * max(1.0, float(s[0]))))
 
 
+def _old_eig_hermitian(m):
+    """Eigenvalues in descending order, with their eigenvectors as columns."""
+    values, vectors = np.linalg.eigh(m)
+    return values[::-1].copy(), vectors[:, ::-1].copy()
+
+
 def _old_range_basis(rho, tol):
-    values, vectors = eig_hermitian(rho.mat, tol)
+    values, vectors = _old_eig_hermitian(rho.mat)
     cut = tol.eps * max(1.0, float(values[0]))
     return [vectors[:, k].copy() for k in range(values.shape[0]) if values[k] > cut]
 
@@ -48,7 +55,7 @@ def _old_range_basis(rho, tol):
 def _old_classify_density(rho, dims, tol):
     """The density branch of ``classify``: an SVD for the rank, then eigh twice."""
     if _old_rank(rho.mat, tol) == 1:
-        _, vectors = eig_hermitian(rho.mat, tol)
+        _, vectors = _old_eig_hermitian(rho.mat)
         return classify(BipartiteVector(vectors[:, 0], dims), tol=tol)
     basis = _old_range_basis(rho, tol)
     ranks = tuple(schmidt(BipartiteVector(b, dims), tol).rank for b in basis)
@@ -246,7 +253,7 @@ class TestDecompositionBudget:
     )
     def test_factor_positive_decides_on_one_eigh(self, decompositions, t, eighs):
         try:
-            factor_positive(t, TOL)
+            _factor_positive(t, TOL)
         except ValueError:
             pass
         assert decompositions == ({"eigh": eighs} if eighs else {})

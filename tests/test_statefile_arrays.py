@@ -9,8 +9,13 @@ the same canonical bytes on output.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import sys
+import types
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -314,3 +319,91 @@ def test_decoding_restores_the_collector_state():
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+# Exit codes: whatever a state file holds, the CLI ends with 0, 2, 3 or 4.
+# Exit 1 means a verification failure, so an escaping exception must not
+# reach the interpreter's default handler either.
+_VALUES = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2**-0.5, 1 + 1e-9, 1e-300, 1e300])
+
+
+@st.composite
+def _cvec(draw, n):
+    """n complex entries as [re, im] pairs, mostly scaled to unit norm."""
+    v = draw(st.lists(_VALUES, min_size=2 * n, max_size=2 * n))
+    norm = math.hypot(*v)
+    if 0.0 < norm < math.inf and draw(st.integers(0, 3)):
+        v = [x / norm for x in v]
+    return [v[k : k + 2] for k in range(0, 2 * n, 2)]
+
+
+def _weights(n):
+    point = st.integers(0, n - 1).map(lambda k: [float(j == k) for j in range(n)])
+    return st.one_of(st.just([1 / n] * n), point, st.lists(_VALUES, min_size=n, max_size=n))
+
+
+@st.composite
+def _well_formed(draw, kind):
+    """A state file of the given type whose fields all have the expected shapes."""
+    d1, d2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    xs, ys = ["a", "b", "c"][:d1], ["x", "y", "z"][:d2]
+    if kind == "classical":
+        return {"type": kind, "space": xs, "probs": dict(zip(xs, draw(_weights(d1))))}
+    if kind == "classical2":
+        points = [[x, y] for x in xs for y in ys]
+        probs = [pt + [p] for pt, p in zip(points, draw(_weights(d1 * d2)))]
+        return {"type": kind, "spaceX": xs, "spaceY": ys, "probs": probs}
+    if kind == "pure":
+        return {"type": kind, "vec": draw(_cvec(d1 * d2))}
+    if kind == "bipartite":
+        return {"type": kind, "dims": [d1, d2], "vec": draw(_cvec(d1 * d2))}
+    if kind == "density":
+        mat = np.zeros((d1 * d2, d1 * d2), dtype=complex)
+        for w in draw(_weights(2)):
+            v = np.array([re + 1j * im for re, im in draw(_cvec(d1 * d2))])
+            with np.errstate(all="ignore"):  # 1e300 entries overflow into non-finite ones
+                mat += w * np.outer(v, v.conj())
+        return {"type": kind, "dim": d1 * d2, "mat": np.stack([mat.real, mat.imag], -1).tolist()}
+    terms = [{"p": p, "x": draw(_cvec(d1)), "y": draw(_cvec(d2))} for p in draw(_weights(2))]
+    return {"type": kind, "dims": [d1, d2], "terms": terms}
+
+
+@st.composite
+def _state_files(draw):
+    """Arbitrary JSON, or a state of one of the six types with each field kept,
+    taken from another state of that type (of other sizes, mostly),
+    replaced by arbitrary JSON, or missing."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(payloads)
+    kind = draw(st.sampled_from(statefile.STATE_TYPES))
+    obj, other = draw(_well_formed(kind)), draw(_well_formed(kind))
+    for key in sorted(obj.keys() - {"type"}):
+        change = draw(st.sampled_from(["keep"] * 5 + ["other", "arbitrary", "missing"]))
+        if change == "other":
+            obj[key] = other[key]
+        elif change == "arbitrary":
+            obj[key] = draw(payloads)
+        elif change == "missing":
+            del obj[key]
+    return obj
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _state_files(),
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.sampled_from([[], ["--tol", "0.3"], ["--tol", "2"], ["--tol", "1e-15"]]),
+    st.booleans(),
+)
+def test_every_state_file_ends_in_a_defined_exit_code(obj, dims, tol, as_json):
+    raw = json.dumps(obj).encode()
+    runs = [["classify"], ["schmidt"], ["ptrace", "--keep", "1"]]
+    argvs = [run + extra for run in runs for extra in ([], ["--dims", *map(str, dims)])]
+    argvs.append(["marginal", "--side", "1"])
+    for argv in argvs:
+        args = [argv[0], "-", *argv[1:], *tol, *(["--json"] if as_json else [])]
+        stdin = types.SimpleNamespace(buffer=io.BytesIO(raw))
+        with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(args)
+        assert code in (0, 2, 3, 4), (args, raw)

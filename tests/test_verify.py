@@ -85,8 +85,10 @@ def test_product_projector_suite_checks_product_pure(monkeypatch):
     assert 1e-10 < suite.counterexample["max_abs_difference"] <= 1e-8
 
 
-@pytest.mark.parametrize("seed, instances", [(1729, 25), (5, 50)])
-def test_range_criterion_passes_at_coarse_tolerance(seed, instances):
-    # these runs draw valid decompositions with a term of weight just above eps
-    results = {r.name: r for r in run_all(seed=seed, instances=instances, tol=Tolerance(1e-3))}
-    assert results["range-criterion"].passed, results["range-criterion"].counterexample
+@pytest.mark.parametrize("seed, instances", [(1729, 25), (5, 50), (5, 100)])
+def test_every_suite_passes_at_coarse_tolerance(seed, instances):
+    # (1729, 25) and (5, 50) draw valid decompositions with a term of weight
+    # just above eps; (5, 100) draws a 6 x 6 integer matrix of rank 6 whose
+    # smallest singular value, 0.0096, lies under the cut 1e-3 * 9.69
+    for r in run_all(seed=seed, instances=instances, tol=Tolerance(1e-3)):
+        assert r.passed, (r.name, r.counterexample)
