@@ -4,7 +4,10 @@ Every file in ``sample_states/`` and in ``tests/golden/inputs/`` (seeded
 random states with generic floats) is run through each subcommand that
 accepts it, in ``--json`` and in pretty form.  The expected stdout lives in
 ``tests/golden/<case>.json`` / ``<case>.txt``, with the report's
-``elapsed_s`` value replaced by ``T``.
+``elapsed_s`` value replaced by ``T``.  ``verify --json`` is pinned the same
+way at three seeds and three tolerances, together with its exit code; at
+``--tol 1e-13`` some suites fail, so those reports carry counterexamples,
+which depend on every earlier draw of the seeded generator.
 
 The reports carry eigenvectors and singular vectors, whose last digits
 depend on the LAPACK build; these files were written with numpy 2.4 on
@@ -59,11 +62,24 @@ def _case_id(path: str, cmd: list[str]) -> str:
     return "__".join([Path(path).stem, *(a.lstrip("-") for a in cmd)])
 
 
+# (seed, tolerance) -> exit code of ``verify --json``
+VERIFY_EXIT = {
+    (seed, tol): 1 if tol == "1e-13" else 0
+    for seed in ("1729", "5", "11")
+    for tol in ("1e-13", "1e-9", "1e-3")
+}
+
+
 CASES = [
     (_case_id(path, cmd) + suffix, [cmd[0], str(ROOT / path), *cmd[1:], *fmt])
     for path, commands in COMMANDS.items()
     for cmd in commands
     for suffix, fmt in ((".json", ["--json"]), (".txt", []))
+]
+
+VERIFY_CASES = [
+    (f"verify__seed__{seed}__tol__{tol}.json", ["verify", "--seed", seed, "--tol", tol, "--json"], code)
+    for (seed, tol), code in VERIFY_EXIT.items()
 ]
 
 
@@ -81,6 +97,15 @@ def _run(argv: list[str]) -> tuple[int, str]:
 def test_output_matches_golden(name, argv):
     code, text = _run(argv)
     assert code == 0
+    assert text == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize(
+    "name, argv, expected_code", VERIFY_CASES, ids=[name for name, _, _ in VERIFY_CASES]
+)
+def test_verify_matches_golden(name, argv, expected_code):
+    code, text = _run(argv)
+    assert code == expected_code
     assert text == (GOLDEN / name).read_text()
 
 
@@ -141,6 +166,11 @@ def regenerate() -> None:
         code, text = _run(argv)
         if code != 0:
             raise SystemExit(f"{name}: exit {code}")
+        (GOLDEN / name).write_text(text)
+    for name, argv, expected_code in VERIFY_CASES:
+        code, text = _run(argv)
+        if code != expected_code:
+            raise SystemExit(f"{name}: exit {code}, expected {expected_code}")
         (GOLDEN / name).write_text(text)
 
 
