@@ -20,7 +20,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ZeroVectorError
-from .linalg import Tolerance, as_matrix, as_vector, count_above
+from .linalg import Tolerance, _norm, _outer_flat, as_matrix, as_vector, count_above
 from .quantum import DensityOperator, _built_density
 
 Side = Literal["first", "second"]
@@ -67,14 +67,14 @@ class BipartiteVector:
             raise ValueError(
                 f"expected a flat vector of length {self.dims.total}, got shape {v.shape}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("vector entries must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "vec", v)
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
+        return _norm(self.vec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +99,7 @@ class SchmidtDecomposition:
         """Sum the weighted elementary tensors back into a flat vector."""
         vec = np.zeros(self.dims.total, dtype=complex)
         for c, l, r in zip(self.coeffs, self.left, self.right):
-            vec += c * np.kron(l, r)
+            vec += c * _outer_flat(l, r)
         return BipartiteVector(vec, self.dims)
 
 
@@ -107,7 +107,7 @@ def kron_vec(x, y) -> BipartiteVector:
     """Tensor product of two vectors, flat with the first factor slow."""
     x = as_vector(x)
     y = as_vector(y)
-    return BipartiteVector(np.kron(x, y), BipartiteDims(x.shape[0], y.shape[0]))
+    return BipartiteVector(_outer_flat(x, y), BipartiteDims(x.shape[0], y.shape[0]))
 
 
 def kron_op(a, b) -> np.ndarray:
@@ -136,7 +136,7 @@ def schmidt(t: BipartiteVector, tol: Tolerance = Tolerance()) -> SchmidtDecompos
     Raises:
         ZeroVectorError: the zero vector has no Schmidt form.
     """
-    if float(np.linalg.norm(t.vec)) == 0.0:
+    if _norm(t.vec) == 0.0:
         raise ZeroVectorError("cannot Schmidt-decompose the zero vector")
     u, s, vh = np.linalg.svd(coefficient_matrix(t), full_matrices=False)
     left = []

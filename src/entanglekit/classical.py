@@ -64,7 +64,7 @@ class ClassicalState:
         weights = check_weights(
             [self.probs.get(label, 0.0) for label in labels],
             "probabilities",
-            [f"probability of {label!r}" for label in labels],
+            lambda k: f"probability of {labels[k]!r}",
         )
         object.__setattr__(self, "probs", {lab: p for lab, p in zip(labels, weights) if p > 0.0})
 
@@ -97,7 +97,7 @@ class CompositeClassicalState:
         weights = check_weights(
             [self.probs.get(pt, 0.0) for pt in points],
             "probabilities",
-            [f"probability of ({x!r}, {y!r})" for x, y in points],
+            lambda k: f"probability of ({points[k][0]!r}, {points[k][1]!r})",
         )
         object.__setattr__(self, "probs", {pt: p for pt, p in zip(points, weights) if p > 0.0})
 
@@ -133,7 +133,7 @@ class ClassicalSeparableCert:
         if not terms:
             raise ValueError("certificate needs at least one term")
         weights = check_weights(
-            [p for p, _, _ in terms], "certificate weights", ["certificate weight"] * len(terms)
+            [p for p, _, _ in terms], "certificate weights", lambda k: "certificate weight"
         )
         terms = tuple((p, fx, gy) for p, (_, fx, gy) in zip(weights, terms))
         object.__setattr__(self, "terms", terms)
@@ -153,9 +153,16 @@ class ClassicalSeparableCert:
 
 
 def classical_pure(space: PhaseSpace, label: str) -> ClassicalState:
-    """The state assigning total probability to a single label."""
-    space.index(label)
-    return ClassicalState(space, {label: 1.0})
+    """The state assigning total probability to a single label.
+
+    One weight of exactly 1.0 passes every check, so the state is built
+    without running them; an unknown label is still refused.
+    """
+    label = space.labels[space.index(label)]
+    state = object.__new__(ClassicalState)
+    object.__setattr__(state, "space", space)
+    object.__setattr__(state, "probs", {label: 1.0})
+    return state
 
 
 def classical_tensor(f: ClassicalState, g: ClassicalState) -> CompositeClassicalState:

@@ -33,19 +33,20 @@ class Tolerance:
         object.__setattr__(self, "eps", eps)
 
 
-def check_weights(weights, what: str, names=None) -> list[float]:
+def check_weights(weights, what: str, name=None) -> list[float]:
     """Return the weights as floats if each is finite and >= 0 and, summed in order, they make 1.
 
-    The sum may miss 1 by ``DEFAULT_EPS``.  A bad weight is named by its
-    entry of ``names``, with its value, or by ``what`` without names.
+    The sum may miss 1 by ``DEFAULT_EPS``.  A bad weight at position k is
+    named by ``name(k)``, with its value, or by ``what`` without ``name``;
+    ``name`` is called only then.
     """
     checked = []
     for k, p in enumerate(weights):
         p = float(p)
         if not math.isfinite(p) or p < 0.0:
-            if names is None:
+            if name is None:
                 raise ValueError(f"{what} must be finite and >= 0")
-            raise ValueError(f"{names[k]} must be finite and >= 0, got {p!r}")
+            raise ValueError(f"{name(k)} must be finite and >= 0, got {p!r}")
         checked.append(p)
     total = sum(checked)
     if abs(total - 1.0) > DEFAULT_EPS:
@@ -58,7 +59,7 @@ def as_vector(entries) -> np.ndarray:
     v = np.array(entries, dtype=complex)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a non-empty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     v.flags.writeable = False
     return v
@@ -69,10 +70,31 @@ def as_matrix(entries) -> np.ndarray:
     m = np.array(entries, dtype=complex)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     m.flags.writeable = False
     return m
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a contiguous 1-D complex vector, bit for bit ``np.linalg.norm(v)``.
+
+    numpy's own formula, ``sqrt(re . re + im . im)``, without its per-call
+    dispatch.
+    """
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _outer_flat(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kronecker product of two 1-D vectors, bit for bit ``np.kron(x, y)``.
+
+    This is the one ufunc call ``np.kron`` makes, on the same column and
+    row views, without its shape bookkeeping.  ``np.multiply.outer`` is not
+    the same call: for two complex scalars it takes another inner loop, and
+    its real part can differ in the last bit.
+    """
+    return np.multiply(x.reshape(-1, 1), y.reshape(1, -1)).ravel()
 
 
 def count_above(values, tol: Tolerance = Tolerance()):

@@ -14,7 +14,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .linalg import Tolerance, as_matrix, as_vector, check_weights, is_positive
+from .linalg import Tolerance, _norm, as_matrix, as_vector, check_weights, is_positive
 
 
 def check_unit_norm(v: np.ndarray, tol: Tolerance) -> None:
@@ -24,7 +24,7 @@ def check_unit_norm(v: np.ndarray, tol: Tolerance) -> None:
     projector: a vector accepted here has a projector of unit trace at the
     same tolerance.
     """
-    nrm = float(np.linalg.norm(v))
+    nrm = _norm(v)
     if abs(nrm * nrm - 1.0) > tol.eps:
         raise ValueError(f"pure state must have unit norm, got {nrm!r}")
 

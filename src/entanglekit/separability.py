@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .bipartite import BipartiteDims, BipartiteVector, SchmidtDecomposition, kron_vec, schmidt
-from .linalg import Tolerance, check_weights, count_above
+from .linalg import Tolerance, _norm, _outer_flat, check_weights, count_above
 from .quantum import DensityOperator, PureState, _built_density, check_unit_norm
 
 
@@ -32,7 +32,7 @@ class SeparableDecomposition:
         terms = tuple(self.terms)
         if not terms:
             raise ValueError("decomposition needs at least one term")
-        weights = check_weights([p for p, _, _ in terms], "weights", ["weights"] * len(terms))
+        weights = check_weights([p for p, _, _ in terms], "weights", lambda k: "weights")
         terms = tuple((p, x, y) for p, (_, x, y) in zip(weights, terms))
         object.__setattr__(self, "terms", terms)
         for _, x, y in terms:
@@ -108,7 +108,7 @@ def product_pure(x: PureState, y: PureState) -> DensityOperator:
     It equals ``kron_op(projector(x), projector(y))``; the
     ``product-projector-identity`` verify suite checks that identity.
     """
-    t = np.kron(x.vec, y.vec)
+    t = _outer_flat(x.vec, y.vec)
     return _built_density(np.outer(t, t.conj()))
 
 
@@ -120,7 +120,7 @@ def separable_density(dec: SeparableDecomposition) -> DensityOperator:
     """
     acc = np.zeros((dec.dims.total, dec.dims.total), dtype=complex)
     for p, x, y in dec.terms:
-        t = np.kron(x.vec, y.vec)
+        t = _outer_flat(x.vec, y.vec)
         acc += p * np.outer(t, t.conj())
     return _built_density(acc)
 
@@ -144,7 +144,7 @@ def _orthonormal_span(vectors: list[np.ndarray], tol: Tolerance) -> np.ndarray:
 
 def _in_span(v: np.ndarray, basis_columns: np.ndarray, tol: Tolerance) -> bool:
     residual = v - basis_columns @ (basis_columns.conj().T @ v)
-    return float(np.linalg.norm(residual)) <= tol.eps * float(np.linalg.norm(v))
+    return _norm(residual) <= tol.eps * _norm(v)
 
 
 def check_range_criterion(dec: SeparableDecomposition, tol: Tolerance = Tolerance()) -> bool:
@@ -217,7 +217,9 @@ def classify(
       * SeparableDecomposition: separable by construction; the range
         criterion is checked and attached.
       * Any other DensityOperator: Undetermined, with a range report from
-        rank-one screening of the range basis.
+        rank-one screening of the range basis.  An empty range means eps
+        lies above every eigenvalue, and the tolerance is refused with a
+        ValueError, as ``_unit_schmidt`` refuses Schmidt rank 0.
 
     ``dims`` is required for density operators and must agree with the
     embedded dims otherwise.
@@ -239,6 +241,11 @@ def classify(
         if dims.total != state.dim:
             raise ValueError(f"state dimension {state.dim} does not factor as {dims.d1} x {dims.d2}")
         basis = range_basis(state, tol)
+        if not basis:
+            raise ValueError(
+                f"tolerance {tol.eps!r} lies above every eigenvalue of the density; "
+                "a density has rank >= 1"
+            )
         if len(basis) == 1:
             return _classify_pure_vector(BipartiteVector(basis[0], dims), tol)
         coeffs = np.linalg.svd(np.reshape(basis, (len(basis), dims.d1, dims.d2)), compute_uv=False)

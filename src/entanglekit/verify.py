@@ -10,7 +10,6 @@ same seed produces identical results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -26,7 +25,7 @@ from .classical import (
     is_product_composite,
     marginal,
 )
-from .linalg import Tolerance, as_matrix, is_hermitian, is_positive, rank
+from .linalg import Tolerance, _norm, as_matrix, is_hermitian, is_positive, rank
 from .quantum import DensityOperator, MixedEnsemble, PureState, is_density, mix, projector
 from .separability import (
     SeparableDecomposition,
@@ -73,7 +72,7 @@ def rand_complex(rng: np.random.Generator, *shape: int) -> np.ndarray:
 
 def rand_unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:
     v = rand_complex(rng, d)
-    return v / np.linalg.norm(v)
+    return v / _norm(v)
 
 
 def rand_pure_state(rng: np.random.Generator, d: int) -> PureState:
@@ -156,21 +155,26 @@ def bell_vector() -> BipartiteVector:
 # independent rank oracles
 
 
-def _fraction_rank(int_matrix: np.ndarray) -> int:
-    """Exact rank of an integer matrix by Gaussian elimination over Q."""
-    a = [[Fraction(int(v)) for v in row] for row in int_matrix]
+def _exact_rank(int_matrix: np.ndarray) -> int:
+    """Exact rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    Every entry after step k is a (k + 1)-order minor of the input, so the
+    division by the previous pivot is exact and no fraction ever appears.
+    """
+    a = [[int(v) for v in row] for row in int_matrix]
     rows, cols = len(a), len(a[0])
     r = 0
+    prev = 1
     for c in range(cols):
         piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        a[r] = [v / a[r][c] for v in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
+        pivot, top = a[r][c], a[r]
+        for i in range(r + 1, rows):
+            f = a[i][c]
+            a[i] = [(pivot * vi - f * vr) // prev for vi, vr in zip(a[i], top)]
+        prev = pivot
         r += 1
         if r == rows:
             break
@@ -543,7 +547,7 @@ def _suite_schmidt_dichotomy(rng, n, tol):
         fail = lambda reason, t=t: {"vector": cvec_to_json(t.vec), "reason": reason}
         _ensure(dec.rank >= 2, lambda: fail("independent pair gave rank < 2"))
         _ensure(
-            float(np.linalg.norm(dec.reconstruct().vec - t.vec)) <= 1e-9,
+            _norm(dec.reconstruct().vec - t.vec) <= 1e-9,
             lambda: fail("reconstruction residual too large"),
         )
         _ensure(
@@ -591,7 +595,7 @@ def _suite_schmidt_dichotomy(rng, n, tol):
     for k in range(n):
         rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         m = rng.integers(-3, 4, (rows, cols))
-        exact = _fraction_rank(m)
+        exact = _exact_rank(m)
         found = rank(m.astype(complex), tol)
         frob = float(np.linalg.norm(m))
         resolved = tol.eps * max(1.0, frob) < frob ** -(exact - 1)
@@ -693,8 +697,8 @@ def _suite_range_criterion(rng, n, tol):
             dec = SeparableDecomposition(
                 dims,
                 (
-                    (p, PureState(u1 / np.linalg.norm(u1)), rand_pure_state(rng, dims.d2)),
-                    (1 - p, PureState(u2 / np.linalg.norm(u2)), rand_pure_state(rng, dims.d2)),
+                    (p, PureState(u1 / _norm(u1)), rand_pure_state(rng, dims.d2)),
+                    (1 - p, PureState(u2 / _norm(u2)), rand_pure_state(rng, dims.d2)),
                 ),
             )
         else:
@@ -724,7 +728,7 @@ def _suite_entangled_pure(rng, n, tol):
             u1, u2 = rand_independent_pair(rng, d1)
             v1, v2 = rand_independent_pair(rng, d2)
             vec = kron_vec(u1, v1).vec + kron_vec(u2, v2).vec
-            t = BipartiteVector(vec / np.linalg.norm(vec), dims)
+            t = BipartiteVector(vec / _norm(vec), dims)
             expected_entangled = True
         else:
             t = kron_vec(rand_pure_state(rng, d1).vec, rand_pure_state(rng, d2).vec)

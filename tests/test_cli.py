@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -404,3 +405,44 @@ class TestToleranceAboveEveryCoefficient:
         assert code == 0
         assert report["result"]["verdict"] == "QuantumEntangledPure"
         assert report["result"]["certificate"]["schmidt"]["rank"] == 2
+
+
+class TestEmptyDensityRange:
+    """A density has rank >= 1, so a tolerance that leaves its range empty is refused."""
+
+    @pytest.mark.parametrize("tol", ["0.3", "2"])
+    def test_empty_range_is_refused(self, capsys, tol):
+        code, out, err = _run(capsys, "classify", MAX_MIXED, "--dims", "2", "2", "--tol", tol, "--json")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"entanglekit: tolerance {float(tol)!r} lies above every eigenvalue of the density; "
+            "a density has rank >= 1\n"
+        )
+
+
+class TestHugeEntries:
+    """Entries near the float range are refused with the tool's own message only."""
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"type": "pure", "vec": [[1e300, 0.0], [1e300, 0.0]]}, "pure state must have unit norm, got inf"),
+            (
+                {"type": "density", "dim": 2, "mat": [[[1e308, 0.0], [1e308, 0.0]], [[-1e308, 0.0], [1e308, 0.0]]]},
+                "density operator must be positive",
+            ),
+        ],
+        ids=["pure", "density"],
+    )
+    @pytest.mark.parametrize(
+        "command", [("classify",), ("schmidt",), ("ptrace", "--keep", "1")], ids=lambda c: c[0]
+    )
+    def test_stderr_is_one_tool_line(self, capsys, tmp_path, payload, message, command):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(capsys, command[0], str(path), *command[1:], "--dims", "1", "2")
+        assert [str(w.message) for w in caught] == []
+        assert (code, out, err) == (3, "", f"entanglekit: {message}\n")

@@ -158,14 +158,13 @@ class TestDensityClassify:
         assert old_pure == (second < TOL.eps)
         assert _report_bytes(result) == _report_bytes(_old_classify_density(rho, dims, TOL))
 
-    def test_empty_range_stays_undetermined(self):
-        # eps above every eigenvalue: no range vector clears the cut
+    def test_empty_range_is_refused(self):
+        # eps above every eigenvalue: no range vector clears the cut, and a
+        # density has rank >= 1, so the tolerance is refused, not read as a verdict
         tol = Tolerance(0.3)
         rho = DensityOperator(np.eye(4) / 4, tol)
-        result = classify(rho, BipartiteDims(2, 2), tol)
-        assert result.verdict is Verdict.UNDETERMINED
-        assert result.certificate.basis == () and result.certificate.schmidt_ranks == ()
-        assert _report_bytes(result) == _report_bytes(_old_classify_density(rho, BipartiteDims(2, 2), tol))
+        with pytest.raises(ValueError, match=r"^tolerance 0\.3 lies above every eigenvalue"):
+            classify(rho, BipartiteDims(2, 2), tol)
 
 
 class TestSeparableDensity:

@@ -10,7 +10,7 @@ from entanglekit.separability import product_pure
 from entanglekit.verify import (
     DEFAULT_SEED,
     SuiteResult,
-    _fraction_rank,
+    _exact_rank,
     _float_row_reduction_rank,
     bell_vector,
     rand_unitary,
@@ -54,7 +54,7 @@ def test_rank_oracles_agree_with_each_other():
     for _ in range(100):
         rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         m = rng.integers(-3, 4, (rows, cols))
-        assert _fraction_rank(m) == _float_row_reduction_rank(m.astype(complex), 1e-9)
+        assert _exact_rank(m) == _float_row_reduction_rank(m.astype(complex), 1e-9)
 
 
 def test_bell_vector_is_unit_norm():
