@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entanglekit.bipartite import BipartiteDims, BipartiteVector, kron_vec
+from entanglekit.bipartite import BipartiteDims
 from entanglekit.classical import (
     ClassicalSeparableCert,
     ClassicalState,
@@ -71,10 +71,6 @@ class TestOuterFlat:
         x, y = np.array([94906265.0 + 1j]), np.array([94906267.0 + 1j])
         assert _same_array(_outer_flat(x, y), np.kron(x, y))
 
-    def test_kron_vec_reads_the_helper(self):
-        x, y = np.array([1.0, 2j]), np.array([-0.0, 1e150, 5e-324])
-        assert _same_array(kron_vec(x, y).vec, np.kron(x.astype(complex), y.astype(complex)))
-
 
 class TestNorm:
     @settings(max_examples=200, deadline=None)
@@ -82,10 +78,6 @@ class TestNorm:
     def test_equals_np_linalg_norm(self, v):
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.float64(_norm(v)).tobytes() == np.float64(np.linalg.norm(v)).tobytes()
-
-    def test_bipartite_norm_reads_the_helper(self):
-        t = BipartiteVector(np.array([0.6, 0.0, 0.0, 0.8j]), BipartiteDims(2, 2))
-        assert t.norm == float(np.linalg.norm(t.vec))
 
 
 def _fraction_rank(int_matrix) -> int:
