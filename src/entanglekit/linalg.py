@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_EPS = 1e-9
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,11 @@ def is_hermitian(m, tol: Tolerance = Tolerance()) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"is_hermitian requires a square matrix, got shape {m.shape}")
+    return _is_hermitian(m, tol)
+
+
+def _is_hermitian(m: np.ndarray, tol: Tolerance) -> bool:
+    """``is_hermitian`` of a square matrix ``as_matrix`` has already coerced."""
     scale = max(1.0, float(np.abs(m).max()))
     return bool(np.abs(m - m.conj().T).max() <= tol.eps * scale)
 
@@ -127,7 +133,53 @@ def is_positive(m, tol: Tolerance = Tolerance()) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    if not is_hermitian(m, tol):
+    return _is_positive(m, tol)
+
+
+def _is_positive(m: np.ndarray, tol: Tolerance) -> bool:
+    """``is_positive`` of a square matrix ``as_matrix`` has already coerced.
+
+    The rule is ``w[0] >= -eps * max(1, w[-1])`` on ``w = eigvalsh(m)``.  A
+    Cholesky screen accepts first, without the eigenvalues, where it proves
+    that the rule would accept; anything else gets ``eigvalsh``.  Both
+    factorizations read the Hermitian matrix H given by m's lower triangle
+    and the real part of its diagonal.
+
+    The screen factors ``A = H + (eps/2) I``.  If that completes with
+    computed factor R, then ``R^H R = fl(A) + dA`` with
+    ``|dA| <= g(n+1) |R^H| |R|``, where ``g(k) = k u / (1 - k u)`` and u is
+    the unit roundoff (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., Thm 10.3).  Rounding A's diagonal adds at most
+    ``u |A_ii|``, so ``A = R^H R - F`` with ``|F| <= g(n+2) |R^H| |R|``,
+    and ``||F||_2 <= g(n+2) s`` for ``s = ||R||_F^2``.  Hence
+
+        lambda_min(H) >= -eps/2 - g(n+2) s,   ||H||_2 <= s + g(n+2) s + eps/2.
+
+    ``eigvalsh`` returns the exact eigenvalues of some ``H + E`` with
+    ``||E||_2 <= p(n) u ||H||_2``.  Allowing ``p(n) = n^2``, and taking 2s
+    for ``s + g(n+2) s`` and for the rounding of s itself, gives
+
+        w[0] >= -eps/2 - g(n+2) s - n^2 u (2 s + eps/2).
+
+    So when those two error terms together stay below ``eps/2``,
+    ``w[0] >= -eps``, which the rule accepts.  A failed factorization, or a
+    margin too thin (a tiny eps, a large n, a large norm), decides nothing.
+    """
+    if not _is_hermitian(m, tol):
         return False
+    n = m.shape[0]
+    a = m.copy()
+    a.reshape(-1)[:: n + 1] += tol.eps / 2
+    try:
+        r = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        u = _UNIT_ROUNDOFF
+        s = float(np.vdot(r, r).real)
+        factored = (n + 2) * u / (1 - (n + 2) * u) * s
+        solved = n * n * u * (2 * s + tol.eps / 2)
+        if factored + solved < tol.eps / 2:
+            return True
     w = np.linalg.eigvalsh(m)
     return bool(w[0] >= -tol.eps * max(1.0, float(w[-1])))

@@ -14,7 +14,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .linalg import Tolerance, _norm, as_matrix, as_vector, check_weights, is_positive
+from .linalg import Tolerance, _is_positive, _norm, as_matrix, as_vector, check_weights
 
 
 def check_unit_norm(v: np.ndarray, tol: Tolerance) -> None:
@@ -57,7 +57,7 @@ class DensityOperator:
         m = as_matrix(self.mat)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
-        if not is_positive(m, tol):
+        if not _is_positive(m, tol):
             raise ValueError("density operator must be positive")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > tol.eps:

@@ -18,8 +18,8 @@ domain constructors.  Serialization writes floats with 17 significant
 digits, so serialize -> parse round-trips are exact.
 
 Complex arrays take a bulk path in both directions, with a per-entry path
-behind it that defines the contract.  A vector or matrix is converted by
-one ``np.array`` call when it is a rectangular array of ``[re, im]`` pairs
+behind it that defines the contract.  A vector or matrix fills one float
+array in a single pass when it is a rectangular array of ``[re, im]`` pairs
 of finite JSON numbers (no booleans); anything else goes to the per-entry
 walk, which raises the SchemaError naming the exact offending element.
 Lists of float pairs are written by one formatting pass, with the integral
@@ -136,31 +136,46 @@ def _walk_cmat(value, loc: str) -> np.ndarray:
     return np.array(parsed)
 
 
+def _nested(value: list, depth: int):
+    """Iterator over the items of ``value`` at nesting ``depth``: its own at 0, theirs at 1."""
+    items = iter(value)
+    for _ in range(depth):
+        items = chain.from_iterable(items)
+    return items
+
+
 def _fast_complex(value, ndim: int) -> Optional[np.ndarray]:
-    """Convert a well-formed ``ndim``-D array of ``[re, im]`` pairs in one numpy call.
+    """Convert a well-formed ``ndim``-D array of ``[re, im]`` pairs without the per-entry walk.
 
     Returns None, judging nothing, unless ``value`` is a non-empty
-    rectangular array of finite JSON numbers; the per-entry walk then
-    reports the error.  ``np.array`` alone would take booleans as numbers,
-    hence the check of the leaf types.
+    rectangular array of finite JSON numbers (integers within 64 bits); the
+    per-entry walk then reports the error.  The shape is read level by
+    level, the leaf types are checked (a boolean is no number here), and
+    the leaves fill one float array, so no nested-list discovery runs.
     """
     if not isinstance(value, list):
         return None
-    try:
-        arr = np.array(value)
-    except ValueError:  # ragged, or nested deeper than numpy allows
+    shape = [len(value)]
+    for depth in range(ndim):
+        if set(map(type, _nested(value, depth))) != {list}:
+            return None
+        lengths = set(map(len, _nested(value, depth)))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape += lengths
+    if shape[-1] != 2:
         return None
-    if arr.dtype.kind not in "fi" or arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+    kinds = set(map(type, _nested(value, ndim)))
+    if not kinds <= {float, int}:
         return None
-    leaves = value
-    for _ in range(ndim):
-        leaves = chain.from_iterable(leaves)
-    if not set(map(type, leaves)) <= {float, int}:
+    if int in kinds and not all(
+        -(2**63) <= x < 2**63 for x in _nested(value, ndim) if type(x) is int
+    ):
         return None
-    arr = arr.astype(float, copy=False)
+    arr = np.fromiter(_nested(value, ndim), dtype=float, count=math.prod(shape))
     if not np.isfinite(arr).all():
         return None
-    return arr.view(complex)[..., 0]  # reinterpreted, not computed: signed zeros survive
+    return arr.reshape(shape).view(complex)[..., 0]  # reinterpreted, not computed: signed zeros survive
 
 
 def _as_cvec(value, loc: str) -> np.ndarray:
@@ -249,19 +264,29 @@ def parse_state(obj, tol: Tolerance = Tolerance(), loc: str = "$") -> State:
 
 
 def loads_state(text: str, tol: Tolerance = Tolerance()) -> State:
-    """Parse a state file from its JSON text."""
+    """Parse a state file from its JSON text.
+
+    The collector stays off while the decoded tree lives, through decoding
+    and parsing: the tree has no cycles, and a collection would only walk
+    its lists.  Once parsed, the tree is freed, not collected, before the
+    caller's collector state comes back.
+    """
     gc_was_enabled = gc.isenabled()
-    gc.disable()  # the decoded tree has no cycles; collections during decoding only rescan it
+    gc.disable()
     try:
-        obj = json.loads(text)
+        return parse_state(_decode(text), tol)  # no name holds the tree: it dies with the call
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _decode(text: str):
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an over-long integer literal; too deep nesting
         raise SchemaError(f"invalid JSON: {exc}") from exc
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return parse_state(obj, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -280,6 +280,54 @@ class TestPositive:
         assert not is_positive(np.ones((2, 3)))
 
 
+def _eigvalsh_rule(m, tol):
+    """``is_positive`` before the Cholesky screen, kept as the reference."""
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1] or not is_hermitian(m, tol):
+        return False
+    w = np.linalg.eigvalsh(m)
+    return bool(w[0] >= -tol.eps * max(1.0, float(w[-1])))
+
+
+@st.composite
+def _planted_spectra(draw):
+    """A Hermitian matrix with its extreme eigenvalues planted at and around the rule's floor."""
+    n = draw(st.integers(1, 48))
+    eps = draw(st.sampled_from([1e-13, 1e-9, 1e-6, 1e-3]))
+    top = draw(st.floats(0.0, 10.0))
+    floor = eps * max(1.0, top)
+    low = draw(st.sampled_from([0.0, -eps / 4, -eps / 2, -0.9 * floor, -1.1 * floor]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spectrum = [low] if n == 1 else [low, *rng.uniform(max(low, 0.0), top, n - 2), top]
+    q, _ = np.linalg.qr(_rand_complex(rng, n, n))
+    m = (q * spectrum) @ q.conj().T
+    return (m + m.conj().T) / 2, Tolerance(eps)
+
+
+class TestPositiveScreen:
+    """The Cholesky screen accepts only what the ``eigvalsh`` rule accepts."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_planted_spectra())
+    def test_same_answer_as_the_eigvalsh_rule(self, planted):
+        m, tol = planted
+        assert is_positive(m, tol) == _eigvalsh_rule(m, tol)
+
+    def test_screen_decides_a_density_alone(self, decompositions):
+        assert is_positive(np.eye(48) / 48, Tolerance(1e-9))
+        assert decompositions == {"cholesky": 1}
+
+    def test_thin_margin_goes_to_eigvalsh(self, decompositions):
+        # the factorization completes, but n^2 u (2 s) = 5e-13 exceeds eps/2 = 5e-14
+        assert is_positive(np.eye(48) / 48, Tolerance(1e-13))
+        assert decompositions == {"cholesky": 1, "eigvalsh": 1}
+
+    def test_failed_factorization_goes_to_eigvalsh(self, decompositions):
+        assert is_positive(np.diag([1.0, -0.9e-9]), Tolerance(1e-9))
+        assert not is_positive(np.diag([1.0, -1.1e-9]), Tolerance(1e-9))
+        assert decompositions == {"cholesky": 2, "eigvalsh": 2}
+
+
 class TestFactorPositive:
     """The positive-factorization suite's helper: B* B for positive input, rejection otherwise."""
 

@@ -3,13 +3,12 @@
 The ``_old_*`` functions are the implementations these paths replaced,
 kept as the reference: the density classifier, its range report and the
 separable mixture must come out the same.  The budget tests count the
-``numpy.linalg`` decompositions a call makes, through the same hooks the
-benchmark's tracer uses, so a second pass cannot come back unnoticed.
+``numpy.linalg`` decompositions a call makes (the ``decompositions``
+fixture in ``conftest.py``), through the same hooks the benchmark's tracer
+uses, so a second pass cannot come back unnoticed.
 The densities the library builds from validated states are not checked
 again; a property test confirms that they are densities all the same.
 """
-
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,7 +28,13 @@ from entanglekit.separability import (
     product_pure,
     separable_density,
 )
-from entanglekit.statefile import classification_to_json, dumps_canonical, loads_state, state_to_json
+from entanglekit.statefile import (
+    classification_to_json,
+    cmat_to_json,
+    dumps_canonical,
+    loads_state,
+    state_to_json,
+)
 from entanglekit.verify import _factor_positive
 
 TOL = Tolerance()
@@ -205,19 +210,6 @@ class TestBuiltDensities:
             assert is_density(rho.mat, TOL), name
 
 
-@pytest.fixture
-def decompositions(monkeypatch):
-    """Counts of the ``numpy.linalg`` decompositions called while the test runs."""
-    counts = Counter()
-    for name in ("eigh", "eigvalsh", "svd"):
-        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
-
-
 class TestDecompositionBudget:
     def test_parse_and_classify_a_density_is_one_pass_of_each(self, decompositions):
         rng = np.random.default_rng(3)
@@ -227,7 +219,15 @@ class TestDecompositionBudget:
         decompositions.clear()
         result = classify(loads_state(text, TOL), BipartiteDims(4, 4), TOL)
         assert len(result.certificate.basis) == 4
-        assert decompositions == {"eigvalsh": 1, "eigh": 1, "svd": 1}
+        assert decompositions == {"cholesky": 1, "eigh": 1, "svd": 1}
+
+    def test_a_non_positive_density_is_judged_by_eigvalsh(self, decompositions):
+        mat = np.diag([0.5, 0.5 + 1e-6, -1e-6, 0.0]).astype(complex)
+        text = dumps_canonical({"type": "density", "dim": 4, "mat": cmat_to_json(mat)})
+        decompositions.clear()
+        with pytest.raises(ValueError, match="must be positive"):
+            loads_state(text, TOL)
+        assert decompositions == {"cholesky": 1, "eigvalsh": 1}
 
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_separable_density_makes_no_decomposition(self, decompositions, k):

@@ -321,6 +321,27 @@ def test_decoding_restores_the_collector_state():
         gc.enable()
 
 
+def test_reading_a_density_runs_no_collection():
+    import gc
+
+    n = 72  # 5,184 pairs, far above the young generation's threshold of 700
+    mat = [[[1.0 / n if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+    text = json.dumps({"type": "density", "dim": n, "mat": mat})
+    collections = []
+
+    def record(phase, info):
+        collections.append((phase, info["generation"]))
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        assert loads_state(text).dim == n
+        [[] for _ in range(100)]  # allocations after the read: the tree must not be left to collect
+    finally:
+        gc.callbacks.remove(record)
+    assert collections == []
+
+
 # Exit codes: whatever a state file holds, the CLI ends with 0, 2, 3 or 4.
 # Exit 1 means a verification failure, so an escaping exception must not
 # reach the interpreter's default handler either.
