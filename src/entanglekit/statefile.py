@@ -148,10 +148,12 @@ def _fast_complex(value, ndim: int) -> Optional[np.ndarray]:
     """Convert a well-formed ``ndim``-D array of ``[re, im]`` pairs without the per-entry walk.
 
     Returns None, judging nothing, unless ``value`` is a non-empty
-    rectangular array of finite JSON numbers (integers within 64 bits); the
+    rectangular array of JSON numbers that are finite as doubles; the
     per-entry walk then reports the error.  The shape is read level by
     level, the leaf types are checked (a boolean is no number here), and
     the leaves fill one float array, so no nested-list discovery runs.
+    ``np.fromiter`` converts an integer leaf exactly as ``float()`` does,
+    and raises the same ``OverflowError`` past the double range.
     """
     if not isinstance(value, list):
         return None
@@ -165,14 +167,12 @@ def _fast_complex(value, ndim: int) -> Optional[np.ndarray]:
         shape += lengths
     if shape[-1] != 2:
         return None
-    kinds = set(map(type, _nested(value, ndim)))
-    if not kinds <= {float, int}:
+    if not set(map(type, _nested(value, ndim))) <= {float, int}:
         return None
-    if int in kinds and not all(
-        -(2**63) <= x < 2**63 for x in _nested(value, ndim) if type(x) is int
-    ):
+    try:
+        arr = np.fromiter(_nested(value, ndim), dtype=float, count=math.prod(shape))
+    except OverflowError:
         return None
-    arr = np.fromiter(_nested(value, ndim), dtype=float, count=math.prod(shape))
     if not np.isfinite(arr).all():
         return None
     return arr.reshape(shape).view(complex)[..., 0]  # reinterpreted, not computed: signed zeros survive
@@ -269,12 +269,20 @@ def loads_state(text: str, tol: Tolerance = Tolerance()) -> State:
     The collector stays off while the decoded tree lives, through decoding
     and parsing: the tree has no cycles, and a collection would only walk
     its lists.  Once parsed, the tree is freed, not collected, before the
-    caller's collector state comes back.
+    caller's collector state comes back.  A refusal's traceback would keep
+    the parsing frames, and the tree in their locals, alive; those frames
+    are cleared before it propagates.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         return parse_state(_decode(text), tol)  # no name holds the tree: it dies with the call
+    except ValueError as exc:  # a refusal
+        tb = exc.__traceback__.tb_next  # the frames below this one, which is still running
+        while tb is not None:
+            tb.tb_frame.clear()
+            tb = tb.tb_next
+        raise
     finally:
         if gc_was_enabled:
             gc.enable()

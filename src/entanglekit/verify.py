@@ -2,15 +2,17 @@
 
 Every suite draws its instances from one shared seeded generator, checks
 the claimed identities against independent inline computations, and
-reports pass/fail together with the first counterexample found, already
-converted to a JSON-ready payload.  Running the suites twice with the
-same seed produces identical results.
+reports pass/fail together with the first counterexample found.  A check
+that fails raises ``_Counterexample`` right there, with a JSON-ready
+payload built only on that branch; ``run_all`` turns it into the suite's
+result.  Running the suites twice with the same seed produces identical
+results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .classical import (
     marginal,
 )
 from .linalg import Tolerance, _norm, as_matrix, is_hermitian, is_positive, rank
-from .quantum import DensityOperator, MixedEnsemble, PureState, is_density, mix, projector
+from .quantum import MixedEnsemble, PureState, is_density, mix, projector
 from .separability import (
     SeparableDecomposition,
     Verdict,
@@ -55,11 +57,6 @@ class _Counterexample(Exception):
     def __init__(self, payload: dict):
         super().__init__("counterexample found")
         self.payload = payload
-
-
-def _ensure(cond: bool, payload: Union[dict, Callable[[], dict]]) -> None:
-    if not cond:
-        raise _Counterexample(payload() if callable(payload) else payload)
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +92,6 @@ def rand_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     q, r = np.linalg.qr(rand_complex(rng, d, d))
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
-
-
-def rand_density(rng: np.random.Generator, d: int, terms: int = 3) -> DensityOperator:
-    weights = rng.dirichlet(np.ones(terms))
-    ens = MixedEnsemble(tuple((float(w), rand_pure_state(rng, d)) for w in weights))
-    return mix(ens)
 
 
 def rand_independent_pair(rng: np.random.Generator, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,17 +220,14 @@ def _suite_classical_decomposition(rng, n, tol):
         terms = [(p, classical_pure(f.space, x)) for x, p in f.probs.items()]
         recombined: dict[str, float] = {}
         for w, fx in terms:
-            _ensure(fx.is_pure, lambda k=k: {"instance": k, "reason": "non-pure term"})
+            if not fx.is_pure:
+                raise _Counterexample({"instance": k, "reason": "non-pure term"})
             label = fx.support[0]
-            _ensure(
-                w == f.probs[label],
-                lambda k=k, w=w, label=label: {"instance": k, "label": label, "weight": w},
-            )
+            if not w == f.probs[label]:
+                raise _Counterexample({"instance": k, "label": label, "weight": w})
             recombined[label] = recombined.get(label, 0.0) + w * fx.prob(label)
-        _ensure(
-            recombined == f.probs,
-            lambda k=k, f=f: {"instance": k, "probs": dict(f.probs)},
-        )
+        if not recombined == f.probs:
+            raise _Counterexample({"instance": k, "probs": dict(f.probs)})
     return n
 
 
@@ -254,20 +242,16 @@ def _suite_classical_point_mass_tensor(rng, n, tol):
         for y in space_y.labels:
             left = classical_tensor(classical_pure(space_x, x), classical_pure(space_y, y))
             right = CompositeClassicalState(space_x, space_y, {(x, y): 1.0})
-            _ensure(
-                left.probs == right.probs,
-                lambda x=x, y=y: {"point": [x, y], "reason": "tensor != point mass"},
-            )
+            if not left.probs == right.probs:
+                raise _Counterexample({"point": [x, y], "reason": "tensor != point mass"})
     for k in range(n):
         sx = rand_phase_space(int(rng.integers(2, 7)), "x")
         sy = rand_phase_space(int(rng.integers(2, 7)), "y")
         x = sx.labels[int(rng.integers(0, len(sx)))]
         y = sy.labels[int(rng.integers(0, len(sy)))]
         left = classical_tensor(classical_pure(sx, x), classical_pure(sy, y))
-        _ensure(
-            left.probs == CompositeClassicalState(sx, sy, {(x, y): 1.0}).probs,
-            lambda k=k, x=x, y=y: {"instance": k, "point": [x, y]},
-        )
+        if not left.probs == CompositeClassicalState(sx, sy, {(x, y): 1.0}).probs:
+            raise _Counterexample({"instance": k, "point": [x, y]})
     return 16 + n
 
 
@@ -281,10 +265,8 @@ def _suite_classical_separability(rng, n, tol):
         space_y = rand_phase_space(int(rng.integers(2, 6)), "y")
         h = rand_composite_classical(rng, space_x, space_y)
         cert = classify_classical(h)
-        _ensure(
-            len(cert.terms) == len(h.probs),
-            lambda k=k: {"instance": k, "reason": "term count != support size"},
-        )
+        if not len(cert.terms) == len(h.probs):
+            raise _Counterexample({"instance": k, "reason": "term count != support size"})
         recombined: dict[tuple[str, str], float] = {}
         for w, fx, gy in cert.terms:
             for x, px in fx.probs.items():
@@ -294,7 +276,8 @@ def _suite_classical_separability(rng, n, tol):
             abs(recombined.get(pt, 0.0) - h.probs.get(pt, 0.0))
             for pt in set(recombined) | set(h.probs)
         )
-        _ensure(err <= 1e-9, lambda k=k, err=err: {"instance": k, "recombination_error": err})
+        if not err <= 1e-9:
+            raise _Counterexample({"instance": k, "recombination_error": err})
         # marginals of an explicit product recover the factors
         f = rand_classical_state(rng, space_x)
         g = rand_classical_state(rng, space_y)
@@ -304,9 +287,10 @@ def _suite_classical_separability(rng, n, tol):
             max(abs(mf.prob(x) - f.prob(x)) for x in space_x.labels),
             max(abs(mg.prob(y) - g.prob(y)) for y in space_y.labels),
         )
-        _ensure(err_m <= 1e-9, lambda k=k, err_m=err_m: {"instance": k, "marginal_error": err_m})
-        recovered = is_product_composite(prod, tol)
-        _ensure(recovered is not None, lambda k=k: {"instance": k, "reason": "product not detected"})
+        if not err_m <= 1e-9:
+            raise _Counterexample({"instance": k, "marginal_error": err_m})
+        if is_product_composite(prod, tol) is None:
+            raise _Counterexample({"instance": k, "reason": "product not detected"})
     return n
 
 
@@ -318,49 +302,47 @@ def _suite_self_adjoint(rng, n, tol):
     for k in range(n // 2):
         d = int(rng.integers(2, 7))
         m = rand_hermitian(rng, d)
-        _ensure(is_hermitian(m, tol), lambda m=m: {"matrix": cmat_to_json(m)})
+        if not is_hermitian(m, tol):
+            raise _Counterexample({"matrix": cmat_to_json(m)})
         for _ in range(50):
             x = rand_unit_vector(rng, d)
             im = complex(np.vdot(x, m @ x)).imag
-            _ensure(
-                abs(im) <= tol.eps,
-                lambda m=m, x=x, im=im: {
-                    "matrix": cmat_to_json(m),
-                    "vector": cvec_to_json(x),
-                    "imag_part": im,
-                },
-            )
+            if not abs(im) <= tol.eps:
+                raise _Counterexample(
+                    {"matrix": cmat_to_json(m), "vector": cvec_to_json(x), "imag_part": im}
+                )
     for k in range(n - n // 2):
         d = int(rng.integers(2, 7))
         m = rand_nonhermitian(rng, d)
-        _ensure(not is_hermitian(m, tol), lambda m=m: {"matrix": cmat_to_json(m)})
+        if is_hermitian(m, tol):
+            raise _Counterexample({"matrix": cmat_to_json(m)})
         found = any(
             abs(complex(np.vdot(x, m @ x)).imag) > tol.eps
             for x in (rand_unit_vector(rng, d) for _ in range(100))
         )
-        _ensure(
-            found,
-            lambda m=m: {"matrix": cmat_to_json(m), "reason": "no complex witness in 100 draws"},
-        )
+        if not found:
+            raise _Counterexample(
+                {"matrix": cmat_to_json(m), "reason": "no complex witness in 100 draws"}
+            )
     # the classic real 2x2 counterexample: real realness does not imply self-adjoint
     a = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
-    _ensure(not is_hermitian(a, tol), {"reason": "triangular example passed is_hermitian"})
+    if is_hermitian(a, tol):
+        raise _Counterexample({"reason": "triangular example passed is_hermitian"})
     for _ in range(1000):
         x = rng.standard_normal(2).astype(complex)
-        _ensure(
-            complex(np.vdot(x, a @ x)).imag == 0.0,
-            lambda x=x: {"vector": cvec_to_json(x), "reason": "real witness unexpectedly complex"},
-        )
+        if not complex(np.vdot(x, a @ x)).imag == 0.0:
+            raise _Counterexample(
+                {"vector": cvec_to_json(x), "reason": "real witness unexpectedly complex"}
+            )
     witness = complex(np.vdot(np.array([1.0, 1j]), a @ np.array([1.0, 1j])))
-    _ensure(witness == 2 + 2j, {"witness_value": complex_pair(witness)})
+    if not witness == 2 + 2j:
+        raise _Counterexample({"witness_value": complex_pair(witness)})
     # conjugate symmetry of the inner product
     for k in range(n):
         d = int(rng.integers(1, 7))
         u, v = rand_complex(rng, d), rand_complex(rng, d)
-        _ensure(
-            abs(np.vdot(u, v) - np.conj(np.vdot(v, u))) <= 1e-12,
-            lambda u=u, v=v: {"u": cvec_to_json(u), "v": cvec_to_json(v)},
-        )
+        if not abs(np.vdot(u, v) - np.conj(np.vdot(v, u))) <= 1e-12:
+            raise _Counterexample({"u": cvec_to_json(u), "v": cvec_to_json(v)})
     return n
 
 
@@ -394,29 +376,27 @@ def _suite_positive_factorization(rng, n, tol):
         d = int(rng.integers(2, 9))
         b = rand_complex(rng, d, d)
         t = b.conj().T @ b
-        _ensure(is_positive(t, tol), lambda t=t: {"matrix": cmat_to_json(t)})
+        if not is_positive(t, tol):
+            raise _Counterexample({"matrix": cmat_to_json(t)})
         b2 = _factor_positive(t, tol)
         err = float(np.abs(b2.conj().T.copy() @ b2 - t).max())
-        bound = 1e-8 * max(1.0, float(np.abs(t).max()))
-        _ensure(
-            err <= bound,
-            lambda t=t, err=err: {"matrix": cmat_to_json(t), "reconstruction_error": err},
-        )
+        if not err <= 1e-8 * max(1.0, float(np.abs(t).max())):
+            raise _Counterexample({"matrix": cmat_to_json(t), "reconstruction_error": err})
     for k in range(n - n // 2):
         d = int(rng.integers(2, 9))
         u = rand_unitary(rng, d)
         values = rng.uniform(0.1, 2.0, d)
         values[int(rng.integers(0, d))] = -float(rng.uniform(0.1, 2.0))
         h = (u * values) @ u.conj().T
-        _ensure(not is_positive(h, tol), lambda h=h: {"matrix": cmat_to_json(h)})
+        if is_positive(h, tol):
+            raise _Counterexample({"matrix": cmat_to_json(h)})
         try:
             _factor_positive(h, tol)
         except ValueError:
-            pass
-        else:
-            raise _Counterexample(
-                {"matrix": cmat_to_json(h), "reason": "factor_positive accepted a non-positive input"}
-            )
+            continue
+        raise _Counterexample(
+            {"matrix": cmat_to_json(h), "reason": "factor_positive accepted a non-positive input"}
+        )
     return n
 
 
@@ -429,22 +409,26 @@ def _suite_projector_laws(rng, n, tol):
         d = int(rng.integers(2, 7))
         x = rand_pure_state(rng, d)
         p = projector(x)
-        fail = lambda reason, x=x: {"vector": cvec_to_json(x.vec), "reason": reason}
-        _ensure(is_hermitian(p.mat, tol), lambda: fail("not self-adjoint"))
-        _ensure(float(np.abs(p.mat @ p.mat - p.mat).max()) <= 1e-9, lambda: fail("not idempotent"))
-        _ensure(rank(p.mat, tol) == 1, lambda: fail("rank != 1"))
-        _ensure(abs(complex(np.trace(p.mat)) - 1.0) <= 1e-12, lambda: fail("trace != 1"))
-        _ensure(is_positive(p.mat, tol), lambda: fail("not positive"))
+
+        def fail(reason):
+            return _Counterexample({"vector": cvec_to_json(x.vec), "reason": reason})
+
+        if not is_hermitian(p.mat, tol):
+            raise fail("not self-adjoint")
+        if not float(np.abs(p.mat @ p.mat - p.mat).max()) <= 1e-9:
+            raise fail("not idempotent")
+        if not rank(p.mat, tol) == 1:
+            raise fail("rank != 1")
+        if not abs(complex(np.trace(p.mat)) - 1.0) <= 1e-12:
+            raise fail("trace != 1")
+        if not is_positive(p.mat, tol):
+            raise fail("not positive")
         a = rand_hermitian(rng, d)
         gap = abs(complex(np.trace(a @ p.mat)) - complex(np.vdot(x.vec, a @ x.vec)))
-        _ensure(
-            gap <= 1e-9,
-            lambda a=a, x=x, gap=gap: {
-                "observable": cmat_to_json(a),
-                "vector": cvec_to_json(x.vec),
-                "gap": gap,
-            },
-        )
+        if not gap <= 1e-9:
+            raise _Counterexample(
+                {"observable": cmat_to_json(a), "vector": cvec_to_json(x.vec), "gap": gap}
+            )
     return n
 
 
@@ -478,15 +462,16 @@ def _suite_mixture_laws(rng, n, tol):
         states = [rand_pure_state(rng, d) for _ in range(terms)]
         ens = MixedEnsemble(tuple((float(w), x) for w, x in zip(weights, states)))
         rho = mix(ens)
-        _ensure(is_density(rho.mat, tol), lambda k=k: {"instance": k, "reason": "mix not a density"})
+        if not is_density(rho.mat, tol):
+            raise _Counterexample({"instance": k, "reason": "mix not a density"})
         a = rand_hermitian(rng, d)
         direct = sum(
             float(w) * complex(np.vdot(x.vec, a @ x.vec)).real for w, x in zip(weights, states)
         )
-        _ensure(
-            abs(complex(np.trace(a @ rho.mat)).real - direct) <= 1e-9,
-            lambda k=k: {"instance": k, "reason": "expectation not linear over the ensemble"},
-        )
+        if not abs(complex(np.trace(a @ rho.mat)).real - direct) <= 1e-9:
+            raise _Counterexample(
+                {"instance": k, "reason": "expectation not linear over the ensemble"}
+            )
         # flattening two ensembles through outer weights stays a valid density
         q = float(rng.uniform(0.2, 0.8))
         other = MixedEnsemble(
@@ -496,20 +481,18 @@ def _suite_mixture_laws(rng, n, tol):
             tuple((q * w, x) for w, x in ens.terms) + tuple(((1 - q) * w, x) for w, x in other.terms)
         )
         blend = q * rho.mat + (1 - q) * mix(other).mat
-        _ensure(
-            float(np.abs(mix(flat).mat - blend).max()) <= 1e-12,
-            lambda k=k: {"instance": k, "reason": "flattened ensemble disagrees with blend"},
-        )
+        if not float(np.abs(mix(flat).mat - blend).max()) <= 1e-12:
+            raise _Counterexample(
+                {"instance": k, "reason": "flattened ensemble disagrees with blend"}
+            )
     # a two-state mixture is not the expectation in any single summed vector:
     # exact values first, then existence of a discrepancy over a random batch
     e1 = PureState(np.array([1.0, 0.0], dtype=complex))
     e2 = PureState(np.array([0.0, 1.0], dtype=complex))
     a0 = np.diag([1.0, 0.0]).astype(complex)
     mixture, raw = _mixture_vs_superposition(a0, e1, e2, 0.5, normalize=False)
-    _ensure(
-        abs(mixture - 0.5) <= 1e-12 and abs(raw - 0.25) <= 1e-12,
-        {"mixture": mixture, "raw_quadratic_form": raw},
-    )
+    if not (abs(mixture - 0.5) <= 1e-12 and abs(raw - 0.25) <= 1e-12):
+        raise _Counterexample({"mixture": mixture, "raw_quadratic_form": raw})
     for k in range(20):
         d = int(rng.integers(2, 6))
         u = rand_unitary(rng, d)
@@ -522,14 +505,14 @@ def _suite_mixture_laws(rng, n, tol):
             if abs(m - naive) > tol.eps:
                 found = True
                 break
-        _ensure(
-            found,
-            lambda k=k, p1=p1: {
-                "instance": k,
-                "p1": p1,
-                "reason": "20 random observables all matched the naive vector value",
-            },
-        )
+        if not found:
+            raise _Counterexample(
+                {
+                    "instance": k,
+                    "p1": p1,
+                    "reason": "20 random observables all matched the naive vector value",
+                }
+            )
     return n
 
 
@@ -544,18 +527,18 @@ def _suite_schmidt_dichotomy(rng, n, tol):
         v1, v2 = rand_independent_pair(rng, d2)
         t = BipartiteVector(kron_vec(u1, v1).vec + kron_vec(u2, v2).vec, BipartiteDims(d1, d2))
         dec = schmidt(t, tol)
-        fail = lambda reason, t=t: {"vector": cvec_to_json(t.vec), "reason": reason}
-        _ensure(dec.rank >= 2, lambda: fail("independent pair gave rank < 2"))
-        _ensure(
-            _norm(dec.reconstruct().vec - t.vec) <= 1e-9,
-            lambda: fail("reconstruction residual too large"),
-        )
-        _ensure(
-            abs(float(np.sum(dec.coeffs**2)) - t.norm**2) <= 1e-9,
-            lambda: fail("coefficient squares do not sum to the squared norm"),
-        )
-        oracle = _float_row_reduction_rank(t.vec.reshape(d1, d2), tol.eps)
-        _ensure(oracle == dec.rank, lambda: fail("row-reduction oracle disagrees"))
+
+        def fail(reason):
+            return _Counterexample({"vector": cvec_to_json(t.vec), "reason": reason})
+
+        if not dec.rank >= 2:
+            raise fail("independent pair gave rank < 2")
+        if not _norm(dec.reconstruct().vec - t.vec) <= 1e-9:
+            raise fail("reconstruction residual too large")
+        if not abs(float(np.sum(dec.coeffs**2)) - t.norm**2) <= 1e-9:
+            raise fail("coefficient squares do not sum to the squared norm")
+        if not _float_row_reduction_rank(t.vec.reshape(d1, d2), tol.eps) == dec.rank:
+            raise fail("row-reduction oracle disagrees")
     for k in range(n - n // 2):
         d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         x = rand_complex(rng, d1)
@@ -566,11 +549,10 @@ def _suite_schmidt_dichotomy(rng, n, tol):
         )
         if t.norm < 0.1:
             continue
-        dec = schmidt(t, tol)
-        _ensure(
-            dec.rank == 1,
-            lambda t=t: {"vector": cvec_to_json(t.vec), "reason": "dependent pair not elementary"},
-        )
+        if not schmidt(t, tol).rank == 1:
+            raise _Counterexample(
+                {"vector": cvec_to_json(t.vec), "reason": "dependent pair not elementary"}
+            )
     # bilinearity of the tensor product, including the null tensor
     for k in range(n):
         d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
@@ -578,15 +560,17 @@ def _suite_schmidt_dichotomy(rng, n, tol):
         alpha = complex(*rng.standard_normal(2))
         lhs = kron_vec(x1 + x2, y).vec
         rhs = kron_vec(x1, y).vec + kron_vec(x2, y).vec
-        _ensure(float(np.abs(lhs - rhs).max()) <= 1e-12, {"instance": k, "identity": "additivity"})
+        if not float(np.abs(lhs - rhs).max()) <= 1e-12:
+            raise _Counterexample({"instance": k, "identity": "additivity"})
         lhs = kron_vec(alpha * x1, y).vec
-        _ensure(
+        if not (
             float(np.abs(lhs - alpha * kron_vec(x1, y).vec).max()) <= 1e-12
-            and float(np.abs(lhs - kron_vec(x1, alpha * y).vec).max()) <= 1e-12,
-            {"instance": k, "identity": "scalar"},
-        )
+            and float(np.abs(lhs - kron_vec(x1, alpha * y).vec).max()) <= 1e-12
+        ):
+            raise _Counterexample({"instance": k, "identity": "scalar"})
         zero = kron_vec(np.zeros(d1), y).vec
-        _ensure(float(np.abs(zero).max()) == 0.0, {"instance": k, "identity": "null"})
+        if not float(np.abs(zero).max()) == 0.0:
+            raise _Counterexample({"instance": k, "identity": "null"})
     # SVD rank agrees with exact elimination over the rationals.  The product
     # of the r nonzero squared singular values of an integer matrix is a sum
     # of squared integer minors (Cauchy-Binet), so it is >= 1, and the
@@ -599,10 +583,8 @@ def _suite_schmidt_dichotomy(rng, n, tol):
         found = rank(m.astype(complex), tol)
         frob = float(np.linalg.norm(m))
         resolved = tol.eps * max(1.0, frob) < frob ** -(exact - 1)
-        _ensure(
-            found == exact if resolved else found <= exact,
-            lambda m=m: {"matrix": [[int(v) for v in row] for row in m]},
-        )
+        if not (found == exact if resolved else found <= exact):
+            raise _Counterexample({"matrix": [[int(v) for v in row] for row in m]})
     return n
 
 
@@ -619,14 +601,10 @@ def _suite_product_projector(rng, n, tol):
         split = kron_op(projector(x).mat, projector(y).mat)
         built = product_pure(x, y).mat
         err = max(float(np.abs(joint - split).max()), float(np.abs(joint - built).max()))
-        _ensure(
-            err <= 1e-10,
-            lambda x=x, y=y, err=err: {
-                "x": cvec_to_json(x.vec),
-                "y": cvec_to_json(y.vec),
-                "max_abs_difference": err,
-            },
-        )
+        if not err <= 1e-10:
+            raise _Counterexample(
+                {"x": cvec_to_json(x.vec), "y": cvec_to_json(y.vec), "max_abs_difference": err}
+            )
     return n
 
 
@@ -640,32 +618,29 @@ def _suite_product_states(rng, n, tol):
         x, y = rand_pure_state(rng, d1), rand_pure_state(rng, d2)
         t = kron_vec(x.vec, y.vec)
         result = classify(t, tol=tol)
-        fail = lambda reason, x=x, y=y: {
-            "x": cvec_to_json(x.vec),
-            "y": cvec_to_json(y.vec),
-            "reason": reason,
-        }
-        _ensure(result.verdict is Verdict.QUANTUM_PRODUCT_PURE, lambda: fail("not product-pure"))
+
+        def fail(reason):
+            return _Counterexample(
+                {"x": cvec_to_json(x.vec), "y": cvec_to_json(y.vec), "reason": reason}
+            )
+
+        if result.verdict is not Verdict.QUANTUM_PRODUCT_PURE:
+            raise fail("not product-pure")
         recovered = kron_vec(result.certificate.x.vec, result.certificate.y.vec)
         overlap = abs(complex(np.vdot(recovered.vec, t.vec)))
-        _ensure(abs(overlap - 1.0) <= 1e-9, lambda: fail("recovered factors lost overlap"))
+        if not abs(overlap - 1.0) <= 1e-9:
+            raise fail("recovered factors lost overlap")
         rho = product_pure(x, y)
         dims = BipartiteDims(d1, d2)
         first = partial_trace(rho, dims, "first")
         second = partial_trace(rho, dims, "second")
-        _ensure(
-            float(np.abs(first.mat - projector(x).mat).max()) <= 1e-9,
-            lambda: fail("first reduction is not the factor projector"),
-        )
-        _ensure(
-            rank(first.mat, tol) == 1 and rank(second.mat, tol) == 1,
-            lambda: fail("reductions of a product state are not pure"),
-        )
+        if not float(np.abs(first.mat - projector(x).mat).max()) <= 1e-9:
+            raise fail("first reduction is not the factor projector")
+        if not (rank(first.mat, tol) == 1 and rank(second.mat, tol) == 1):
+            raise fail("reductions of a product state are not pure")
         single = SeparableDecomposition(dims, ((1.0, x, y),))
-        _ensure(
-            float(np.abs(separable_density(single).mat - rho.mat).max()) <= 1e-12,
-            lambda: fail("one-term decomposition differs from the product state"),
-        )
+        if not float(np.abs(separable_density(single).mat - rho.mat).max()) <= 1e-12:
+            raise fail("one-term decomposition differs from the product state")
     return n
 
 
@@ -703,16 +678,16 @@ def _suite_range_criterion(rng, n, tol):
             )
         else:
             dec = rand_separable_decomposition(rng, dims, int(rng.integers(1, 5)))
-        _ensure(
-            check_range_criterion(dec, tol),
-            lambda dec=dec: {
-                "dims": [dec.dims.d1, dec.dims.d2],
-                "terms": [
-                    {"p": p, "x": cvec_to_json(x.vec), "y": cvec_to_json(y.vec)}
-                    for p, x, y in dec.terms
-                ],
-            },
-        )
+        if not check_range_criterion(dec, tol):
+            raise _Counterexample(
+                {
+                    "dims": [dec.dims.d1, dec.dims.d2],
+                    "terms": [
+                        {"p": p, "x": cvec_to_json(x.vec), "y": cvec_to_json(y.vec)}
+                        for p, x, y in dec.terms
+                    ],
+                }
+            )
     return n
 
 
@@ -735,65 +710,54 @@ def _suite_entangled_pure(rng, n, tol):
             expected_entangled = False
         result = classify(t, tol=tol)
         oracle_rank = _float_row_reduction_rank(t.vec.reshape(d1, d2), tol.eps)
-        fail = lambda reason, t=t: {
-            "dims": [t.dims.d1, t.dims.d2],
-            "vector": cvec_to_json(t.vec),
-            "reason": reason,
-        }
-        _ensure(
-            (result.verdict is Verdict.QUANTUM_ENTANGLED_PURE) == expected_entangled,
-            lambda: fail("verdict disagrees with construction"),
-        )
-        _ensure(
-            (oracle_rank >= 2) == expected_entangled,
-            lambda: fail("row-reduction oracle disagrees with construction"),
-        )
+
+        def fail(reason):
+            return _Counterexample(
+                {"dims": [t.dims.d1, t.dims.d2], "vector": cvec_to_json(t.vec), "reason": reason}
+            )
+
+        if not (result.verdict is Verdict.QUANTUM_ENTANGLED_PURE) == expected_entangled:
+            raise fail("verdict disagrees with construction")
+        if not (oracle_rank >= 2) == expected_entangled:
+            raise fail("row-reduction oracle disagrees with construction")
         if not expected_entangled:
             continue
         dec = result.certificate.schmidt
-        _ensure(dec.rank >= 2, lambda: fail("entangled certificate has rank < 2"))
+        if not dec.rank >= 2:
+            raise fail("entangled certificate has rank < 2")
         # re-check from the certificate alone: the projector's range is one
         # line spanned by a non-elementary tensor
         rebuilt = dec.reconstruct()
         basis = range_basis(projector(PureState(rebuilt.vec, tol)), tol)
-        _ensure(len(basis) == 1, lambda: fail("projector range is not one-dimensional"))
-        _ensure(
-            schmidt(BipartiteVector(basis[0], dims), tol).rank >= 2,
-            lambda: fail("range vector is elementary"),
-        )
+        if not len(basis) == 1:
+            raise fail("projector range is not one-dimensional")
+        if not schmidt(BipartiteVector(basis[0], dims), tol).rank >= 2:
+            raise fail("range vector is elementary")
         rho = projector(PureState(t.vec, tol))
         first = partial_trace(rho, dims, "first")
         second = partial_trace(rho, dims, "second")
-        _ensure(
-            rank(first.mat, tol) == dec.rank and rank(second.mat, tol) == dec.rank,
-            lambda: fail("reduction rank differs from Schmidt rank"),
-        )
+        if not (rank(first.mat, tol) == dec.rank and rank(second.mat, tol) == dec.rank):
+            raise fail("reduction rank differs from Schmidt rank")
         top = dec.rank
         spec_first = np.linalg.eigvalsh(first.mat)[::-1][:top]
         spec_second = np.linalg.eigvalsh(second.mat)[::-1][:top]
         squares = np.sort(dec.coeffs**2)[::-1][:top]
-        _ensure(
+        if not (
             float(np.abs(spec_first - squares).max()) <= 1e-9
-            and float(np.abs(spec_second - squares).max()) <= 1e-9,
-            lambda: fail("reduction spectra differ from squared coefficients"),
-        )
+            and float(np.abs(spec_second - squares).max()) <= 1e-9
+        ):
+            raise fail("reduction spectra differ from squared coefficients")
     bell = bell_vector()
     result = classify(bell, tol=tol)
-    _ensure(
-        result.verdict is Verdict.QUANTUM_ENTANGLED_PURE,
-        {"reason": "bell state not classified as entangled"},
-    )
-    _ensure(
-        float(np.abs(result.certificate.schmidt.coeffs - 1 / np.sqrt(2)).max()) <= 1e-12,
-        {"reason": "bell coefficients are not 1/sqrt(2)"},
-    )
+    if result.verdict is not Verdict.QUANTUM_ENTANGLED_PURE:
+        raise _Counterexample({"reason": "bell state not classified as entangled"})
+    if not float(np.abs(result.certificate.schmidt.coeffs - 1 / np.sqrt(2)).max()) <= 1e-12:
+        raise _Counterexample({"reason": "bell coefficients are not 1/sqrt(2)"})
     rho = projector(PureState(bell.vec))
     for side in ("first", "second"):
         reduced = partial_trace(rho, bell.dims, side)
-        _ensure(
-            float(np.abs(reduced.mat - np.eye(2) / 2).max()) <= 1e-10,
-            {"reason": f"bell {side} reduction is not maximally mixed"},
-        )
+        if not float(np.abs(reduced.mat - np.eye(2) / 2).max()) <= 1e-10:
+            raise _Counterexample({"reason": f"bell {side} reduction is not maximally mixed"})
     return n
 
 
@@ -806,16 +770,13 @@ def _suite_traceless_commutators(rng, n, tol):
         d = int(rng.integers(2, 7))
         xm, pm = rand_complex(rng, d, d), rand_complex(rng, d, d)
         val = complex(np.trace(xm @ pm - pm @ xm))
-        _ensure(
-            abs(val) <= 1e-9,
-            lambda xm=xm, pm=pm, val=val: {
-                "x": cmat_to_json(xm),
-                "p": cmat_to_json(pm),
-                "trace": complex_pair(val),
-            },
-        )
+        if not abs(val) <= 1e-9:
+            raise _Counterexample(
+                {"x": cmat_to_json(xm), "p": cmat_to_json(pm), "trace": complex_pair(val)}
+            )
     same = rand_complex(rng, 4, 4)
-    _ensure(np.trace(same @ same - same @ same) == 0, {"reason": "tr[X, X] not exactly zero"})
+    if not np.trace(same @ same - same @ same) == 0:
+        raise _Counterexample({"reason": "tr[X, X] not exactly zero"})
     return n
 
 
@@ -826,10 +787,8 @@ def _suite_trace_basis_independence(rng, n, tol):
         m = rand_complex(rng, d, d)
         u = rand_unitary(rng, d)
         basis_sum = sum(complex(np.vdot(u[:, i], m @ u[:, i])) for i in range(d))
-        _ensure(
-            abs(basis_sum - complex(np.trace(m))) <= 1e-9,
-            lambda m=m, u=u: {"matrix": cmat_to_json(m), "basis": cmat_to_json(u)},
-        )
+        if not abs(basis_sum - complex(np.trace(m))) <= 1e-9:
+            raise _Counterexample({"matrix": cmat_to_json(m), "basis": cmat_to_json(u)})
     return n
 
 

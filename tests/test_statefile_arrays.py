@@ -105,6 +105,8 @@ REJECTIONS = (
     [(f"pure.vec:{c}", _pure(v), f"$.vec{s}", m) for c, v, s, m in VEC_CASES]
     + [(f"density.mat:{c}", _density(v), f"$.mat{s}", m) for c, v, s, m in MAT_CASES]
     + [(f"separable.x:{c}", _separable(v), f"$.terms[1].x{s}", m) for c, v, s, m in VEC_CASES]
+    + [("bipartite.dims:pair-of-1", f'{{"type": "bipartite", "dims": [2], "vec": {GOOD_VEC}}}',
+        "$.dims", "dims must be a [d1, d2] pair, got length 1")]
 )
 
 
@@ -167,6 +169,8 @@ leaves = st.one_of(
     st.sampled_from(_EDGE_FLOATS),
     st.integers(min_value=-(2**53), max_value=2**53),
     st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.integers(min_value=-(2**1023), max_value=2**1023),  # beyond 64 bits, within a double
+    st.sampled_from([2**63, 2**64 + 1, -(2**70) - 3, 10**300, 2**53 + 1, 2**1024 - 2**970 - 1]),
 )
 pairs = st.lists(leaves, min_size=2, max_size=2)
 
@@ -206,7 +210,7 @@ def test_fast_parse_keeps_signed_zeros():
     "value",
     [[[True, 0.0]], [["1", 0.0]], [[None, 0.0]], [[float("nan"), 0.0]], [[0.0, float("inf")]],
      [[1.0]], [[1.0, 0.0, 0.0]], [[[1.0, 0.0]]], [], [[1.0, 0.0], [0.0]], [[10**400, 0.0]],
-     [[2**64, 0.0]], [1.0, 0.0]],
+     [[2**1024, 0.0]], [1.0, 0.0]],
 )
 def test_fast_parse_declines_what_the_walk_must_judge(value):
     assert statefile._fast_complex(value, 1) is None
@@ -321,12 +325,10 @@ def test_decoding_restores_the_collector_state():
         gc.enable()
 
 
-def test_reading_a_density_runs_no_collection():
+def _collections_while(read) -> list:
+    """The collections that run during ``read()`` and the allocations after it."""
     import gc
 
-    n = 72  # 5,184 pairs, far above the young generation's threshold of 700
-    mat = [[[1.0 / n if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
-    text = json.dumps({"type": "density", "dim": n, "mat": mat})
     collections = []
 
     def record(phase, info):
@@ -335,11 +337,38 @@ def test_reading_a_density_runs_no_collection():
     gc.collect()
     gc.callbacks.append(record)
     try:
-        assert loads_state(text).dim == n
+        read()
         [[] for _ in range(100)]  # allocations after the read: the tree must not be left to collect
     finally:
         gc.callbacks.remove(record)
-    assert collections == []
+    return collections
+
+
+def _identity_density(n: int) -> list:
+    return [[[1.0 / n if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+
+
+def test_reading_a_density_runs_no_collection():
+    n = 72  # 5,184 pairs, far above the young generation's threshold of 700
+    text = json.dumps({"type": "density", "dim": n, "mat": _identity_density(n)})
+
+    def read():
+        assert loads_state(text).dim == n
+
+    assert _collections_while(read) == []
+
+
+def test_refusing_a_density_runs_no_collection():
+    n = 72
+    mat = _identity_density(n)
+    mat[0][0][0] = -0.5  # one negative eigenvalue: the constructor refuses the matrix
+    text = json.dumps({"type": "density", "dim": n, "mat": mat})
+
+    def read():  # the refusal's traceback must not keep the tree alive for a collection
+        with pytest.raises(ValueError, match="must be positive"):
+            loads_state(text)
+
+    assert _collections_while(read) == []
 
 
 # Exit codes: whatever a state file holds, the CLI ends with 0, 2, 3 or 4.
