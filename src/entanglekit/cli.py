@@ -266,7 +266,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             raw = _read_input(args.path)
             digest = "sha256:" + hashlib.sha256(raw).hexdigest()
-            text = raw.decode("utf-8")
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:  # a parse error, as for any text json refuses
+                raise SchemaError(f"invalid UTF-8: {exc}") from None
             del raw  # only the text is parsed; free the bytes before the tree is built
             handler = {
                 "classify": _cmd_classify,

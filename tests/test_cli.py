@@ -153,6 +153,16 @@ class TestExitCodes:
         assert code == 2
         assert "line 1" in err
 
+    def test_text_that_is_not_utf8_is_a_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"type":"pure","vec":[[1.0,0.0]]}\xff')
+        code, out, err = _run(capsys, "classify", str(bad))
+        assert code == 2
+        assert err == (
+            "entanglekit: schema error: $: invalid UTF-8: 'utf-8' codec can't decode byte 0xff"
+            " in position 33: invalid start byte\n"
+        )
+
     def test_invariant_violation_is_3(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"type": "pure", "vec": [[0.7071, 0], [0.7071, 0]]}')

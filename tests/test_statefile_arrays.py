@@ -4,17 +4,24 @@
 call when the input is well formed, and falls back to the per-entry walk
 otherwise.  These tests pin the contract: the same values bit for bit, the
 same ``SchemaError`` message and location for every malformed input, and
-the same canonical bytes on output.
+the same canonical bytes on output.  The text itself is decoded by orjson
+where it can be; a read must still equal a ``json``-only read, state for
+state and error for error.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import decimal
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import types
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -371,6 +378,235 @@ def test_refusing_a_density_runs_no_collection():
     assert _collections_while(read) == []
 
 
+# ---------------------------------------------------------------------------
+# orjson decodes, json judges: loads_state == a json-only read, bit for bit
+
+
+def _json_only(text: str):
+    """The reference read: ``json.loads`` with the error mapping ``statefile`` gives it."""
+    try:
+        tree = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"invalid JSON: {exc}")
+    return statefile.parse_state(tree)
+
+
+def _fingerprint(value):
+    """Everything a state holds, with each float and array as its bits."""
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(
+            _fingerprint(getattr(value, f.name)) for f in dataclasses.fields(value)
+        )
+    if isinstance(value, np.ndarray):
+        return _bits(value)
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return tuple((_fingerprint(k), _fingerprint(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_fingerprint, value))
+    return type(value).__name__, repr(value)
+
+
+def _outcome(read, text: str):
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # as the CLI reads
+            return "state", _fingerprint(read(text))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _with_leaves(draw, value):
+    """``value`` with about one number in four, dims and sizes included, drawn from ``leaves``."""
+    if isinstance(value, dict):
+        return {k: draw(_with_leaves(v)) for k, v in value.items()}
+    if isinstance(value, list):
+        return [draw(_with_leaves(v)) for v in value]
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if is_number and not draw(st.integers(0, 3)):
+        return draw(leaves)
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.booleans())
+def test_reading_matches_a_json_only_read_bit_for_bit(data, ascii_only):
+    obj = data.draw(_state_files().flatmap(_with_leaves))
+    text = json.dumps(obj, ensure_ascii=ascii_only)
+    assert _outcome(loads_state, text) == _outcome(_json_only, text)
+
+
+BIG = str(2**64)
+_DEEP = "[" * 1100 + "]" * 1100
+# (case, text): where orjson and json differ, or might
+DECODER_EDGES = [
+    ("dim-2^64", f'{{"type": "density", "dim": {BIG}, "mat": {GOOD_MAT}}}'),
+    ("dim-2^64-as-the-shape", f'{{"type": "density", "dim": {BIG}, "mat": [[[1.0, 0.0]]]}}'),
+    ("dims-2^64", f'{{"type": "bipartite", "dims": [{BIG}, 1], "vec": {GOOD_VEC}}}'),
+    ("dims-minus-2^64", f'{{"type": "separable", "dims": [2, -{BIG}], "terms": []}}'),
+    ("label-2^64", f'{{"type": "classical", "space": ["a", {BIG}], "probs": {{"a": 1.0}}}}'),
+    ("point-label-2^64", '{"type": "classical2", "spaceX": ["a"], "spaceY": ["b"], '
+     f'"probs": [["a", {BIG}, 1.0]]}}'),
+    ("nan", _pure("[[NaN, 0.0], [1.0, 0.0]]")),
+    ("-infinity", _pure("[[1.0, 0.0], [-Infinity, 0.0]]")),
+    ("nan-probability", '{"type": "classical", "space": ["a"], "probs": {"a": NaN}}'),
+    ("lone-surrogate-label",
+     '{"type": "classical", "space": ["\\ud800"], "probs": {"\\ud800": 1.0}}'),
+    ("escaped-label", '{"type": "classical", "space": ["\\u00e9"], "probs": {"\\u00e9": 1.0}}'),
+    ("bracket-in-label", '{"type": "classical", "space": ["]]", "[["], "probs": {"]]": 1.0}}'),
+    ("utf8-bom", "﻿" + _pure(GOOD_VEC)),
+    ("nesting-1100-in-the-vector", _pure(_DEEP)),
+    ("nesting-1100-in-an-ignored-field", f'{{"type": "pure", "vec": {GOOD_VEC}, "note": {_DEEP}}}'),
+    ("closers-after-an-escaped-quote-hide-nesting-1100",  # counted without escapes: depth 3
+     f'{{"type": "pure", "vec": {GOOD_VEC}, "s": "\\"{"]" * 1200}", "note": {_DEEP}}}'),
+    ("nesting-100-in-an-ignored-field",
+     f'{{"type": "pure", "vec": {GOOD_VEC}, "note": {"[" * 100 + "]" * 100}}}'),
+    ("integer-5000-digits", _pure(f"[[{'1' * 5000}, 0.0], [0.0, 0.0]]")),
+    ("integer-400-digits", _pure(f"[[{HUGE}, 0.0], [0.0, 0.0]]")),
+    ("duplicate-mat",
+     '{"type": "density", "dim": 2, "mat": [[[2.0, 0.0]]], "mat": ' + GOOD_MAT + "}"),
+    ("duplicate-mat-last-bad", '{"type": "density", "dim": 2, "mat": ' + GOOD_MAT + ', "mat": 1}'),
+    ("duplicate-probs", '{"type": "classical", "space": ["a", "b"], "probs": {"a": 2.0}, '
+     '"probs": {"b": 1.0}}'),
+    ("duplicate-probability", '{"type": "classical", "space": ["a", "b"], '
+     '"probs": {"a": 1.0, "b": 0.0, "a": 0.0, "b": 1.0}}'),
+    ("minus-zero", _pure("[[1.0, -0], [-0.0, -0.0]]")),
+    ("1e400", _pure("[[1e400, 0.0], [0.0, 0.0]]")),
+    ("1e-400", _pure("[[1.0, 1e-400], [-1e-400, 0.0]]")),
+    ("trailing-data", _pure(GOOD_VEC) + " []"),
+    ("control-character", '{"type": "classical", "space": ["a\tb"], "probs": {"a\tb": 1.0}}'),
+    ("empty", ""),
+]
+
+
+@pytest.mark.parametrize("text", [t for _, t in DECODER_EDGES], ids=[c for c, _ in DECODER_EDGES])
+def test_decoder_edges_read_as_json_reads_them(text):
+    assert _outcome(loads_state, text) == _outcome(_json_only, text)
+
+
+_SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [str(Path(statefile.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+
+
+def test_nesting_a_million_deep_is_a_schema_error_not_a_crash(tmp_path):
+    # orjson 3.8 recurses on the C stack without a limit: given this text it
+    # overflows the stack, so the read runs in a process of its own
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10**6 + "]" * 10**6)
+    run = subprocess.run([sys.executable, "-m", "entanglekit.cli", "classify", str(path)],
+                         capture_output=True, text=True, env=_SUBPROCESS_ENV, timeout=120)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("entanglekit: schema error: $: invalid JSON: maximum recursion")
+
+
+@pytest.mark.parametrize(
+    "text, depth",
+    [("", 0), ("1", 0), ("[]", 1), ('{"a": [[1], {"b": []}]}', 4), ('["]]]]", [[]]]', 3),
+     ('["[[[[", []]', 2), ('{"a": "}", "b": {"c": "{{{"}}', 2), ("[[[[", 4), ('["]]', 1)],
+)
+def test_nesting_depth_counts_brackets_outside_strings(text, depth):
+    assert statefile._nesting_depth(text) == depth
+
+
+# A double's repr and its .17g and .25g forms, the exact midpoint between two
+# adjacent doubles (which rounds to the even one), and integer literals of
+# 19 to 330 digits (beyond 309 digits past the double range).
+_doubles = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _midpoint(x: float) -> str:
+    above = math.nextafter(x, math.inf)
+    with decimal.localcontext(decimal.Context(prec=2000)):  # exact: a dyadic rational
+        return str((decimal.Decimal(x) + decimal.Decimal(above)) / 2)
+
+
+decimal_literals = st.one_of(
+    st.builds(repr, _doubles),
+    st.builds(lambda x: format(x, ".17g"), _doubles),
+    st.builds(lambda x: format(x, ".25g"), _doubles),
+    _doubles.filter(lambda x: abs(x) < sys.float_info.max).map(_midpoint),
+)
+integer_literals = st.builds(
+    lambda digits, head, rest, sign: sign + str(head) + rest[: digits - 1],
+    st.integers(19, 330), st.integers(1, 9), st.text("0123456789", min_size=329, max_size=329),
+    st.sampled_from(["", "-"]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(decimal_literals)
+def test_orjson_reads_a_decimal_as_float_does(literal):
+    import orjson
+
+    value = orjson.loads(literal)
+    if isinstance(value, int):  # an integer literal, as .17g writes 1.0 or -0.0
+        assert value == int(literal), literal
+    else:
+        assert value.hex() == float(literal).hex(), literal
+
+
+@settings(max_examples=1000, deadline=None)
+@given(integer_literals)
+def test_orjson_reads_an_integer_as_float_of_int_does(literal):
+    import orjson
+
+    try:
+        expected = float(int(literal))
+    except OverflowError:  # past the double range: orjson refuses it, json reads an int
+        with pytest.raises(orjson.JSONDecodeError, match="infinity"):
+            orjson.loads(literal)
+        return
+    value = orjson.loads(literal)
+    if isinstance(value, int):  # within 64 bits: the exact integer
+        assert value == int(literal)
+    else:
+        assert value.hex() == expected.hex(), literal
+
+
+# How often each read runs json.loads: never for a file orjson decodes and
+# the constructors accept or refuse; once when json judges a schema refusal.
+DECODE_COUNTS = [
+    ("valid", _density(GOOD_MAT), None, 0),
+    ("domain-refusal", _density("[[[-0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.5, 0.0]]]"),
+     ValueError, 0),
+    ("schema-refusal-of-orjsons-tree", '{"type": "pure"}', SchemaError, 1),
+    ("schema-refusal-of-an-int-beyond-64-bits", dict(DECODER_EDGES)["dim-2^64"], SchemaError, 1),
+    ("schema-refusal-orjson-refused", dict(DECODER_EDGES)["nan"], SchemaError, 1),
+    ("invalid-json", "{not json", SchemaError, 1),
+    ("too-deep-for-orjson", dict(DECODER_EDGES)["nesting-100-in-an-ignored-field"], None, 1),
+]
+
+
+@pytest.mark.parametrize("text, refusal, count", [c[1:] for c in DECODE_COUNTS],
+                         ids=[c[0] for c in DECODE_COUNTS])
+def test_json_decodes_only_what_it_judges(text, refusal, count):
+    with mock.patch.object(statefile.json, "loads", wraps=json.loads) as loads:
+        if refusal is None:
+            loads_state(text)
+        else:
+            with pytest.raises(refusal) as info:
+                loads_state(text)
+            assert (type(info.value) is SchemaError) == (refusal is SchemaError)
+    assert loads.call_count == count
+
+
+def test_importing_the_cli_and_running_verify_never_load_orjson():
+    script = (
+        "import contextlib, io, sys\n"
+        "import entanglekit.cli\n"
+        "print('orjson' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = entanglekit.cli.main(['verify', '--instances', '1'])\n"
+        "print(code, 'orjson' in sys.modules)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=_SUBPROCESS_ENV, timeout=120)
+    assert (run.stdout, run.stderr) == ("False\n0 False\n", "")
+
+
 # Exit codes: whatever a state file holds, the CLI ends with 0, 2, 3 or 4.
 # Exit 1 means a verification failure, so an escaping exception must not
 # reach the interpreter's default handler either.
@@ -438,15 +674,32 @@ def _state_files(draw):
     return obj
 
 
+EDGE_FILES = [
+    b'{"type":"pure","vec":[[1.0,0.0]]}\xff',  # not UTF-8
+    b"\xef\xbb\xbf" + _pure(GOOD_VEC).encode(),  # a UTF-8 byte order mark
+    _density("[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, NaN]]]").encode(),
+    dict(DECODER_EDGES)["lone-surrogate-label"].encode(),
+    dict(DECODER_EDGES)["dim-2^64"].encode(),
+    dict(DECODER_EDGES)["nesting-1100-in-an-ignored-field"].encode(),
+]
+
+
+@st.composite
+def _raw_state_files(draw):
+    """The bytes of a drawn state file, or, one time in ten, of an edge file."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(EDGE_FILES))
+    return json.dumps(draw(_state_files())).encode()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    _state_files(),
+    _raw_state_files(),
     st.tuples(st.integers(0, 4), st.integers(0, 4)),
     st.sampled_from([[], ["--tol", "0.3"], ["--tol", "2"], ["--tol", "1e-15"]]),
     st.booleans(),
 )
-def test_every_state_file_ends_in_a_defined_exit_code(obj, dims, tol, as_json):
-    raw = json.dumps(obj).encode()
+def test_every_state_file_ends_in_a_defined_exit_code(raw, dims, tol, as_json):
     runs = [["classify"], ["schmidt"], ["ptrace", "--keep", "1"]]
     argvs = [run + extra for run in runs for extra in ([], ["--dims", *map(str, dims)])]
     argvs.append(["marginal", "--side", "1"])
