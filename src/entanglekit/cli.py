@@ -9,6 +9,7 @@ readable (default) or canonical JSON (``--json``).  Exit codes:
     2  parse or schema error
     3  state invariant violation (bad normalization, dims mismatch, ...)
     4  zero vector where a nonzero one is required
+    5  the report could not be written (stdout was closed)
 """
 
 from __future__ import annotations
@@ -265,26 +266,19 @@ def main(argv: Optional[list[str]] = None) -> int:
             exit_code = 0 if report["result"]["all_passed"] else 1
         else:
             raw = _read_input(args.path)
-            digest = "sha256:" + hashlib.sha256(raw).hexdigest()
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:  # a parse error, as for any text json refuses
-                raise SchemaError(f"invalid UTF-8: {exc}") from None
-            del raw  # only the text is parsed; free the bytes before the tree is built
             handler = {
                 "classify": _cmd_classify,
                 "schmidt": _cmd_schmidt,
                 "ptrace": _cmd_ptrace,
                 "marginal": _cmd_marginal,
             }[args.command]
-            report["input_digest"] = digest
+            report["input_digest"] = "sha256:" + hashlib.sha256(raw).hexdigest()
             report["tolerance"] = tol.eps
             # Entries near the float range overflow in norms and sums; the
             # checks refuse the inf or nan that results with their own
             # message, which is all that stderr should carry.
             with np.errstate(over="ignore", invalid="ignore"):
-                state = loads_state(text, tol)
-                del text
+                state = loads_state(raw, tol)
                 report["result"] = handler(state, args, tol)
             exit_code = 0
     except SchemaError as exc:
@@ -298,10 +292,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
 
     report["elapsed_s"] = time.perf_counter() - started
-    if args.json:
-        print(dumps_canonical(report), file=out)
-    else:
-        _render_pretty(args.command, report["result"], out)
+    try:
+        if args.json:
+            print(dumps_canonical(report), file=out)
+        else:
+            _render_pretty(args.command, report["result"], out)
+        out.flush()  # a closed pipe fails here, not in the interpreter's final flush
+    except BrokenPipeError:
+        sys.stdout = open(os.devnull, "w")  # what is left buffered would fail again at exit
+        return 5
     return exit_code
 
 

@@ -26,17 +26,17 @@ Lists of float pairs are written by one formatting pass, with the integral
 values (and -0.0) sent through ``format_float``.  Both paths give the same
 values, bit for bit, the same errors and the same bytes.
 
-The text is decoded by orjson, and the ``json`` module is the contract
-for every refusal.  orjson is given only texts without backslashes that
-nest at most ``_FAST_MAX_DEPTH`` deep: it recurses on the C stack without
-a limit, so a deeper text could overflow that stack or decode where json
-stops at the interpreter's recursion limit.  Whatever orjson refuses,
-and every tree of its that ``parse_state`` refuses with a SchemaError,
-json decodes again, and that parse gives the result or the error.  The
-one difference between the two decoders' trees is that an integer
-literal outside 64 bits comes back from orjson as a float of equal
-value, so ``"dim": 18446744073709551616`` would otherwise be refused as
-a float.  A domain ValueError is never re-run: the values are the same.
+A file's bytes go to orjson undecoded; only the ``json`` fallback decodes
+UTF-8 (strictly), and json is the contract for every refusal.  orjson is given
+only files without backslashes that nest at most ``_FAST_MAX_DEPTH`` deep: it
+recurses on the C stack without a limit, so a deeper file could overflow that
+stack or decode where json stops at the interpreter's recursion limit.
+Whatever orjson refuses, and every tree of its that ``parse_state`` refuses
+with a SchemaError, json decodes again, and that parse gives the result or the
+error.  The one difference between the two decoders' trees is that an integer
+literal outside 64 bits comes back from orjson as a float of equal value, so
+``"dim": 18446744073709551616`` would otherwise be refused as a float.  A
+domain ValueError is never re-run: the values are the same.
 """
 
 from __future__ import annotations
@@ -275,11 +275,11 @@ def parse_state(obj, tol: Tolerance = Tolerance(), loc: str = "$") -> State:
     raise SchemaError(f"unknown state type {kind!r}; expected one of {STATE_TYPES}", f"{loc}.type")
 
 
-def loads_state(text: str, tol: Tolerance = Tolerance()) -> State:
-    """Parse a state file from its JSON text.
+def loads_state(data: bytes, tol: Tolerance = Tolerance()) -> State:
+    """Parse a state file from its bytes.
 
     orjson's tree is parsed first; a SchemaError on that path, from the
-    decode or the parse, hands the text to json (see the module docstring).
+    decode or the parse, hands the bytes to json (see the module docstring).
     The collector stays off while a decoded tree lives, through decoding
     and parsing: the tree has no cycles, and a collection would only walk
     its lists.  Once parsed, the tree is freed, not collected, before the
@@ -291,10 +291,10 @@ def loads_state(text: str, tol: Tolerance = Tolerance()) -> State:
     gc.disable()
     try:
         try:
-            return parse_state(_fast_decode(text), tol)  # no name holds the tree
+            return parse_state(_fast_decode(data), tol)  # no name holds the tree
         except SchemaError:
-            pass  # leaving the handler frees orjson's tree; json judges the text
-        return parse_state(_decode(text), tol)
+            pass  # leaving the handler frees orjson's tree; json judges the file
+        return parse_state(_decode(data), tol)
     except ValueError as exc:  # a refusal
         tb = exc.__traceback__.tb_next  # the frames below this one, which is still running
         while tb is not None:
@@ -313,33 +313,36 @@ _NOT_STRUCTURAL = bytes(sorted(set(range(256)) - set(b'[]{}"')))
 _DEPTH_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")  # +1 and -1 as int8; quotes stay
 
 
-def _nesting_depth(text: str) -> int:
-    """How deep arrays and objects nest in ``text``, which holds no backslash.
+def _nesting_depth(data: bytes) -> int:
+    """How deep arrays and objects nest in ``data``, which holds no backslash.
 
-    Without escapes every ``"`` opens or closes a string, so the brackets
-    outside strings are those after an even number of quotes.  For a text
-    that is not JSON this bounds the depth of its longest valid prefix.
+    A byte scan is exact: no ASCII byte occurs inside a UTF-8 multibyte
+    sequence.  Without escapes every ``"`` opens or closes a string, so the
+    brackets outside strings are those after an even number of quotes.  For
+    bytes that are not JSON this bounds the depth of their longest valid prefix.
     """
-    marks = text.encode(errors="surrogatepass").translate(_DEPTH_STEPS, _NOT_STRUCTURAL)
+    marks = data.translate(_DEPTH_STEPS, _NOT_STRUCTURAL)
     steps = np.frombuffer(b"".join(marks.split(b'"')[::2]), dtype=np.int8)  # outside strings
     return int(steps.cumsum(dtype=np.int32).max(initial=0))
 
 
-def _fast_decode(text: str):
-    """orjson's tree of ``text``; SchemaError when json is to judge the text."""
-    if "\\" in text or _nesting_depth(text) > _FAST_MAX_DEPTH:
+def _fast_decode(data: bytes):
+    """orjson's tree of ``data``; SchemaError when json is to judge the file."""
+    if b"\\" in data or _nesting_depth(data) > _FAST_MAX_DEPTH:
         raise SchemaError("escapes or deep nesting: decoded by json")
     import orjson  # at first use: importing the CLI, or running verify, never loads it
 
     try:
-        return orjson.loads(text)
+        return orjson.loads(data)
     except orjson.JSONDecodeError:
         raise SchemaError("refused by orjson: decoded by json") from None
 
 
-def _decode(text: str):
+def _decode(data: bytes):
     try:
-        return json.loads(text)
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:  # a parse error, as for any text json refuses
+        raise SchemaError(f"invalid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an over-long integer literal; too deep nesting

@@ -1,7 +1,10 @@
 """CLI behavior on the canonical sample states: verdicts, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,7 +14,8 @@ import pytest
 from entanglekit.cli import main
 from entanglekit.statefile import loads_state
 
-SAMPLES = Path(__file__).resolve().parent.parent / "sample_states"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "sample_states"
 
 BELL = str(SAMPLES / "bell.json")
 PRODUCT = str(SAMPLES / "product.json")
@@ -102,13 +106,13 @@ class TestReducedStates:
     def test_bell_ptrace_is_maximally_mixed(self, capsys):
         code, report = _run_json(capsys, "ptrace", BELL, "--keep", "1")
         assert code == 0
-        reduced = loads_state(json.dumps(report["result"]))
+        reduced = loads_state(json.dumps(report["result"]).encode())
         np.testing.assert_allclose(reduced.mat, np.eye(2) / 2, atol=1e-10)
 
     def test_product_ptrace_is_pure(self, capsys):
         code, report = _run_json(capsys, "ptrace", PRODUCT, "--keep", "2")
         assert code == 0
-        reduced = loads_state(json.dumps(report["result"]))
+        reduced = loads_state(json.dumps(report["result"]).encode())
         np.testing.assert_allclose(reduced.mat, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_classical_pure_marginal(self, capsys):
@@ -124,7 +128,7 @@ class TestReducedStates:
     def test_separable_decomposition_ptrace(self, capsys):
         code, report = _run_json(capsys, "ptrace", SEPARABLE, "--keep", "2")
         assert code == 0
-        reduced = loads_state(json.dumps(report["result"]))
+        reduced = loads_state(json.dumps(report["result"]).encode())
         np.testing.assert_allclose(reduced.mat, np.eye(2) / 2, atol=1e-12)
 
     def test_reduced_state_round_trips_through_classify(self, capsys, tmp_path):
@@ -201,6 +205,34 @@ class TestExitCodes:
     def test_schmidt_rejects_density_input(self, capsys):
         code, out, err = _run(capsys, "schmidt", MAX_MIXED)
         assert code == 3
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("large", [True, False], ids=["larger-than-the-pipe", "short"])
+    def test_a_reader_that_leaves_early_is_5_without_a_traceback(self, tmp_path, large, unbuffered):
+        # classify f.json --dims 8 8 --json | head -c 10, where the report of a
+        # full-rank D=64 density is far larger than the pipe's buffer; and a
+        # short report whose reader is gone before it is written
+        if large:
+            rng = np.random.default_rng(5)
+            a = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+            rho = a @ a.conj().T
+            rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
+            path = tmp_path / "full_rank_64.json"
+            mat = np.stack([rho.real, rho.imag], -1).tolist()
+            path.write_text(json.dumps({"type": "density", "dim": 64, "mat": mat}))
+            argv, expected_head = ["classify", str(path), "--dims", "8", "8", "--json"], b'{"tool":"e'
+        else:
+            argv, expected_head = ["classify", BELL], b""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "entanglekit.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        head = proc.stdout.read(len(expected_head))
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), head, err) == (5, expected_head, b"")
 
 
 class TestStdinAndEnv:

@@ -217,7 +217,7 @@ class TestDecompositionBudget:
         rho = _density([0.4, 0.3, 0.2, 0.1], [q[:, k] for k in range(4)])
         text = dumps_canonical(state_to_json(rho))
         decompositions.clear()
-        result = classify(loads_state(text, TOL), BipartiteDims(4, 4), TOL)
+        result = classify(loads_state(text.encode(), TOL), BipartiteDims(4, 4), TOL)
         assert len(result.certificate.basis) == 4
         assert decompositions == {"cholesky": 1, "eigh": 1, "svd": 1}
 
@@ -226,7 +226,7 @@ class TestDecompositionBudget:
         text = dumps_canonical({"type": "density", "dim": 4, "mat": cmat_to_json(mat)})
         decompositions.clear()
         with pytest.raises(ValueError, match="must be positive"):
-            loads_state(text, TOL)
+            loads_state(text.encode(), TOL)
         assert decompositions == {"cholesky": 1, "eigvalsh": 1}
 
     @pytest.mark.parametrize("k", [1, 4, 16])

@@ -77,7 +77,7 @@ class TestParse:
         np.testing.assert_allclose(state.vec, [S, 0, 0, S], atol=0)
 
     def test_loads_from_text(self):
-        state = loads_state(json.dumps(SAMPLES["density"]))
+        state = loads_state(json.dumps(SAMPLES["density"]).encode())
         assert state.dim == 2
 
 
@@ -115,7 +115,7 @@ class TestSchemaErrors:
 
     def test_invalid_json_reports_position(self):
         with pytest.raises(SchemaError, match="line 1"):
-            loads_state("{not json")
+            loads_state(b"{not json")
 
 
 class TestInvariantErrors:
@@ -147,14 +147,14 @@ class TestRoundTrip:
     @pytest.mark.parametrize("kind", sorted(SAMPLES))
     def test_serialize_parse_serialize_is_stable(self, kind):
         first = dumps_canonical(state_to_json(parse_state(SAMPLES[kind])))
-        second = dumps_canonical(state_to_json(loads_state(first)))
+        second = dumps_canonical(state_to_json(loads_state(first.encode())))
         assert first == second
 
     def test_awkward_floats_survive(self):
         probs = {"a": 0.1, "b": 1 / 3, "c": 1 - 0.1 - 1 / 3}
         state = ClassicalState(PhaseSpace(("a", "b", "c")), probs)
         text = dumps_canonical(state_to_json(state))
-        rebuilt = loads_state(text)
+        rebuilt = loads_state(text.encode())
         assert rebuilt.probs == state.probs
 
 

@@ -1,12 +1,12 @@
 """Complex arrays in state files: the bulk paths against the per-entry ones.
 
-``statefile`` converts each ``[re, im]`` vector or matrix with one numpy
-call when the input is well formed, and falls back to the per-entry walk
+``statefile`` converts each ``[re, im]`` vector or matrix in one bulk pass
+when the input is well formed, and falls back to the per-entry walk
 otherwise.  These tests pin the contract: the same values bit for bit, the
 same ``SchemaError`` message and location for every malformed input, and
-the same canonical bytes on output.  The text itself is decoded by orjson
-where it can be; a read must still equal a ``json``-only read, state for
-state and error for error.
+the same canonical bytes on output.  A file's bytes are decoded by orjson
+where they can be; a read must still equal a ``json``-only read of the
+strictly decoded UTF-8 text, state for state and error for error.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ REJECTIONS = (
                          ids=[r[0] for r in REJECTIONS])
 def test_malformed_array_gives_the_walks_error(text, loc, message, tmp_path, capsys):
     with pytest.raises(SchemaError) as info:
-        loads_state(text)
+        loads_state(text.encode())
     assert info.value.location == loc
     assert str(info.value) == f"{loc}: {message}"
 
@@ -132,9 +132,9 @@ def test_malformed_array_gives_the_walks_error(text, loc, message, tmp_path, cap
 
 
 def test_well_formed_samples_still_parse():
-    assert loads_state(_pure(GOOD_VEC)).dim == 2
-    assert loads_state(_density(GOOD_MAT)).dim == 2
-    assert len(loads_state(_separable(GOOD_VEC)).terms) == 2
+    assert loads_state(_pure(GOOD_VEC).encode()).dim == 2
+    assert loads_state(_density(GOOD_MAT).encode()).dim == 2
+    assert len(loads_state(_separable(GOOD_VEC).encode()).terms) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ HUGE_MESSAGE = "number does not fit a double: an integer with 401 digits"
 )
 def test_integer_too_large_for_a_double_is_a_schema_error(text, loc, tmp_path, capsys):
     with pytest.raises(SchemaError) as info:
-        loads_state(text)
+        loads_state(text.encode())
     assert str(info.value) == f"{loc}: {HUGE_MESSAGE}"
 
     path = tmp_path / "huge.json"
@@ -306,7 +306,7 @@ def test_bulk_emitter_rejects_non_finite(bad, pretty):
 )
 def test_undecodable_json_is_a_schema_error(text, message, tmp_path, capsys):
     with pytest.raises(SchemaError, match=message) as info:
-        loads_state(text)
+        loads_state(text.encode())
     assert info.value.location == "$"
 
     path = tmp_path / "bad.json"
@@ -319,14 +319,14 @@ def test_decoding_restores_the_collector_state():
     import gc
 
     assert gc.isenabled()
-    loads_state('{"type": "pure", "vec": [[1.0, 0.0]]}')
+    loads_state(b'{"type": "pure", "vec": [[1.0, 0.0]]}')
     assert gc.isenabled()
     with pytest.raises(SchemaError):
-        loads_state("{not json")
+        loads_state(b"{not json")
     assert gc.isenabled()
     gc.disable()
     try:
-        loads_state('{"type": "pure", "vec": [[1.0, 0.0]]}')
+        loads_state(b'{"type": "pure", "vec": [[1.0, 0.0]]}')
         assert not gc.isenabled()
     finally:
         gc.enable()
@@ -360,7 +360,7 @@ def test_reading_a_density_runs_no_collection():
     text = json.dumps({"type": "density", "dim": n, "mat": _identity_density(n)})
 
     def read():
-        assert loads_state(text).dim == n
+        assert loads_state(text.encode()).dim == n
 
     assert _collections_while(read) == []
 
@@ -373,7 +373,7 @@ def test_refusing_a_density_runs_no_collection():
 
     def read():  # the refusal's traceback must not keep the tree alive for a collection
         with pytest.raises(ValueError, match="must be positive"):
-            loads_state(text)
+            loads_state(text.encode())
 
     assert _collections_while(read) == []
 
@@ -382,8 +382,12 @@ def test_refusing_a_density_runs_no_collection():
 # orjson decodes, json judges: loads_state == a json-only read, bit for bit
 
 
-def _json_only(text: str):
-    """The reference read: ``json.loads`` with the error mapping ``statefile`` gives it."""
+def _json_only(data: bytes):
+    """The reference read: a strict UTF-8 decode and ``json.loads``, with ``_decode``'s error mapping."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"invalid UTF-8: {exc}")
     try:
         tree = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -410,10 +414,10 @@ def _fingerprint(value):
     return type(value).__name__, repr(value)
 
 
-def _outcome(read, text: str):
+def _outcome(read, data: bytes):
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # as the CLI reads
-            return "state", _fingerprint(read(text))
+            return "state", _fingerprint(read(data))
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -431,12 +435,22 @@ def _with_leaves(draw, value):
     return value
 
 
+@st.composite
+def _state_file_bytes(draw):
+    """A drawn file's UTF-8 bytes, escaped or raw, and one time in four with
+    up to three arbitrary bytes spliced in, most often not UTF-8."""
+    obj = draw(_state_files().flatmap(_with_leaves))
+    data = json.dumps(obj, ensure_ascii=draw(st.booleans())).encode()
+    if not draw(st.integers(0, 3)):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+    return data
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.data(), st.booleans())
-def test_reading_matches_a_json_only_read_bit_for_bit(data, ascii_only):
-    obj = data.draw(_state_files().flatmap(_with_leaves))
-    text = json.dumps(obj, ensure_ascii=ascii_only)
-    assert _outcome(loads_state, text) == _outcome(_json_only, text)
+@given(_state_file_bytes())
+def test_reading_matches_a_json_only_read_bit_for_bit(data):
+    assert _outcome(loads_state, data) == _outcome(_json_only, data)
 
 
 BIG = str(2**64)
@@ -482,9 +496,40 @@ DECODER_EDGES = [
 ]
 
 
-@pytest.mark.parametrize("text", [t for _, t in DECODER_EDGES], ids=[c for c, _ in DECODER_EDGES])
-def test_decoder_edges_read_as_json_reads_them(text):
-    assert _outcome(loads_state, text) == _outcome(_json_only, text)
+def _labels(label: bytes) -> bytes:
+    return b'{"type": "classical", "space": [' + label + b'], "probs": {' + label + b": 1.0}}"
+
+
+# (case, bytes): files that are not UTF-8, and multibyte characters next to
+# the bytes the depth scan counts
+BYTE_EDGES = [
+    ("invalid-utf8-in-a-label", _labels(b'"a\xffb"')),
+    ("invalid-utf8-after-the-closing-brace", _pure(GOOD_VEC).encode() + b"\xff"),
+    ("invalid-utf8-in-a-nested-ignored-field",
+     _pure(GOOD_VEC)[:-1].encode() + b', "note": [["\x80"]]}'),
+    ("truncated-multibyte-in-a-label", _labels(b'"\xc3"')),
+    ("truncated-multibyte-at-the-end", _pure(GOOD_VEC).encode() + b"\xe2\x82"),
+    ("utf8-encoded-surrogate", _labels(b'"\xed\xa0\x80"')),
+    ("utf8-encoded-surrogate-after-an-escape", _labels(b'"\\ud800\xed\xa0\x80"')),
+    ("bom-in-a-label", _labels('"\ufeff"'.encode())),
+    ("multibyte-next-to-quotes", '{"type": "classical", "space": ["é", "😀"], '
+     '"probs": {"é": 0.25, "😀": 0.75}}'.encode()),
+    ("multibyte-next-to-brackets", '{"type": "classical", "space": ["[é", "😀]", "]é[", "é"], '
+     '"probs": {"[é": 0.5, "😀]": 0.5}}'.encode()),
+    ("multibyte-next-to-brackets-refused", '{"type": "classical", "space": ["[é", "😀]"], '
+     '"probs": {"[é": 0.5, "😀]": 0.6}}'.encode()),
+    ("multibyte-labels-of-a-classical2", '{"type": "classical2", "spaceX": ["é"], "spaceY": ["😀"], '
+     '"probs": [["é", "😀", 1.0]]}'.encode()),
+    ("multibyte-outside-strings", '{"type": "pure", "vec": [é[1.0, 0.0]]}'.encode()),
+    ("multibyte-before-closers-in-a-string-hides-no-nesting",
+     (_pure(GOOD_VEC)[:-1] + ', "é": ["😀' + "]" * 1100 + '", ' + _DEEP + "]}").encode()),
+]
+EDGES = [(c, t.encode()) for c, t in DECODER_EDGES] + BYTE_EDGES
+
+
+@pytest.mark.parametrize("data", [d for _, d in EDGES], ids=[c for c, _ in EDGES])
+def test_decoder_edges_read_as_json_reads_them(data):
+    assert _outcome(loads_state, data) == _outcome(_json_only, data)
 
 
 _SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -503,12 +548,16 @@ def test_nesting_a_million_deep_is_a_schema_error_not_a_crash(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text, depth",
-    [("", 0), ("1", 0), ("[]", 1), ('{"a": [[1], {"b": []}]}', 4), ('["]]]]", [[]]]', 3),
-     ('["[[[[", []]', 2), ('{"a": "}", "b": {"c": "{{{"}}', 2), ("[[[[", 4), ('["]]', 1)],
+    "data, depth",
+    [(b"", 0), (b"1", 0), (b"[]", 1), (b'{"a": [[1], {"b": []}]}', 4), (b'["]]]]", [[]]]', 3),
+     (b'["[[[[", []]', 2), (b'{"a": "}", "b": {"c": "{{{"}}', 2), (b"[[[[", 4), (b'["]]', 1)]
+    # multibyte characters next to the brackets and quotes, in strings and out
+    + [(t.encode(), d) for t, d in [('["é]]]", [[]]]', 3), ('["[[😀[[", []]', 2),
+                                     ('{"é": "}é", "😀": {"c": "{{😀"}}', 2), ('[["é"], ["😀"]]', 2),
+                                     ('["]é"]', 1), ("[[é]]", 2), ('["€[["]', 1)]],
 )
-def test_nesting_depth_counts_brackets_outside_strings(text, depth):
-    assert statefile._nesting_depth(text) == depth
+def test_nesting_depth_counts_brackets_outside_strings(data, depth):
+    assert statefile._nesting_depth(data) == depth
 
 
 # A double's repr and its .17g and .25g forms, the exact midpoint between two
@@ -585,10 +634,10 @@ DECODE_COUNTS = [
 def test_json_decodes_only_what_it_judges(text, refusal, count):
     with mock.patch.object(statefile.json, "loads", wraps=json.loads) as loads:
         if refusal is None:
-            loads_state(text)
+            loads_state(text.encode())
         else:
             with pytest.raises(refusal) as info:
-                loads_state(text)
+                loads_state(text.encode())
             assert (type(info.value) is SchemaError) == (refusal is SchemaError)
     assert loads.call_count == count
 
