@@ -9,7 +9,7 @@ readable (default) or canonical JSON (``--json``).  Exit codes:
     2  parse or schema error
     3  state invariant violation (bad normalization, dims mismatch, ...)
     4  zero vector where a nonzero one is required
-    5  the report could not be written (stdout was closed)
+    5  the report could not be written (stdout was closed or full)
 """
 
 from __future__ import annotations
@@ -297,8 +297,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(dumps_canonical(report), file=out)
         else:
             _render_pretty(args.command, report["result"], out)
-        out.flush()  # a closed pipe fails here, not in the interpreter's final flush
-    except BrokenPipeError:
+        out.flush()  # a failed write fails here, not in the interpreter's final flush
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):  # a reader that left needs no message
+            print(f"entanglekit: cannot write the report: {exc}", file=sys.stderr)
         sys.stdout = open(os.devnull, "w")  # what is left buffered would fail again at exit
         return 5
     return exit_code

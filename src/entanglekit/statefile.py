@@ -22,9 +22,15 @@ behind it that defines the contract.  A vector or matrix fills one float
 array in a single pass when it is a rectangular array of ``[re, im]`` pairs
 of finite JSON numbers (no booleans); anything else goes to the per-entry
 walk, which raises the SchemaError naming the exact offending element.
-Lists of float pairs are written by one formatting pass, with the integral
-values (and -0.0) sent through ``format_float``.  Both paths give the same
-values, bit for bit, the same errors and the same bytes.
+The writer takes a 1-D complex array, or a list of float pairs, and formats
+its floats in one pass, with the integral values (and -0.0) sent through
+``format_float``; an array's floats come from its float view, so no pair
+lists are built for it.  Both paths give the same values, bit for bit, the
+same errors and the same bytes.  ``classification_to_json`` passes the
+range basis as arrays, since a full-rank density's basis is as large as its
+matrix.  The other ``*_to_json`` functions make lists:
+``parse_state(state_to_json(s))`` reads them back in memory, and the pretty
+renderer prints Schmidt data and product factors as lists.
 
 A file's bytes go to orjson undecoded; only the ``json`` fallback decodes
 UTF-8 (strictly), and json is the contract for every refusal.  orjson is given
@@ -441,7 +447,7 @@ def classification_to_json(c: Classification) -> dict:
         payload = {
             "kind": "range-report",
             "range_rank": len(cert.basis),
-            "basis": [cvec_to_json(v) for v in cert.basis],
+            "basis": list(cert.basis),  # arrays: the writer formats them without a list copy
             "schmidt_ranks": list(cert.schmidt_ranks),
             "all_elementary": cert.all_elementary,
         }
@@ -499,6 +505,9 @@ def _emit(obj, out: list[str], depth: int, pretty: bool) -> None:
     elif isinstance(obj, (list, tuple)):
         if not _emit_float_pairs(obj, out, depth, pretty):
             _emit_items([("", v) for v in obj], out, "[]", depth, pretty)
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "c":
+        values = np.ascontiguousarray(obj, dtype=complex).view(float)  # re, im, re, im, ...
+        _emit_pairs(values.tolist(), values, out, depth, pretty)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
@@ -523,26 +532,33 @@ def _emit_items(items, out: list[str], brackets: str, depth: int, pretty: bool) 
 
 
 def _emit_float_pairs(obj, out: list[str], depth: int, pretty: bool) -> bool:
-    """Emit a non-empty list of ``[float, float]`` lists in one pass; False for any other value.
-
-    The text equals what ``_emit`` writes entry by entry: ``.17g`` for
-    every float, and ``format_float`` for the integral ones (which get a
-    ".0" or collapse -0.0) and the non-finite ones (which it rejects).
-    """
-    if not obj or set(map(type, obj)) != {list} or set(map(len, obj)) != {2}:
+    """Emit a list of ``[float, float]`` lists by ``_emit_pairs``; False for any other value."""
+    if set(map(type, obj)) != {list} or set(map(len, obj)) != {2}:
         return False
     flat = list(chain.from_iterable(obj))
     if set(map(type, flat)) != {float}:
         return False
-    text = list(map("{:.17g}".format, flat))
-    values = np.array(flat)
+    _emit_pairs(flat, np.array(flat), out, depth, pretty)
+    return True
+
+
+def _emit_pairs(leaves: list, values: np.ndarray, out: list[str], depth: int, pretty: bool) -> None:
+    """Emit the ``[re, im]`` pairs whose floats, in order, are ``leaves`` (``values`` as an array).
+
+    The text equals what ``_emit`` writes entry by entry: ``%.17g`` for
+    every float, in one format call, and ``format_float`` for the integral
+    ones (which get a ".0" or collapse -0.0) and the non-finite ones (which
+    it rejects).
+    """
+    if not leaves:
+        out.append("[]")
+        return
+    text = (",".join(["%.17g"] * len(leaves)) % tuple(leaves)).split(",")
     for k in np.flatnonzero(~np.isfinite(values) | (values == np.floor(values))).tolist():
-        text[k] = format_float(flat[k])
+        text[k] = format_float(leaves[k])
     if pretty:
         pad0, pad1, pad2 = ("  " * (depth + i) for i in range(3))
-        pair, close = f"\n{pad1}[\n{pad2}{{}},\n{pad2}{{}}\n{pad1}]", f"\n{pad0}]"
+        pair, close = f"\n{pad1}[\n{pad2}%s,\n{pad2}%s\n{pad1}]", f"\n{pad0}]"
     else:
-        pair, close = "[{},{}]", "]"
-    leaves = iter(text)
-    out.append("[" + ",".join(map(pair.format, leaves, leaves)) + close)
-    return True
+        pair, close = "[%s,%s]", "]"
+    out.append(("[" + ",".join([pair] * (len(text) // 2)) + close) % tuple(text))

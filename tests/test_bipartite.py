@@ -303,3 +303,19 @@ class TestBipartiteVector:
 
     def test_zero_vector_is_a_legal_value(self):
         assert BipartiteVector(np.zeros(4), D22).norm == 0.0
+
+
+# constructor refusals no other test reaches: (case, build, message)
+REFUSALS = [
+    ("nan-entry", lambda: BipartiteVector(np.array([1.0, np.nan, 0.0, 0.0]), D22),
+     "vector entries must be finite"),
+    ("inf-entry", lambda: BipartiteVector(np.array([1.0, 0.0, 0.0, 1j * np.inf]), D22),
+     "vector entries must be finite"),
+]
+
+
+@pytest.mark.parametrize("build, message", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_refusal_names_its_cause(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

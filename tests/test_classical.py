@@ -214,3 +214,21 @@ class TestIsProductComposite:
         rf, rg = recovered
         assert rf.probs == {"a": 1.0}
         assert rg.probs == {"c": 1.0}
+
+
+# constructor refusals no other test reaches: (case, build, message)
+REFUSALS = [
+    ("unknown-x", lambda: CompositeClassicalState(AB, CD, {("z", "c"): 1.0}),
+     "probability assigned to unknown point ('z', 'c')"),
+    ("unknown-y", lambda: CompositeClassicalState(AB, CD, {("a", "c"): 0.5, ("b", "z"): 0.5}),
+     "probability assigned to unknown point ('b', 'z')"),
+    ("cert-without-terms", lambda: ClassicalSeparableCert(()),
+     "certificate needs at least one term"),
+]
+
+
+@pytest.mark.parametrize("build, message", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_refusal_names_its_cause(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from entanglekit.cli import main
-from entanglekit.statefile import loads_state
+from entanglekit.statefile import dumps_canonical, loads_state
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = ROOT / "sample_states"
@@ -233,6 +233,54 @@ class TestExitCodes:
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=120), head, err) == (5, expected_head, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_a_failed_write_is_5_with_one_line(self, unbuffered):
+        # classify bell.json > /dev/full: every write fails with ENOSPC
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "entanglekit.cli", "classify", BELL],
+                                  stdout=full, stderr=subprocess.PIPE, env=env, timeout=120)
+        lines = proc.stderr.decode().splitlines()
+        assert proc.returncode == 5
+        assert lines == ["entanglekit: cannot write the report: [Errno 28] No space left on device"]
+
+
+# refusals and failure output no other test reaches:
+# (case, argv, environment, exit code, stderr)
+CLI_CASES = [
+    ("tol-env-not-a-number", ["classify", BELL], {"ENTANGLEKIT_TOL": "abc"}, 3,
+     "entanglekit: invalid ENTANGLEKIT_TOL value 'abc': could not convert string to float: "
+     "'abc'\n"),
+    ("tol-env-not-positive", ["classify", BELL], {"ENTANGLEKIT_TOL": "-1"}, 3,
+     "entanglekit: invalid ENTANGLEKIT_TOL value '-1': eps must be a positive finite real, "
+     "got -1.0\n"),
+    ("ptrace-separable-at-other-dims", ["ptrace", SEPARABLE, "--keep", "1", "--dims", "1", "4"],
+     {}, 3, "entanglekit: --dims BipartiteDims(d1=1, d2=4) disagree with the file's dims "
+     "BipartiteDims(d1=2, d2=2)\n"),
+    ("verify-pretty-at-tol-0.5", ["verify", "--tol", "0.5", "--instances", "3"], {}, 1, ""),
+    ("verify-pretty-at-tol-2", ["verify", "--tol", "2", "--instances", "3"], {}, 1, ""),
+]
+
+
+@pytest.mark.parametrize("argv, env, code, err", [c[1:] for c in CLI_CASES],
+                         ids=[c[0] for c in CLI_CASES])
+def test_exit_code_and_message(capsys, monkeypatch, argv, env, code, err):
+    monkeypatch.delenv("ENTANGLEKIT_TOL", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert _run(capsys, *argv)[::2] == (code, err)
+    if code == 1:  # each failing suite's line is followed by its counterexample, as --json has it
+        lines = _run(capsys, *argv)[1].splitlines()
+        shown = [lines[k + 1] for k, line in enumerate(lines) if line.startswith("FAIL  ")]
+        failed = [s for s in _run_json(capsys, *argv)[1]["result"]["suites"] if not s["passed"]]
+        assert failed
+        assert shown == [f"  counterexample: {dumps_canonical(s['counterexample'])}"
+                         for s in failed]
 
 
 class TestStdinAndEnv:

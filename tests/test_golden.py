@@ -18,6 +18,9 @@ OpenBLAS.  To regenerate them under another build, on a commit whose
 output is trusted, from the repo root:
 
     PYTHONPATH=src python tests/test_golden.py
+
+That writes only the input files that are missing, each group from its own
+seed, so an added input leaves the existing ones byte for byte as they are.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ COMMANDS = {
     "tests/golden/inputs/density_2x3_rank3.json": _with_dims(_SEPARABLE, 2, 3),
     "tests/golden/inputs/separable_3x2_4terms.json": _SEPARABLE,
     "tests/golden/inputs/correlated_3x3.json": _CLASSICAL2,
+    "tests/golden/inputs/density_4x4_full_rank.json": _with_dims(_SEPARABLE, 4, 4),
 }
 
 
@@ -120,13 +124,22 @@ def test_every_sample_state_is_covered():
     assert covered == {p.name for p in SAMPLES.glob("*.json")}
 
 
+def test_regeneration_writes_each_missing_input_as_committed(tmp_path, monkeypatch):
+    committed = {p.name: p.read_bytes() for p in INPUTS.glob("*.json")}
+    monkeypatch.setattr(sys.modules[__name__], "INPUTS", tmp_path)
+    (tmp_path / "entangled_3x4.json").write_bytes(b"present")
+    _write_missing_inputs()
+    written = {p.name: p.read_bytes() for p in tmp_path.glob("*.json")}
+    assert written == {**committed, "entangled_3x4.json": b"present"}
+
+
 # ---------------------------------------------------------------------------
 # regeneration
 
 
-def _write_inputs(seed: int = 20260) -> None:
+def _generic_states(seed: int = 20260) -> dict:
     """Seeded random states with generic floats (17-digit, negative, tiny)."""
-    from entanglekit.statefile import cmat_to_json, cvec_to_json, dumps_canonical
+    from entanglekit.statefile import cmat_to_json, cvec_to_json
 
     rng = np.random.default_rng(seed)
 
@@ -140,7 +153,7 @@ def _write_inputs(seed: int = 20260) -> None:
     weights = rng.dirichlet(np.ones(4))
     probs = rng.dirichlet(np.ones(4)).tolist()
     probs[3] = 1.0 - sum(probs[:3])
-    states = {
+    return {
         "entangled_3x4": {"type": "bipartite", "dims": [3, 4], "vec": cvec_to_json(unit(12))},
         "product_pure_2x3": {"type": "pure", "vec": cvec_to_json(np.kron(unit(2), unit(3)))},
         "density_2x3_rank3": {"type": "density", "dim": 6, "mat": cmat_to_json(rho)},
@@ -160,14 +173,46 @@ def _write_inputs(seed: int = 20260) -> None:
                       ["a", "z", probs[3]]],
         },
     }
+
+
+def _full_rank_4x4(seed: int = 20261) -> dict:
+    """A full-rank density at dims 4 4: a random 12x12 block and four basis states.
+
+    The basis states 0, 5, 10 and 15 are decoupled from the block, so the
+    16-vector range basis carries integral leaves (0.0, -0.0 and 1.0) among
+    generic ones, and the report's writer must patch them.
+    """
+    from entanglekit.statefile import cmat_to_json
+
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    rho = np.zeros((16, 16), dtype=complex)
+    block = [k for k in range(16) if k % 5]
+    rho[np.ix_(block, block)] = a @ a.conj().T
+    rho[[0, 5, 10, 15], [0, 5, 10, 15]] = [3.0, 2.0, 1.0, 0.5]
+    rho /= np.trace(rho).real
+    rho = (rho + rho.conj().T) / 2
+    return {"density_4x4_full_rank": {"type": "density", "dim": 16, "mat": cmat_to_json(rho)}}
+
+
+def _write_missing_inputs() -> None:
+    """Write each input file that is absent; the inputs stay fixed once written.
+
+    Each generator has its own seed, so adding one leaves the others' draws,
+    and so their files, unchanged.
+    """
+    from entanglekit.statefile import dumps_canonical
+
     INPUTS.mkdir(parents=True, exist_ok=True)
-    for stem, payload in states.items():
-        (INPUTS / f"{stem}.json").write_text(dumps_canonical(payload, pretty=True) + "\n")
+    for generate in (_generic_states, _full_rank_4x4):
+        for stem, payload in generate().items():
+            path = INPUTS / f"{stem}.json"
+            if not path.exists():
+                path.write_text(dumps_canonical(payload, pretty=True) + "\n")
 
 
 def regenerate() -> None:
-    if not INPUTS.is_dir():  # the inputs stay fixed once written
-        _write_inputs()
+    _write_missing_inputs()
     for name, argv in CASES:
         code, text = _run(argv)
         if code != 0:

@@ -228,3 +228,19 @@ class TestCcrTraceObstruction:
         rng = np.random.default_rng(49)
         xm = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert np.trace(xm @ xm - xm @ xm) == 0j
+
+
+# constructor refusals no other test reaches: (case, build, message)
+REFUSALS = [
+    ("ensemble-without-terms", lambda: MixedEnsemble(()), "ensemble needs at least one term"),
+    ("ensemble-of-mixed-dims",
+     lambda: MixedEnsemble(((0.5, E1), (0.5, PureState(np.array([1.0, 0.0, 0.0]))))),
+     "ensemble states must share one dimension, got [2, 3]"),
+]
+
+
+@pytest.mark.parametrize("build, message", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_refusal_names_its_cause(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -330,3 +330,25 @@ class TestEntangledCertificate:
                 reduced = partial_trace(rho, dims, keep)
                 spectrum = np.linalg.eigvalsh(reduced.mat)[::-1][:2]
                 np.testing.assert_allclose(spectrum, np.sort(coeffs**2)[::-1][:2], atol=1e-9)
+
+
+_X0, _X1 = PureState(E[0]), PureState(E[1])
+
+# refusals no other test reaches: (case, build, message)
+REFUSALS = [
+    ("decomposition-without-terms", lambda: SeparableDecomposition(D22, ()),
+     "decomposition needs at least one term"),
+    ("classify-decomposition-at-other-dims",
+     lambda: classify(SeparableDecomposition(D22, ((1.0, _X0, _X1),)), dims=BipartiteDims(1, 4)),
+     "dims BipartiteDims(d1=1, d2=4) disagree with decomposition dims BipartiteDims(d1=2, d2=2)"),
+    ("classify-vector-at-other-dims",
+     lambda: classify(BipartiteVector(E[0], BipartiteDims(1, 2)), dims=BipartiteDims(2, 1)),
+     "dims BipartiteDims(d1=2, d2=1) disagree with vector dims BipartiteDims(d1=1, d2=2)"),
+]
+
+
+@pytest.mark.parametrize("build, message", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_refusal_names_its_cause(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

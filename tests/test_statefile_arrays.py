@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from entanglekit import statefile
 from entanglekit.cli import main
 from entanglekit.errors import SchemaError
-from entanglekit.statefile import dumps_canonical, format_float, loads_state
+from entanglekit.statefile import cvec_to_json, dumps_canonical, format_float, loads_state
 
 GOOD_VEC = "[[1.0, 0.0], [0.0, 0.0]]"
 GOOD_MAT = "[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]"
@@ -294,6 +294,59 @@ def test_bulk_emitter_matches_per_float_formatting(payload, pretty):
 def test_bulk_emitter_rejects_non_finite(bad, pretty):
     with pytest.raises(ValueError, match="non-finite"):
         dumps_canonical({"vec": [[0.5, 0.0], [bad, 0.0]]}, pretty=pretty)
+
+
+# a complex array is written as the [re, im] lists that cvec_to_json makes of it
+_ARRAY_LEAVES = st.one_of(
+    finite,
+    st.sampled_from([-0.0, 1e16, -1e16, 1e16 + 2, 1e17, -1e17, 1e17 + 16, 9007199254740993.0,
+                     5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308]),
+    st.integers(-(10**17), 10**17).map(float),
+)
+
+
+def _assert_written_as_its_pair_lists(vec, pretty):
+    payload = {"basis": [vec, vec[::-1]], "rank": len(vec)}
+    expected = {"basis": [cvec_to_json(vec), cvec_to_json(vec[::-1])], "rank": len(vec)}
+    assert dumps_canonical(payload, pretty=pretty) == dumps_canonical(expected, pretty=pretty)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ARRAY_LEAVES, max_size=16).filter(lambda x: len(x) % 2 == 0),
+       st.booleans(), st.booleans())
+def test_complex_array_is_written_as_its_pair_lists(leaves, strided, pretty):
+    vec = np.array(leaves, dtype=float).view(complex)
+    if strided:  # every other entry of a longer array: not contiguous
+        vec = np.repeat(vec, 2)[::2]
+    _assert_written_as_its_pair_lists(vec, pretty)
+
+
+@pytest.mark.parametrize("pretty", [False, True])
+def test_single_precision_array_is_written_as_its_pair_lists(pretty):
+    vec = np.array([0.1 - 0j, complex(-0.0, 1.0), complex(3.4e38, 1e-45)], dtype=np.complex64)
+    _assert_written_as_its_pair_lists(vec, pretty)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("pretty", [False, True])
+def test_complex_array_refuses_non_finite_as_its_lists_do(bad, pretty):
+    vec = np.array([0.5 + 0j, complex(0.5, bad)])
+    with pytest.raises(ValueError) as from_lists:
+        dumps_canonical([cvec_to_json(vec)], pretty=pretty)
+    with pytest.raises(ValueError) as from_array:
+        dumps_canonical([vec], pretty=pretty)
+    message = f"cannot serialize non-finite float {bad!r}"
+    assert str(from_array.value) == str(from_lists.value) == message
+
+
+@pytest.mark.parametrize(
+    "array",
+    [np.array([0.5, 0.5]), np.array([1, 0]), np.array([[0.5 + 0j]]), np.array(0.5 + 0j)],
+    ids=["real", "integer", "2-D complex", "0-D complex"],
+)
+def test_an_array_that_is_not_a_complex_vector_is_refused(array):
+    with pytest.raises(TypeError, match="cannot serialize ndarray to JSON"):
+        dumps_canonical({"vec": array})
 
 
 @pytest.mark.parametrize(
