@@ -47,6 +47,9 @@ class BipartiteDims:
     def total(self) -> int:
         return self.d1 * self.d2
 
+    def __str__(self) -> str:
+        return f"{self.d1}x{self.d2}"
+
 
 @dataclass(frozen=True, eq=False)
 class BipartiteVector:
@@ -164,7 +167,7 @@ def partial_trace(rho: DensityOperator, dims: BipartiteDims, keep: Side) -> Dens
     again: at the tolerance edges it is returned as computed.
     """
     if rho.dim != dims.total:
-        raise ValueError(f"state dimension {rho.dim} does not factor as {dims.d1} x {dims.d2}")
+        raise ValueError(f"state dimension {rho.dim} does not factor as {dims}")
     r4 = rho.mat.reshape(dims.d1, dims.d2, dims.d1, dims.d2)
     if keep == "first":
         reduced = np.einsum("ijkj->ik", r4)

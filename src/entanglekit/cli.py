@@ -33,6 +33,7 @@ from .separability import SeparableDecomposition, Verdict, _unit_schmidt, classi
 from .statefile import (
     classical_cert_to_json,
     classification_to_json,
+    cvec_to_json,
     dumps_canonical,
     loads_state,
     schmidt_to_json,
@@ -163,8 +164,8 @@ def _render_pretty(command: str, result: dict, out) -> None:
             print(f"schmidt coefficients: {[round(c, 12) for c in coeffs]}", file=out)
         elif kind == "product-factors":
             print("recovered product factors (as [re, im] pairs):", file=out)
-            print(f"  x: {cert['x']}", file=out)
-            print(f"  y: {cert['y']}", file=out)
+            print(f"  x: {cvec_to_json(cert['x'])}", file=out)
+            print(f"  y: {cvec_to_json(cert['y'])}", file=out)
         elif kind == "decomposition":
             terms = cert["decomposition"]["terms"]
             print(f"decomposition terms: {len(terms)}", file=out)

@@ -239,7 +239,7 @@ def classify(
         if dims is None:
             raise ValueError("dims are required to classify a density operator")
         if dims.total != state.dim:
-            raise ValueError(f"state dimension {state.dim} does not factor as {dims.d1} x {dims.d2}")
+            raise ValueError(f"state dimension {state.dim} does not factor as {dims}")
         basis = range_basis(state, tol)
         if not basis:
             raise ValueError(

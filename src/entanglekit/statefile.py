@@ -17,20 +17,18 @@ negative probability, non-positive matrix) surface as ValueError from the
 domain constructors.  Serialization writes floats with 17 significant
 digits, so serialize -> parse round-trips are exact.
 
-Complex arrays take a bulk path in both directions, with a per-entry path
-behind it that defines the contract.  A vector or matrix fills one float
-array in a single pass when it is a rectangular array of ``[re, im]`` pairs
-of finite JSON numbers (no booleans); anything else goes to the per-entry
-walk, which raises the SchemaError naming the exact offending element.
-The writer takes a 1-D complex array, or a list of float pairs, and formats
-its floats in one pass, with the integral values (and -0.0) sent through
-``format_float``; an array's floats come from its float view, so no pair
-lists are built for it.  Both paths give the same values, bit for bit, the
-same errors and the same bytes.  ``classification_to_json`` passes the
-range basis as arrays, since a full-rank density's basis is as large as its
-matrix.  The other ``*_to_json`` functions make lists:
-``parse_state(state_to_json(s))`` reads them back in memory, and the pretty
-renderer prints Schmidt data and product factors as lists.
+Complex arrays are read in bulk, and a per-entry walk behind the bulk path
+defines the contract.  A vector or matrix fills one float array in a single
+pass when it is a rectangular array of ``[re, im]`` pairs of finite JSON
+numbers (no booleans); anything else goes to the walk, which raises the
+SchemaError naming the exact offending element.  Both give the same values,
+bit for bit, and the same errors.
+
+Reports carry complex values as the numpy arrays the library holds: the
+``*_to_json`` functions pass 1-D complex arrays (a matrix as a list of its
+rows), and the writer formats each in one pass from its float view, with
+the integral values (and -0.0) sent through ``format_float``.  Lists of
+``[re, im]`` pairs are written entry by entry, with the same bytes.
 
 A file's bytes go to orjson undecoded; only the ``json`` fallback decodes
 UTF-8 (strictly), and json is the contract for every refusal.  orjson is given
@@ -260,10 +258,7 @@ def parse_state(obj, tol: Tolerance = Tolerance(), loc: str = "$") -> State:
         dims = _as_dims(_require(obj, "dims", loc), f"{loc}.dims")
         vec = _as_cvec(_require(obj, "vec", loc), f"{loc}.vec")
         if vec.shape[0] != dims.total:
-            raise SchemaError(
-                f"vector length {vec.shape[0]} does not match dims {dims.d1}x{dims.d2}",
-                f"{loc}.vec",
-            )
+            raise SchemaError(f"vector length {vec.shape[0]} does not match dims {dims}", f"{loc}.vec")
         return BipartiteVector(vec, dims)
 
     if kind == "separable":
@@ -385,23 +380,16 @@ def state_to_json(state: State) -> dict:
             "probs": [[x, y, p] for (x, y), p in state.probs.items()],
         }
     if isinstance(state, PureState):
-        return {"type": "pure", "vec": cvec_to_json(state.vec)}
+        return {"type": "pure", "vec": state.vec}
     if isinstance(state, DensityOperator):
-        return {"type": "density", "dim": state.dim, "mat": cmat_to_json(state.mat)}
+        return {"type": "density", "dim": state.dim, "mat": list(state.mat)}
     if isinstance(state, BipartiteVector):
-        return {
-            "type": "bipartite",
-            "dims": [state.dims.d1, state.dims.d2],
-            "vec": cvec_to_json(state.vec),
-        }
+        return {"type": "bipartite", "dims": [state.dims.d1, state.dims.d2], "vec": state.vec}
     if isinstance(state, SeparableDecomposition):
         return {
             "type": "separable",
             "dims": [state.dims.d1, state.dims.d2],
-            "terms": [
-                {"p": p, "x": cvec_to_json(x.vec), "y": cvec_to_json(y.vec)}
-                for p, x, y in state.terms
-            ],
+            "terms": [{"p": p, "x": x.vec, "y": y.vec} for p, x, y in state.terms],
         }
     raise TypeError(f"cannot serialize {type(state).__name__}")
 
@@ -411,8 +399,8 @@ def schmidt_to_json(dec: SchmidtDecomposition) -> dict:
         "dims": [dec.dims.d1, dec.dims.d2],
         "coeffs": [float(c) for c in dec.coeffs],
         "rank": dec.rank,
-        "left": [cvec_to_json(v) for v in dec.left],
-        "right": [cvec_to_json(v) for v in dec.right],
+        "left": list(dec.left),
+        "right": list(dec.right),
     }
 
 
@@ -431,8 +419,8 @@ def classification_to_json(c: Classification) -> dict:
     if isinstance(cert, ProductCertificate):
         payload = {
             "kind": "product-factors",
-            "x": cvec_to_json(cert.x.vec),
-            "y": cvec_to_json(cert.y.vec),
+            "x": cert.x.vec,
+            "y": cert.y.vec,
             "schmidt": schmidt_to_json(cert.schmidt),
         }
     elif isinstance(cert, EntangledCertificate):
@@ -447,7 +435,7 @@ def classification_to_json(c: Classification) -> dict:
         payload = {
             "kind": "range-report",
             "range_rank": len(cert.basis),
-            "basis": list(cert.basis),  # arrays: the writer formats them without a list copy
+            "basis": list(cert.basis),
             "schmidt_ranks": list(cert.schmidt_ranks),
             "all_elementary": cert.all_elementary,
         }
@@ -503,11 +491,9 @@ def _emit(obj, out: list[str], depth: int, pretty: bool) -> None:
             pretty,
         )
     elif isinstance(obj, (list, tuple)):
-        if not _emit_float_pairs(obj, out, depth, pretty):
-            _emit_items([("", v) for v in obj], out, "[]", depth, pretty)
+        _emit_items([("", v) for v in obj], out, "[]", depth, pretty)
     elif isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "c":
-        values = np.ascontiguousarray(obj, dtype=complex).view(float)  # re, im, re, im, ...
-        _emit_pairs(values.tolist(), values, out, depth, pretty)
+        _emit_pairs(np.ascontiguousarray(obj, dtype=complex).view(float), out, depth, pretty)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
 
@@ -531,28 +517,18 @@ def _emit_items(items, out: list[str], brackets: str, depth: int, pretty: bool) 
     out.append(close_b)
 
 
-def _emit_float_pairs(obj, out: list[str], depth: int, pretty: bool) -> bool:
-    """Emit a list of ``[float, float]`` lists by ``_emit_pairs``; False for any other value."""
-    if set(map(type, obj)) != {list} or set(map(len, obj)) != {2}:
-        return False
-    flat = list(chain.from_iterable(obj))
-    if set(map(type, flat)) != {float}:
-        return False
-    _emit_pairs(flat, np.array(flat), out, depth, pretty)
-    return True
+def _emit_pairs(values: np.ndarray, out: list[str], depth: int, pretty: bool) -> None:
+    """Emit the ``[re, im]`` pairs whose floats, in order, are ``values``.
 
-
-def _emit_pairs(leaves: list, values: np.ndarray, out: list[str], depth: int, pretty: bool) -> None:
-    """Emit the ``[re, im]`` pairs whose floats, in order, are ``leaves`` (``values`` as an array).
-
-    The text equals what ``_emit`` writes entry by entry: ``%.17g`` for
-    every float, in one format call, and ``format_float`` for the integral
-    ones (which get a ".0" or collapse -0.0) and the non-finite ones (which
-    it rejects).
+    The text equals what ``_emit`` writes for the same pairs as lists, entry
+    by entry: ``%.17g`` for every float, in one format call, and
+    ``format_float`` for the integral ones (which get a ".0" or collapse
+    -0.0) and the non-finite ones (which it rejects).
     """
-    if not leaves:
+    if not values.size:
         out.append("[]")
         return
+    leaves = values.tolist()
     text = (",".join(["%.17g"] * len(leaves)) % tuple(leaves)).split(",")
     for k in np.flatnonzero(~np.isfinite(values) | (values == np.floor(values))).tolist():
         text[k] = format_float(leaves[k])

@@ -260,8 +260,7 @@ CLI_CASES = [
      "entanglekit: invalid ENTANGLEKIT_TOL value '-1': eps must be a positive finite real, "
      "got -1.0\n"),
     ("ptrace-separable-at-other-dims", ["ptrace", SEPARABLE, "--keep", "1", "--dims", "1", "4"],
-     {}, 3, "entanglekit: --dims BipartiteDims(d1=1, d2=4) disagree with the file's dims "
-     "BipartiteDims(d1=2, d2=2)\n"),
+     {}, 3, "entanglekit: --dims 1x4 disagree with the file's dims 2x2\n"),
     ("verify-pretty-at-tol-0.5", ["verify", "--tol", "0.5", "--instances", "3"], {}, 1, ""),
     ("verify-pretty-at-tol-2", ["verify", "--tol", "2", "--instances", "3"], {}, 1, ""),
 ]

@@ -196,7 +196,7 @@ class TestClassificationJson:
         report = classification_to_json(classify(state))
         assert report["verdict"] == Verdict.QUANTUM_SEPARABLE_BY_CONSTRUCTION.value
         embedded = report["certificate"]["decomposition"]
-        assert isinstance(parse_state(embedded), SeparableDecomposition)
+        assert isinstance(loads_state(dumps_canonical(embedded).encode()), SeparableDecomposition)
 
     def test_range_report_for_undetermined(self):
         state = parse_state(

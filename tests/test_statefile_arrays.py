@@ -30,9 +30,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entanglekit import statefile
+from entanglekit.bipartite import BipartiteDims, BipartiteVector, kron_vec, schmidt
 from entanglekit.cli import main
 from entanglekit.errors import SchemaError
-from entanglekit.statefile import cvec_to_json, dumps_canonical, format_float, loads_state
+from entanglekit.quantum import MixedEnsemble, PureState, mix
+from entanglekit.separability import SeparableDecomposition, classify
+from entanglekit.statefile import (
+    classification_to_json,
+    cvec_to_json,
+    dumps_canonical,
+    format_float,
+    loads_state,
+    schmidt_to_json,
+    state_to_json,
+)
 
 GOOD_VEC = "[[1.0, 0.0], [0.0, 0.0]]"
 GOOD_MAT = "[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]"
@@ -224,7 +235,7 @@ def test_fast_parse_declines_what_the_walk_must_judge(value):
 
 
 # ---------------------------------------------------------------------------
-# bulk emitter == per-float emitter
+# the writer == the per-float reference emitter
 
 
 def _reference_dumps(obj, pretty: bool) -> str:
@@ -337,6 +348,92 @@ def test_complex_array_refuses_non_finite_as_its_lists_do(bad, pretty):
         dumps_canonical([vec], pretty=pretty)
     message = f"cannot serialize non-finite float {bad!r}"
     assert str(from_array.value) == str(from_lists.value) == message
+
+
+# every report payload's bytes equal those of the payload with lists in place of arrays
+_UNIT_LEAVES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def _unit_vectors(draw, n):
+    """A unit vector of n entries.  Drawn leaves are kept when they already
+    have unit norm, so -0.0, +-1.0 and subnormals reach the reports."""
+    v = np.array(draw(st.lists(_UNIT_LEAVES, min_size=2 * n, max_size=2 * n))).view(complex)
+    norm = float(np.linalg.norm(v))
+    if norm < 1e-100:  # too small to scale back to unit norm: a basis vector instead
+        return np.eye(n, dtype=complex)[draw(st.integers(0, n - 1))]
+    return v if abs(norm * norm - 1.0) <= 1e-12 else v / norm
+
+
+@st.composite
+def _report_payloads(draw):
+    """What ``state_to_json``, ``schmidt_to_json`` and ``classification_to_json``
+    make of a random pure, density, bipartite or separable state, D <= 12."""
+    dims = BipartiteDims(draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    kind = draw(st.sampled_from(["pure", "density", "bipartite", "separable"]))
+    if kind == "pure":
+        return [state_to_json(PureState(draw(_unit_vectors(dims.total))))]
+    if kind == "bipartite":
+        if draw(st.booleans()):  # a product: the product-factors certificate
+            vec = kron_vec(draw(_unit_vectors(dims.d1)), draw(_unit_vectors(dims.d2))).vec
+        else:
+            vec = draw(_unit_vectors(dims.total))
+        t = BipartiteVector(vec, dims)
+        return [state_to_json(t), schmidt_to_json(schmidt(t)), classification_to_json(classify(t))]
+    weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    weights = [w / sum(weights) for w in weights]
+    if kind == "density":  # rank 1 takes the pure path; a higher rank gets the range report
+        ensemble = [(p, PureState(draw(_unit_vectors(dims.total)))) for p in weights]
+        rho = mix(MixedEnsemble(tuple(ensemble)))
+        return [state_to_json(rho), classification_to_json(classify(rho, dims=dims))]
+    terms = [
+        (p, PureState(draw(_unit_vectors(dims.d1))), PureState(draw(_unit_vectors(dims.d2))))
+        for p in weights
+    ]
+    dec = SeparableDecomposition(dims, tuple(terms))
+    return [state_to_json(dec), classification_to_json(classify(dec))]
+
+
+def _with_pair_lists(payload):
+    """``payload`` with every 1-D complex array replaced by its ``cvec_to_json`` list."""
+    if isinstance(payload, np.ndarray) and payload.ndim == 1 and payload.dtype.kind == "c":
+        return cvec_to_json(payload)
+    if isinstance(payload, dict):
+        return {k: _with_pair_lists(v) for k, v in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [_with_pair_lists(v) for v in payload]
+    return payload
+
+
+def _holds_pair_lists(payload) -> bool:
+    """Whether ``payload`` holds a non-empty list of ``[float, float]`` lists."""
+    if isinstance(payload, dict):
+        return any(map(_holds_pair_lists, payload.values()))
+    if not isinstance(payload, (list, tuple)):
+        return False
+    if payload and all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(x, float) for x in p)
+        for p in payload
+    ):
+        return True
+    return any(map(_holds_pair_lists, payload))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_report_payloads(), st.booleans())
+def test_every_report_payload_is_written_as_its_pair_lists(payloads, pretty):
+    for payload in payloads:
+        expected = dumps_canonical(_with_pair_lists(payload), pretty=pretty)
+        assert dumps_canonical(payload, pretty=pretty) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_report_payloads())
+def test_no_report_payload_holds_pair_lists(payloads):
+    assert not any(map(_holds_pair_lists, payloads))
 
 
 @pytest.mark.parametrize(
