@@ -75,73 +75,64 @@ def _read_input(path: str) -> bytes:
         return fh.read()
 
 
-def _dims_from_args(args) -> Optional[BipartiteDims]:
-    if args.dims is None:
-        return None
-    return BipartiteDims(args.dims[0], args.dims[1])
+def _quantum_input(state, args) -> tuple[object, BipartiteDims]:
+    """The state and its dims, by the one ``--dims`` rule.
 
-
-def _as_bipartite(state, dims: Optional[BipartiteDims]) -> BipartiteVector:
-    """View a pure-vector input as a bipartite vector, attaching dims."""
-    if isinstance(state, BipartiteVector):
-        if dims is not None and dims != state.dims:
-            raise ValueError(f"--dims {dims} disagree with the file's dims {state.dims}")
-        return state
-    if isinstance(state, PureState):
+    A file that carries dims keeps them, and ``--dims`` must agree; a
+    classical2 file carries (|X|, |Y|).  A 'pure' or 'density' file takes
+    ``--dims``, which it must be given; a 'pure' vector comes back as a
+    ``BipartiteVector`` on them.
+    """
+    dims = None if args.dims is None else BipartiteDims(*args.dims)
+    if isinstance(state, (PureState, DensityOperator)):
         if dims is None:
-            raise ValueError("--dims D1 D2 is required for a 'pure' input")
-        return BipartiteVector(state.vec, dims)
-    raise ValueError(f"expected a bipartite or pure state, got {type(state).__name__}")
+            kind = "pure" if isinstance(state, PureState) else "density"
+            raise ValueError(f"--dims D1 D2 is required for a '{kind}' input")
+        if isinstance(state, PureState):
+            state = BipartiteVector(state.vec, dims)
+        return state, dims
+    if isinstance(state, CompositeClassicalState):
+        own = BipartiteDims(len(state.space_x), len(state.space_y))
+    else:
+        own = state.dims
+    if dims is not None and dims != own:
+        raise ValueError(f"--dims {dims} disagree with the file's dims {own}")
+    return state, own
 
 
 def _cmd_classify(state, args, tol: Tolerance) -> dict:
-    dims = _dims_from_args(args)
     if isinstance(state, ClassicalState):
         raise ValueError(
             "a single-system classical state has no composite structure to classify; "
             "provide a 'classical2' file"
         )
+    state, dims = _quantum_input(state, args)
     if isinstance(state, CompositeClassicalState):
         cert = classify_classical(state)
         verdict = Verdict.CLASSICAL_PURE if state.is_pure else Verdict.CLASSICAL_SEPARABLE
         return {"verdict": verdict.value, "certificate": classical_cert_to_json(cert)}
-    if isinstance(state, (PureState, BipartiteVector)):
-        state = _as_bipartite(state, dims)
-        return classification_to_json(classify(state, tol=tol))
-    if isinstance(state, (DensityOperator, SeparableDecomposition)):
-        return classification_to_json(classify(state, dims=dims, tol=tol))
-    raise ValueError(f"cannot classify a {type(state).__name__}")
+    return classification_to_json(classify(state, dims, tol))
 
 
 def _cmd_schmidt(state, args, tol: Tolerance) -> dict:
-    t = _as_bipartite(state, _dims_from_args(args))
-    if t.norm == 0.0:
-        raise ZeroVectorError("cannot Schmidt-decompose the zero vector")
+    if not isinstance(state, (PureState, BipartiteVector)):
+        raise ValueError(f"expected a bipartite or pure state, got {type(state).__name__}")
+    t, _ = _quantum_input(state, args)
     return schmidt_to_json(_unit_schmidt(t, tol))
 
 
 def _cmd_ptrace(state, args, tol: Tolerance) -> dict:
-    dims = _dims_from_args(args)
-    if isinstance(state, (PureState, BipartiteVector)):
-        t = _as_bipartite(state, dims)
-        rho = projector(PureState(t.vec, tol))
-        dims = t.dims
-    elif isinstance(state, DensityOperator):
-        if dims is None:
-            raise ValueError("--dims D1 D2 is required for a 'density' input")
-        rho = state
-    elif isinstance(state, SeparableDecomposition):
-        if dims is not None and dims != state.dims:
-            raise ValueError(f"--dims {dims} disagree with the file's dims {state.dims}")
-        rho = separable_density(state)
-        dims = state.dims
-    else:
+    if isinstance(state, (ClassicalState, CompositeClassicalState)):
         raise ValueError(
             f"partial trace needs a quantum state, got {type(state).__name__}; "
             "classical files go through 'marginal'"
         )
-    reduced = partial_trace(rho, dims, _SIDE_NAMES[args.keep])
-    return state_to_json(reduced)
+    state, dims = _quantum_input(state, args)
+    if isinstance(state, BipartiteVector):
+        state = projector(PureState(state.vec, tol))
+    elif isinstance(state, SeparableDecomposition):
+        state = separable_density(state)
+    return state_to_json(partial_trace(state, dims, _SIDE_NAMES[args.keep]))
 
 
 def _cmd_marginal(state, args, tol: Tolerance) -> dict:

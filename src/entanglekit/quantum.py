@@ -14,19 +14,21 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
+from .errors import ZeroVectorError
 from .linalg import Tolerance, _is_positive, _norm, as_matrix, as_vector, check_weights
 
 
 def check_unit_norm(v: np.ndarray, tol: Tolerance) -> None:
-    """Reject v unless ``|norm(v)**2 - 1| <= eps``.
+    """Reject v unless ``|norm(v)**2 - 1| <= eps``; the zero vector raises ``ZeroVectorError``.
 
     The bound is on the squared norm because that is the trace of v's
     projector: a vector accepted here has a projector of unit trace at the
     same tolerance.
     """
     nrm = _norm(v)
-    if abs(nrm * nrm - 1.0) > tol.eps:
-        raise ValueError(f"pure state must have unit norm, got {nrm!r}")
+    if nrm == 0.0 or abs(nrm * nrm - 1.0) > tol.eps:
+        error = ZeroVectorError if nrm == 0.0 else ValueError
+        raise error(f"pure state must have unit norm, got {nrm!r}")
 
 
 @dataclass(frozen=True, eq=False)

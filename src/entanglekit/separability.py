@@ -224,17 +224,6 @@ def classify(
     ``dims`` is required for density operators and must agree with the
     embedded dims otherwise.
     """
-    if isinstance(state, SeparableDecomposition):
-        if dims is not None and dims != state.dims:
-            raise ValueError(f"dims {dims} disagree with decomposition dims {state.dims}")
-        passed = check_range_criterion(state, tol)
-        return Classification(
-            Verdict.QUANTUM_SEPARABLE_BY_CONSTRUCTION, SeparableCertificate(state, passed)
-        )
-    if isinstance(state, BipartiteVector):
-        if dims is not None and dims != state.dims:
-            raise ValueError(f"dims {dims} disagree with vector dims {state.dims}")
-        return _classify_pure_vector(state, tol)
     if isinstance(state, DensityOperator):
         if dims is None:
             raise ValueError("dims are required to classify a density operator")
@@ -252,4 +241,13 @@ def classify(
         ranks = tuple(count_above(coeffs, tol).tolist())
         report = RangeReport(tuple(basis), ranks, all(r == 1 for r in ranks))
         return Classification(Verdict.UNDETERMINED, report)
-    raise TypeError(f"cannot classify {type(state).__name__}")
+    if not isinstance(state, (BipartiteVector, SeparableDecomposition)):
+        raise TypeError(f"cannot classify {type(state).__name__}")
+    if dims is not None and dims != state.dims:
+        raise ValueError(f"dims {dims} disagree with the state's dims {state.dims}")
+    if isinstance(state, BipartiteVector):
+        return _classify_pure_vector(state, tol)
+    passed = check_range_criterion(state, tol)
+    return Classification(
+        Verdict.QUANTUM_SEPARABLE_BY_CONSTRUCTION, SeparableCertificate(state, passed)
+    )

@@ -303,7 +303,9 @@ def _suite_self_adjoint(rng, n, tol):
         d = int(rng.integers(2, 7))
         m = rand_hermitian(rng, d)
         if not is_hermitian(m, tol):
-            raise _Counterexample({"matrix": cmat_to_json(m)})
+            raise _Counterexample(
+                {"matrix": cmat_to_json(m), "reason": "is_hermitian refused a Hermitian matrix"}
+            )
         for _ in range(50):
             x = rand_unit_vector(rng, d)
             im = complex(np.vdot(x, m @ x)).imag
@@ -315,7 +317,9 @@ def _suite_self_adjoint(rng, n, tol):
         d = int(rng.integers(2, 7))
         m = rand_nonhermitian(rng, d)
         if is_hermitian(m, tol):
-            raise _Counterexample({"matrix": cmat_to_json(m)})
+            raise _Counterexample(
+                {"matrix": cmat_to_json(m), "reason": "is_hermitian accepted a non-Hermitian matrix"}
+            )
         found = any(
             abs(complex(np.vdot(x, m @ x)).imag) > tol.eps
             for x in (rand_unit_vector(rng, d) for _ in range(100))
@@ -377,7 +381,9 @@ def _suite_positive_factorization(rng, n, tol):
         b = rand_complex(rng, d, d)
         t = b.conj().T @ b
         if not is_positive(t, tol):
-            raise _Counterexample({"matrix": cmat_to_json(t)})
+            raise _Counterexample(
+                {"matrix": cmat_to_json(t), "reason": "is_positive refused a positive matrix"}
+            )
         b2 = _factor_positive(t, tol)
         err = float(np.abs(b2.conj().T.copy() @ b2 - t).max())
         if not err <= 1e-8 * max(1.0, float(np.abs(t).max())):
@@ -389,7 +395,9 @@ def _suite_positive_factorization(rng, n, tol):
         values[int(rng.integers(0, d))] = -float(rng.uniform(0.1, 2.0))
         h = (u * values) @ u.conj().T
         if is_positive(h, tol):
-            raise _Counterexample({"matrix": cmat_to_json(h)})
+            raise _Counterexample(
+                {"matrix": cmat_to_json(h), "reason": "is_positive accepted a non-positive matrix"}
+            )
         try:
             _factor_positive(h, tol)
         except ValueError:

@@ -180,6 +180,29 @@ class TestExitCodes:
         code, out, err = _run(capsys, "schmidt", str(bad))
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify"], ["schmidt"], ["ptrace", "--keep", "1"]],
+        ids=["classify", "schmidt", "ptrace"],
+    )
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"type": "bipartite", "dims": [2, 2], "vec": [[0.0, 0.0]] * 4},
+            {"type": "pure", "vec": [[0.0, 0.0]] * 4},
+            {"type": "separable", "dims": [2, 2],
+             "terms": [{"p": 1.0, "x": [[0.0, 0.0]] * 2, "y": [[1.0, 0.0], [0.0, 0.0]]}]},
+        ],
+        ids=["bipartite", "pure", "separable-factor"],
+    )
+    @pytest.mark.parametrize("tol", [[], ["--tol", "2"]], ids=["default-tol", "tol-2"])
+    def test_every_zero_vector_is_4(self, capsys, tmp_path, argv, payload, tol):
+        # at --tol 2 the zero vector is within the unit-norm bound, and is refused all the same
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps(payload))
+        code, out, err = _run(capsys, *argv, str(zero), "--dims", "2", "2", *tol)
+        assert (code, out, err) == (4, "", "entanglekit: pure state must have unit norm, got 0.0\n")
+
     def test_dims_mismatch_is_3(self, capsys):
         code, out, err = _run(capsys, "classify", MAX_MIXED, "--dims", "3", "2")
         assert code == 3
@@ -280,6 +303,94 @@ def test_exit_code_and_message(capsys, monkeypatch, argv, env, code, err):
         assert failed
         assert shown == [f"  counterexample: {dumps_canonical(s['counterexample'])}"
                          for s in failed]
+
+
+# the --dims rule of the quantum subcommands, for each file type:
+# (subcommand, file type, --dims, exit code, stderr).  The --dims are, in
+# turn: absent, the file's own, another factoring of D, and one that does
+# not factor D; a 'pure' or 'density' file carries no dims of its own.
+PURE_2X3 = str(ROOT / "tests" / "golden" / "inputs" / "product_pure_2x3.json")
+DIMS_FILES = {"pure": PURE_2X3, "density": MAX_MIXED, "bipartite": BELL,
+              "separable": SEPARABLE, "classical2": CORRELATED}
+REQUIRED = "entanglekit: --dims D1 D2 is required for a '{}' input\n"
+DISAGREE = "entanglekit: --dims {} disagree with the file's dims 2x2\n"
+NOT_BIPARTITE = "entanglekit: expected a bipartite or pure state, got {}\n"
+NOT_QUANTUM = ("entanglekit: partial trace needs a quantum state, got CompositeClassicalState; "
+               "classical files go through 'marginal'\n")
+PURE_LENGTH = "entanglekit: expected a flat vector of length 4, got shape (6,)\n"
+NOT_FACTORING = "entanglekit: state dimension 4 does not factor as 3x2\n"
+DIMS_TABLE = [
+    ("classify", "pure", None, 3, REQUIRED.format("pure")),
+    ("classify", "pure", "2 3", 0, ""),
+    ("classify", "pure", "3 2", 0, ""),
+    ("classify", "pure", "2 2", 3, PURE_LENGTH),
+    ("classify", "density", None, 3, REQUIRED.format("density")),
+    ("classify", "density", "2 2", 0, ""),
+    ("classify", "density", "1 4", 0, ""),
+    ("classify", "density", "3 2", 3, NOT_FACTORING),
+    ("classify", "bipartite", None, 0, ""),
+    ("classify", "bipartite", "2 2", 0, ""),
+    ("classify", "bipartite", "1 4", 3, DISAGREE.format("1x4")),
+    ("classify", "bipartite", "3 2", 3, DISAGREE.format("3x2")),
+    ("classify", "separable", None, 0, ""),
+    ("classify", "separable", "2 2", 0, ""),
+    ("classify", "separable", "1 4", 3, DISAGREE.format("1x4")),
+    ("classify", "separable", "3 2", 3, DISAGREE.format("3x2")),
+    ("classify", "classical2", None, 0, ""),
+    ("classify", "classical2", "2 2", 0, ""),
+    ("classify", "classical2", "1 4", 3, DISAGREE.format("1x4")),
+    ("classify", "classical2", "3 2", 3, DISAGREE.format("3x2")),
+    ("schmidt", "pure", None, 3, REQUIRED.format("pure")),
+    ("schmidt", "pure", "2 3", 0, ""),
+    ("schmidt", "pure", "3 2", 0, ""),
+    ("schmidt", "pure", "2 2", 3, PURE_LENGTH),
+    ("schmidt", "density", None, 3, NOT_BIPARTITE.format("DensityOperator")),
+    ("schmidt", "density", "2 2", 3, NOT_BIPARTITE.format("DensityOperator")),
+    ("schmidt", "density", "1 4", 3, NOT_BIPARTITE.format("DensityOperator")),
+    ("schmidt", "density", "3 2", 3, NOT_BIPARTITE.format("DensityOperator")),
+    ("schmidt", "bipartite", None, 0, ""),
+    ("schmidt", "bipartite", "2 2", 0, ""),
+    ("schmidt", "bipartite", "1 4", 3, DISAGREE.format("1x4")),
+    ("schmidt", "bipartite", "3 2", 3, DISAGREE.format("3x2")),
+    ("schmidt", "separable", None, 3, NOT_BIPARTITE.format("SeparableDecomposition")),
+    ("schmidt", "separable", "2 2", 3, NOT_BIPARTITE.format("SeparableDecomposition")),
+    ("schmidt", "separable", "1 4", 3, NOT_BIPARTITE.format("SeparableDecomposition")),
+    ("schmidt", "separable", "3 2", 3, NOT_BIPARTITE.format("SeparableDecomposition")),
+    ("schmidt", "classical2", None, 3, NOT_BIPARTITE.format("CompositeClassicalState")),
+    ("schmidt", "classical2", "2 2", 3, NOT_BIPARTITE.format("CompositeClassicalState")),
+    ("schmidt", "classical2", "1 4", 3, NOT_BIPARTITE.format("CompositeClassicalState")),
+    ("schmidt", "classical2", "3 2", 3, NOT_BIPARTITE.format("CompositeClassicalState")),
+    ("ptrace", "pure", None, 3, REQUIRED.format("pure")),
+    ("ptrace", "pure", "2 3", 0, ""),
+    ("ptrace", "pure", "3 2", 0, ""),
+    ("ptrace", "pure", "2 2", 3, PURE_LENGTH),
+    ("ptrace", "density", None, 3, REQUIRED.format("density")),
+    ("ptrace", "density", "2 2", 0, ""),
+    ("ptrace", "density", "1 4", 0, ""),
+    ("ptrace", "density", "3 2", 3, NOT_FACTORING),
+    ("ptrace", "bipartite", None, 0, ""),
+    ("ptrace", "bipartite", "2 2", 0, ""),
+    ("ptrace", "bipartite", "1 4", 3, DISAGREE.format("1x4")),
+    ("ptrace", "bipartite", "3 2", 3, DISAGREE.format("3x2")),
+    ("ptrace", "separable", None, 0, ""),
+    ("ptrace", "separable", "2 2", 0, ""),
+    ("ptrace", "separable", "1 4", 3, DISAGREE.format("1x4")),
+    ("ptrace", "separable", "3 2", 3, DISAGREE.format("3x2")),
+    ("ptrace", "classical2", None, 3, NOT_QUANTUM),
+    ("ptrace", "classical2", "2 2", 3, NOT_QUANTUM),
+    ("ptrace", "classical2", "1 4", 3, NOT_QUANTUM),
+    ("ptrace", "classical2", "3 2", 3, NOT_QUANTUM),
+]
+
+
+@pytest.mark.parametrize("command, kind, dims, code, err", DIMS_TABLE,
+                         ids=[f"{c}-{k}-{(d or 'absent').replace(' ', 'x')}"
+                              for c, k, d, _, _ in DIMS_TABLE])
+def test_the_dims_rule(capsys, command, kind, dims, code, err):
+    argv = [command, DIMS_FILES[kind], *(["--keep", "1"] if command == "ptrace" else [])]
+    if dims is not None:
+        argv += ["--dims", *dims.split()]
+    assert _run(capsys, *argv)[::2] == (code, err)
 
 
 class TestStdinAndEnv:

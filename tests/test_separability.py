@@ -340,10 +340,10 @@ REFUSALS = [
      "decomposition needs at least one term"),
     ("classify-decomposition-at-other-dims",
      lambda: classify(SeparableDecomposition(D22, ((1.0, _X0, _X1),)), dims=BipartiteDims(1, 4)),
-     "dims 1x4 disagree with decomposition dims 2x2"),
+     "dims 1x4 disagree with the state's dims 2x2"),
     ("classify-vector-at-other-dims",
      lambda: classify(BipartiteVector(E[0], BipartiteDims(1, 2)), dims=BipartiteDims(2, 1)),
-     "dims 2x1 disagree with vector dims 1x2"),
+     "dims 2x1 disagree with the state's dims 1x2"),
 ]
 
 
