@@ -65,14 +65,9 @@ class BipartiteVector:
     dims: BipartiteDims
 
     def __post_init__(self):
-        v = np.array(self.vec, dtype=complex)
-        if v.ndim != 1 or v.shape[0] != self.dims.total:
-            raise ValueError(
-                f"expected a flat vector of length {self.dims.total}, got shape {v.shape}"
-            )
-        if not np.isfinite(v).all():
-            raise ValueError("vector entries must be finite")
-        v.flags.writeable = False
+        v = as_vector(self.vec)
+        if v.shape[0] != self.dims.total:
+            raise ValueError(f"state dimension {v.shape[0]} does not factor as {self.dims}")
         object.__setattr__(self, "vec", v)
 
     @property
@@ -89,7 +84,7 @@ class SchmidtDecomposition:
     counts the coefficients above the tolerance threshold and decides
     elementary (rank 1) versus non-elementary (rank >= 2).  ``left[k]``
     and ``right[k]`` are the orthonormal factor vectors paired with
-    ``coeffs[k]``.
+    ``coeffs[k]``.  All three are read-only.
     """
 
     coeffs: np.ndarray
@@ -142,8 +137,7 @@ def schmidt(t: BipartiteVector, tol: Tolerance = Tolerance()) -> SchmidtDecompos
     if _norm(t.vec) == 0.0:
         raise ZeroVectorError("cannot Schmidt-decompose the zero vector")
     u, s, vh = np.linalg.svd(coefficient_matrix(t), full_matrices=False)
-    left = []
-    right = []
+    left, right = [], []
     for k in range(s.shape[0]):
         l = u[:, k].copy()
         r = vh[k, :].copy()
@@ -152,11 +146,12 @@ def schmidt(t: BipartiteVector, tol: Tolerance = Tolerance()) -> SchmidtDecompos
             phase = l[anchors[0]] / abs(l[anchors[0]])
             l *= np.conj(phase)
             r *= phase
+        l.flags.writeable = r.flags.writeable = False
         left.append(l)
         right.append(r)
-    nrank = int(count_above(s, tol))
+    s.flags.writeable = False
     return SchmidtDecomposition(
-        coeffs=s.copy(), left=tuple(left), right=tuple(right), rank=nrank, dims=t.dims
+        coeffs=s, left=tuple(left), right=tuple(right), rank=int(count_above(s, tol)), dims=t.dims
     )
 
 

@@ -11,13 +11,12 @@ behind the caller's back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Optional
 
 import numpy as np
 
+from .bipartite import BipartiteDims, Side
 from .linalg import Tolerance, check_weights, count_above
-
-Side = Literal["first", "second"]
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,10 @@ class CompositeClassicalState:
     @property
     def support(self) -> tuple[tuple[str, str], ...]:
         return tuple(self.probs)
+
+    @property
+    def dims(self) -> BipartiteDims:
+        return BipartiteDims(len(self.space_x), len(self.space_y))
 
     @property
     def is_pure(self) -> bool:

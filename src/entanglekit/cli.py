@@ -25,13 +25,12 @@ import numpy as np
 
 from . import __version__
 from .bipartite import BipartiteDims, BipartiteVector, partial_trace
-from .classical import ClassicalState, CompositeClassicalState, classify_classical, marginal
+from .classical import ClassicalState, CompositeClassicalState, marginal
 from .errors import SchemaError, ZeroVectorError
 from .linalg import DEFAULT_EPS, Tolerance
-from .quantum import DensityOperator, PureState, projector
-from .separability import SeparableDecomposition, Verdict, _unit_schmidt, classify, separable_density
+from .quantum import DensityOperator, PureState, check_unit_norm, projector
+from .separability import SeparableDecomposition, _unit_schmidt, classify, separable_density
 from .statefile import (
-    classical_cert_to_json,
     classification_to_json,
     cvec_to_json,
     dumps_canonical,
@@ -91,13 +90,9 @@ def _quantum_input(state, args) -> tuple[object, BipartiteDims]:
         if isinstance(state, PureState):
             state = BipartiteVector(state.vec, dims)
         return state, dims
-    if isinstance(state, CompositeClassicalState):
-        own = BipartiteDims(len(state.space_x), len(state.space_y))
-    else:
-        own = state.dims
-    if dims is not None and dims != own:
-        raise ValueError(f"--dims {dims} disagree with the file's dims {own}")
-    return state, own
+    if dims is not None and dims != state.dims:
+        raise ValueError(f"--dims {dims} disagree with the file's dims {state.dims}")
+    return state, state.dims
 
 
 def _cmd_classify(state, args, tol: Tolerance) -> dict:
@@ -107,10 +102,6 @@ def _cmd_classify(state, args, tol: Tolerance) -> dict:
             "provide a 'classical2' file"
         )
     state, dims = _quantum_input(state, args)
-    if isinstance(state, CompositeClassicalState):
-        cert = classify_classical(state)
-        verdict = Verdict.CLASSICAL_PURE if state.is_pure else Verdict.CLASSICAL_SEPARABLE
-        return {"verdict": verdict.value, "certificate": classical_cert_to_json(cert)}
     return classification_to_json(classify(state, dims, tol))
 
 
@@ -118,6 +109,7 @@ def _cmd_schmidt(state, args, tol: Tolerance) -> dict:
     if not isinstance(state, (PureState, BipartiteVector)):
         raise ValueError(f"expected a bipartite or pure state, got {type(state).__name__}")
     t, _ = _quantum_input(state, args)
+    check_unit_norm(t.vec, tol)
     return schmidt_to_json(_unit_schmidt(t, tol))
 
 

@@ -1,11 +1,12 @@
-"""Product states, separable mixtures, the range criterion, and the
-entanglement classifier for bipartite states.
+"""Product states, separable mixtures, the range criterion, and the one
+classifier of composite states.
 
-Pure states are decided exactly: Schmidt rank one means product, anything
-higher means entangled.  Mixed states are only certified separable when
-the caller supplies an explicit decomposition; without one the verdict is
-Undetermined, because the range criterion is a necessary condition only
-and this library does not guess.
+A composite classical state is always separable, a convex sum of products
+of point masses.  Pure quantum states are decided exactly: Schmidt rank one
+means product, anything higher means entangled.  Mixed states are only
+certified separable when the caller supplies an explicit decomposition;
+without one the verdict is Undetermined, because the range criterion is a
+necessary condition only and this library does not guess.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bipartite import BipartiteDims, BipartiteVector, SchmidtDecomposition, kron_vec, schmidt
+from .bipartite import BipartiteDims, BipartiteVector, SchmidtDecomposition, schmidt
+from .classical import ClassicalSeparableCert, CompositeClassicalState, classify_classical
 from .linalg import Tolerance, _norm, _outer_flat, check_weights, count_above
 from .quantum import DensityOperator, PureState, _built_density, check_unit_norm
 
@@ -53,11 +55,11 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class ProductCertificate:
-    """Schmidt data plus the recovered factors of a product pure state."""
+    """Schmidt data of a product pure state; x and y are its ``left[0]`` and ``right[0]``."""
 
     schmidt: SchmidtDecomposition
-    x: PureState
-    y: PureState
+    x: np.ndarray
+    y: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +95,9 @@ class RangeReport:
     all_elementary: bool
 
 
-Certificate = Union[ProductCertificate, EntangledCertificate, SeparableCertificate, RangeReport]
+Certificate = Union[
+    ProductCertificate, EntangledCertificate, SeparableCertificate, RangeReport, ClassicalSeparableCert
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +170,7 @@ def check_range_criterion(dec: SeparableDecomposition, tol: Tolerance = Toleranc
         range_columns = np.column_stack(basis)
         largest = float(np.vdot(basis[0], rho.mat @ basis[0]).real)
     cut = tol.eps * max(1.0, largest)
-    terms = [(p, kron_vec(x.vec, y.vec).vec) for p, x, y in dec.terms if p > 0.0]
+    terms = [(p, _outer_flat(x.vec, y.vec)) for p, x, y in dec.terms if p > 0.0]
     for p, t in terms:
         outside = t - range_columns @ (range_columns.conj().T @ t)
         if p * float(np.vdot(outside, outside).real) > cut:
@@ -176,13 +180,12 @@ def check_range_criterion(dec: SeparableDecomposition, tol: Tolerance = Toleranc
 
 
 def _unit_schmidt(t: BipartiteVector, tol: Tolerance) -> SchmidtDecomposition:
-    """Schmidt form of t, which must be a unit vector with a coefficient above the cut.
+    """Schmidt form of t, a unit vector, which must have a coefficient above the cut.
 
-    A unit vector has Schmidt rank >= 1.  Rank 0 means eps lies above the
-    largest coefficient, so the tolerance is refused rather than read as a
-    verdict.
+    The caller has checked t's norm, or computed t as a unit vector.  A unit
+    vector has Schmidt rank >= 1.  Rank 0 means eps lies above the largest
+    coefficient, so the tolerance is refused rather than read as a verdict.
     """
-    check_unit_norm(t.vec, tol)
     dec = schmidt(t, tol)
     if dec.rank == 0:
         raise ValueError(
@@ -195,25 +198,26 @@ def _unit_schmidt(t: BipartiteVector, tol: Tolerance) -> SchmidtDecomposition:
 def _classify_pure_vector(t: BipartiteVector, tol: Tolerance) -> Classification:
     dec = _unit_schmidt(t, tol)
     if dec.rank == 1:
-        x = PureState(dec.left[0], tol)
-        y = PureState(dec.right[0], tol)
-        return Classification(Verdict.QUANTUM_PRODUCT_PURE, ProductCertificate(dec, x, y))
+        cert = ProductCertificate(dec, dec.left[0], dec.right[0])
+        return Classification(Verdict.QUANTUM_PRODUCT_PURE, cert)
     return Classification(Verdict.QUANTUM_ENTANGLED_PURE, EntangledCertificate(dec))
 
 
 def classify(
-    state: Union[BipartiteVector, DensityOperator, SeparableDecomposition],
+    state: Union[CompositeClassicalState, BipartiteVector, DensityOperator, SeparableDecomposition],
     dims: Optional[BipartiteDims] = None,
     tol: Tolerance = Tolerance(),
 ) -> Classification:
-    """Classify a bipartite state, returning a verdict with a certificate.
+    """Classify a composite state, returning a verdict with a certificate.
 
     Dispatch:
-      * BipartiteVector: decided by Schmidt rank; product factors are
-        recovered for rank one, the full Schmidt data is attached for
-        rank >= 2.
-      * Rank-one DensityOperator: its range vector is extracted and the
-        pure-state path above decides.
+      * CompositeClassicalState: ClassicalPure on a one-point support,
+        ClassicalSeparable otherwise, certified by ``classify_classical``.
+      * BipartiteVector: its norm is checked, then it is decided by Schmidt
+        rank; product factors are recovered for rank one, the full Schmidt
+        data is attached for rank >= 2.
+      * Rank-one DensityOperator: its range vector, a unit vector as
+        computed, goes to the pure-state path above without a norm check.
       * SeparableDecomposition: separable by construction; the range
         criterion is checked and attached.
       * Any other DensityOperator: Undetermined, with a range report from
@@ -222,7 +226,7 @@ def classify(
         ValueError, as ``_unit_schmidt`` refuses Schmidt rank 0.
 
     ``dims`` is required for density operators and must agree with the
-    embedded dims otherwise.
+    state's own dims otherwise.
     """
     if isinstance(state, DensityOperator):
         if dims is None:
@@ -241,11 +245,15 @@ def classify(
         ranks = tuple(count_above(coeffs, tol).tolist())
         report = RangeReport(tuple(basis), ranks, all(r == 1 for r in ranks))
         return Classification(Verdict.UNDETERMINED, report)
-    if not isinstance(state, (BipartiteVector, SeparableDecomposition)):
+    if not isinstance(state, (CompositeClassicalState, BipartiteVector, SeparableDecomposition)):
         raise TypeError(f"cannot classify {type(state).__name__}")
     if dims is not None and dims != state.dims:
         raise ValueError(f"dims {dims} disagree with the state's dims {state.dims}")
+    if isinstance(state, CompositeClassicalState):
+        verdict = Verdict.CLASSICAL_PURE if state.is_pure else Verdict.CLASSICAL_SEPARABLE
+        return Classification(verdict, classify_classical(state))
     if isinstance(state, BipartiteVector):
+        check_unit_norm(state.vec, tol)
         return _classify_pure_vector(state, tol)
     passed = check_range_criterion(state, tol)
     return Classification(

@@ -419,8 +419,8 @@ def classification_to_json(c: Classification) -> dict:
     if isinstance(cert, ProductCertificate):
         payload = {
             "kind": "product-factors",
-            "x": cert.x.vec,
-            "y": cert.y.vec,
+            "x": cert.x,
+            "y": cert.y,
             "schmidt": schmidt_to_json(cert.schmidt),
         }
     elif isinstance(cert, EntangledCertificate):
@@ -439,6 +439,8 @@ def classification_to_json(c: Classification) -> dict:
             "schmidt_ranks": list(cert.schmidt_ranks),
             "all_elementary": cert.all_elementary,
         }
+    elif isinstance(cert, ClassicalSeparableCert):
+        payload = classical_cert_to_json(cert)
     else:
         raise TypeError(f"cannot serialize certificate {type(cert).__name__}")
     return {"verdict": c.verdict.value, "certificate": payload}

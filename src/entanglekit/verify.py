@@ -634,7 +634,7 @@ def _suite_product_states(rng, n, tol):
 
         if result.verdict is not Verdict.QUANTUM_PRODUCT_PURE:
             raise fail("not product-pure")
-        recovered = kron_vec(result.certificate.x.vec, result.certificate.y.vec)
+        recovered = kron_vec(result.certificate.x, result.certificate.y)
         overlap = abs(complex(np.vdot(recovered.vec, t.vec)))
         if not abs(overlap - 1.0) <= 1e-9:
             raise fail("recovered factors lost overlap")

@@ -231,6 +231,13 @@ class TestSchmidt:
         with pytest.raises(ZeroVectorError):
             schmidt(t)
 
+    def test_arrays_are_read_only(self):
+        t = BipartiteVector(_rand_complex(np.random.default_rng(61), 6), BipartiteDims(2, 3))
+        dec = schmidt(t)
+        for arr in (dec.coeffs, *dec.left, *dec.right):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
 
 class TestPartialTrace:
     def test_product_state_reduces_to_factors(self):
@@ -298,7 +305,7 @@ class TestPartialTrace:
 
 class TestBipartiteVector:
     def test_length_must_match_dims(self):
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match="state dimension 5 does not factor as 2x2"):
             BipartiteVector(np.zeros(5), D22)
 
     def test_zero_vector_is_a_legal_value(self):

@@ -317,13 +317,13 @@ DISAGREE = "entanglekit: --dims {} disagree with the file's dims 2x2\n"
 NOT_BIPARTITE = "entanglekit: expected a bipartite or pure state, got {}\n"
 NOT_QUANTUM = ("entanglekit: partial trace needs a quantum state, got CompositeClassicalState; "
                "classical files go through 'marginal'\n")
-PURE_LENGTH = "entanglekit: expected a flat vector of length 4, got shape (6,)\n"
+PURE_NOT_FACTORING = "entanglekit: state dimension 6 does not factor as 2x2\n"
 NOT_FACTORING = "entanglekit: state dimension 4 does not factor as 3x2\n"
 DIMS_TABLE = [
     ("classify", "pure", None, 3, REQUIRED.format("pure")),
     ("classify", "pure", "2 3", 0, ""),
     ("classify", "pure", "3 2", 0, ""),
-    ("classify", "pure", "2 2", 3, PURE_LENGTH),
+    ("classify", "pure", "2 2", 3, PURE_NOT_FACTORING),
     ("classify", "density", None, 3, REQUIRED.format("density")),
     ("classify", "density", "2 2", 0, ""),
     ("classify", "density", "1 4", 0, ""),
@@ -343,7 +343,7 @@ DIMS_TABLE = [
     ("schmidt", "pure", None, 3, REQUIRED.format("pure")),
     ("schmidt", "pure", "2 3", 0, ""),
     ("schmidt", "pure", "3 2", 0, ""),
-    ("schmidt", "pure", "2 2", 3, PURE_LENGTH),
+    ("schmidt", "pure", "2 2", 3, PURE_NOT_FACTORING),
     ("schmidt", "density", None, 3, NOT_BIPARTITE.format("DensityOperator")),
     ("schmidt", "density", "2 2", 3, NOT_BIPARTITE.format("DensityOperator")),
     ("schmidt", "density", "1 4", 3, NOT_BIPARTITE.format("DensityOperator")),
@@ -363,7 +363,7 @@ DIMS_TABLE = [
     ("ptrace", "pure", None, 3, REQUIRED.format("pure")),
     ("ptrace", "pure", "2 3", 0, ""),
     ("ptrace", "pure", "3 2", 0, ""),
-    ("ptrace", "pure", "2 2", 3, PURE_LENGTH),
+    ("ptrace", "pure", "2 2", 3, PURE_NOT_FACTORING),
     ("ptrace", "density", None, 3, REQUIRED.format("density")),
     ("ptrace", "density", "2 2", 0, ""),
     ("ptrace", "density", "1 4", 0, ""),
@@ -532,6 +532,14 @@ class TestRunTolerance:
         assert report["result"]["verdict"] == "QuantumSeparableByConstruction"
         code, report = _run_json(capsys, "ptrace", str(path), "--tol", "1e-5", "--keep", "2")
         assert code == 0
+
+
+    def test_computed_factors_are_not_held_to_the_input_bound(self, capsys):
+        # this file's |v|**2 is 1 exactly; its Schmidt factors miss unit norm
+        # by more than 1e-16, and classify must not refuse them for it
+        code, report = _run_json(capsys, "classify", PURE_2X3, "--dims", "2", "3", "--tol", "1e-16")
+        assert code == 0
+        assert report["result"]["verdict"] == "QuantumProductPure"
 
 
 class TestBuiltDensitiesAtTheEdge:

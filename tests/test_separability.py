@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from entanglekit import separability
+from entanglekit import quantum, separability
 from entanglekit.bipartite import BipartiteDims, BipartiteVector, kron_vec, partial_trace, schmidt
+from entanglekit.classical import ClassicalSeparableCert, CompositeClassicalState, PhaseSpace
 from entanglekit.linalg import Tolerance, rank
 from entanglekit.quantum import DensityOperator, MixedEnsemble, PureState, mix, projector
 from entanglekit.separability import (
@@ -235,7 +236,7 @@ class TestClassify:
             result = classify(t)
             assert result.verdict is Verdict.QUANTUM_PRODUCT_PURE
             assert isinstance(result.certificate, ProductCertificate)
-            rebuilt = kron_vec(result.certificate.x.vec, result.certificate.y.vec)
+            rebuilt = kron_vec(result.certificate.x, result.certificate.y)
             assert abs(abs(np.vdot(rebuilt.vec, t.vec)) - 1.0) <= 1e-9
 
     def test_pure_dichotomy_matches_rank_oracle(self):
@@ -295,6 +296,92 @@ class TestClassify:
         t = BipartiteVector(np.array([1.0, 0, 0, 1.0]), D22)
         with pytest.raises(ValueError, match="unit norm"):
             classify(t)
+
+
+class TestClassifyComputedVectors:
+    """The unit-norm rule runs on the vector given to classify, never on one it computed."""
+
+    def test_accepted_product_states_classify_as_products(self):
+        # eps = 1e-15 is a few units of roundoff: the computed Schmidt factors
+        # and range vectors miss unit norm by about as much
+        tol = Tolerance(1e-15)
+        rng = np.random.default_rng(1515)
+        pure_verdicts = (Verdict.QUANTUM_PRODUCT_PURE, Verdict.QUANTUM_ENTANGLED_PURE)
+        vectors = densities = 0
+        for _ in range(1000):
+            d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            dims = BipartiteDims(d1, d2)
+            t = kron_vec(_rand_pure(rng, d1).vec, _rand_pure(rng, d2).vec).vec
+            try:
+                PureState(t, tol)
+            except ValueError:
+                pass
+            else:
+                vectors += 1
+                result = classify(BipartiteVector(t, dims), tol=tol)
+                assert result.verdict is Verdict.QUANTUM_PRODUCT_PURE
+            try:
+                rho = DensityOperator(np.outer(t, t.conj()), tol)
+            except ValueError:
+                continue
+            densities += 1
+            # the range vector comes from eigh, whose error can reach eps, so
+            # a product density may read as entangled here; it is never refused
+            assert classify(rho, dims, tol).verdict in pure_verdicts
+        assert vectors > 900 and densities > 900
+
+    @pytest.mark.parametrize("kind", ["vector", "product density", "mixed density"])
+    def test_unit_norm_is_checked_only_on_the_given_vector(self, monkeypatch, kind):
+        calls = []
+        original = quantum.check_unit_norm
+
+        def counted(v, tol):
+            calls.append(v)
+            return original(v, tol)
+
+        for module in (quantum, separability):
+            monkeypatch.setattr(module, "check_unit_norm", counted)
+        t = kron_vec([0.6, 0.8], [0.0, 1.0])
+        state = {
+            "vector": t,
+            "product density": DensityOperator(np.outer(t.vec, t.vec.conj())),
+            "mixed density": DensityOperator(np.eye(4) / 4),
+        }[kind]
+        classify(state, D22)
+        assert len(calls) == (1 if kind == "vector" else 0)
+
+    def test_product_factors_are_the_schmidt_vectors(self):
+        result = classify(kron_vec([0.6, 0.8], [0.0, 1.0]))
+        cert = result.certificate
+        assert cert.x is cert.schmidt.left[0] and cert.y is cert.schmidt.right[0]
+
+
+class TestClassifyClassical:
+    def test_verdict_follows_the_support_and_the_certificate_recombines(self):
+        rng = np.random.default_rng(1516)
+        for _ in range(200):
+            space_x = PhaseSpace(tuple(f"x{i}" for i in range(int(rng.integers(1, 4)))))
+            space_y = PhaseSpace(tuple(f"y{j}" for j in range(int(rng.integers(1, 4)))))
+            points = [(x, y) for x in space_x.labels for y in space_y.labels]
+            size = int(rng.integers(1, len(points) + 1))
+            support = rng.choice(len(points), size=size, replace=False)
+            weights = rng.dirichlet(np.ones(size))
+            h = CompositeClassicalState(
+                space_x, space_y, {points[k]: float(w) for k, w in zip(support, weights)}
+            )
+            result = classify(h, h.dims)
+            one_point = len(h.support) == 1
+            assert (result.verdict is Verdict.CLASSICAL_PURE) == one_point
+            assert result.verdict in (Verdict.CLASSICAL_PURE, Verdict.CLASSICAL_SEPARABLE)
+            assert isinstance(result.certificate, ClassicalSeparableCert)
+            assert result.certificate.recombine() == h
+
+    def test_dims_are_the_phase_space_sizes(self):
+        space_x, space_y = PhaseSpace(("a", "b", "c")), PhaseSpace(("d",))
+        h = CompositeClassicalState(space_x, space_y, {("a", "d"): 1.0})
+        assert h.dims == BipartiteDims(3, 1)
+        with pytest.raises(ValueError, match="dims 1x3 disagree with the state's dims 3x1"):
+            classify(h, BipartiteDims(1, 3))
 
 
 class TestEntangledCertificate:
