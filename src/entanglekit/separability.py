@@ -133,11 +133,14 @@ def range_basis(rho: DensityOperator, tol: Tolerance = Tolerance()) -> list[np.n
     """Orthonormal basis of the column space: eigenvectors above threshold.
 
     ``rho`` was validated when it was built, so its matrix goes straight to
-    ``eigh``.  The vectors come in descending order of eigenvalue.
+    ``eigh``.  The vectors come in descending order of eigenvalue, and are
+    read-only.
     """
     values, vectors = np.linalg.eigh(rho.mat)
     values, vectors = values[::-1], vectors[:, ::-1]
-    return [vectors[:, k].copy() for k in range(count_above(values, tol))]
+    basis = vectors[:, : count_above(values, tol)].T.copy()  # one contiguous row per vector
+    basis.flags.writeable = False
+    return list(basis)
 
 
 def _orthonormal_span(vectors: list[np.ndarray], tol: Tolerance) -> np.ndarray:

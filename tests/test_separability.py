@@ -151,6 +151,13 @@ class TestRangeBasis:
     def test_full_rank_state(self):
         assert len(range_basis(DensityOperator(np.eye(4) / 4))) == 4
 
+    def test_vectors_are_read_only(self):
+        report = classify(DensityOperator(np.eye(4) / 4), D22).certificate
+        assert report.basis[0].flags.writeable is False
+        for v in (*report.basis, *range_basis(projector(PureState(E[0])))):
+            with pytest.raises(ValueError, match="read-only"):
+                v[0] = 0.0
+
 
 class TestRangeCriterion:
     def test_single_term(self):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import decimal
+import importlib
 import io
 import json
 import math
@@ -603,6 +604,13 @@ def test_reading_matches_a_json_only_read_bit_for_bit(data):
     assert _outcome(loads_state, data) == _outcome(_json_only, data)
 
 
+COMPACT_MAT = "[[[0.5,0.0],[0.0,0.0]],[[0.0,0.0],[0.5,0.0]]]"
+
+
+def _compact_density(mat: str) -> str:
+    return '{"type":"density","dim":2,"mat":' + mat + "}"
+
+
 BIG = str(2**64)
 _DEEP = "[" * 1100 + "]" * 1100
 # (case, text): where orjson and json differ, or might
@@ -641,6 +649,13 @@ DECODER_EDGES = [
     ("1e400", _pure("[[1e400, 0.0], [0.0, 0.0]]")),
     ("1e-400", _pure("[[1.0, 1e-400], [-1e-400, 0.0]]")),
     ("trailing-data", _pure(GOOD_VEC) + " []"),
+    ("compact-duplicate-mat",
+     '{"type":"density","dim":2,"mat":[[[2.0,0.0]]],"mat":' + COMPACT_MAT + "}"),
+    ("compact-duplicate-mat-last-bad", _compact_density(COMPACT_MAT)[:-1] + ',"mat":1}'),
+    ("compact-1e400", _compact_density("[[[1e400,0.0],[0.0,0.0]],[[0.0,0.0],[0.5,0.0]]]")),
+    ("compact-minus-zero", _compact_density("[[[0.5,-0],[-0.0,-0.0]],[[-0,0.0],[0.5,-0.0]]]")),
+    ("compact-nesting-1100-in-an-ignored-field",
+     _compact_density(COMPACT_MAT)[:-1] + ',"note":' + _DEEP + "}"),
     ("control-character", '{"type": "classical", "space": ["a\tb"], "probs": {"a\tb": 1.0}}'),
     ("empty", ""),
 ]
@@ -769,6 +784,7 @@ def test_orjson_reads_an_integer_as_float_of_int_does(literal):
 # the constructors accept or refuse; once when json judges a schema refusal.
 DECODE_COUNTS = [
     ("valid", _density(GOOD_MAT), None, 0),
+    ("valid-compact", _compact_density(COMPACT_MAT), None, 0),
     ("domain-refusal", _density("[[[-0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.5, 0.0]]]"),
      ValueError, 0),
     ("schema-refusal-of-orjsons-tree", '{"type": "pure"}', SchemaError, 1),
@@ -790,6 +806,127 @@ def test_json_decodes_only_what_it_judges(text, refusal, count):
                 loads_state(text.encode())
             assert (type(info.value) is SchemaError) == (refusal is SchemaError)
     assert loads.call_count == count
+
+
+# ---------------------------------------------------------------------------
+# a compact density matrix is read row by row
+
+
+with mock.patch.object(sys, "path", [str(Path(__file__).parents[1] / "perfbench"), *sys.path]):
+    _state_text = importlib.import_module("workloads").state_text  # the benchmark's writer
+
+
+@st.composite
+def _compact_densities(draw):
+    """A density file, D <= 6, as ``dumps_canonical`` or the benchmark's ``state_text`` writes it."""
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    ensemble = [(w / sum(weights), PureState(draw(_unit_vectors(n)))) for w in weights]
+    rho = mix(MixedEnsemble(tuple(ensemble)))
+    if draw(st.booleans()):
+        return dumps_canonical(state_to_json(rho))
+    return _state_text({"type": "density", "mat": rho.mat})
+
+
+_SPLICED_LEAVES = ["true", "null", '"0.5"', "1e400", "NaN", "-0", str(2**64), str(-(2**70) - 3),
+                   "+0.5", "01"]
+_SECOND_MATS = ['"mat":[[[1.0,0.0]]]', '"mat":[]', '"mat":1', '"mat":[ [[1.0,0.0]]]']
+_MUTATIONS = ["leaf", "ragged-row", "drop-column", "drop-row", "dim+1", "second-mat-first",
+              "second-mat-last", "mat-in-a-nested-object", "file-in-an-array",
+              "brackets-in-a-later-string", "trailing-data", "space-in-the-matrix"]
+
+
+@st.composite
+def _mutated_compact_densities(draw):
+    """The bytes of a compact density file with one or two mutations spliced
+    into the matrix or after it."""
+    head, mat = draw(_compact_densities())[:-1].split('"mat":')
+    head, tail = head + '"mat":', "}"
+    rows = [row.split("],[") for row in mat[3:-3].split("]],[[")]
+    mutations = draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=2, unique=True))
+    for mutation in mutations:
+        r = draw(st.integers(0, max(len(rows) - 1, 0)))
+        if mutation == "leaf" and rows and rows[r]:
+            c = draw(st.integers(0, len(rows[r]) - 1))
+            pair = rows[r][c].split(",")
+            pair[draw(st.integers(0, len(pair) - 1))] = draw(st.sampled_from(_SPLICED_LEAVES))
+            rows[r][c] = ",".join(pair)
+        elif mutation == "ragged-row" and rows and rows[r]:
+            del rows[r][draw(st.integers(0, len(rows[r]) - 1))]
+        elif mutation == "drop-column" and rows and rows[0]:
+            for row in rows:
+                del row[-1:]
+        elif mutation == "drop-row" and rows:
+            del rows[r]
+        elif mutation == "dim+1":
+            head = head.replace(f'"dim":{len(rows)},', f'"dim":{len(rows) + 1},')
+        elif mutation == "second-mat-first":
+            head = "{" + draw(st.sampled_from(_SECOND_MATS)) + "," + head[1:]
+        elif mutation == "second-mat-last":
+            tail = "," + draw(st.sampled_from(_SECOND_MATS)) + tail
+        elif mutation == "mat-in-a-nested-object":
+            head, tail = head.replace('"mat":', '"x":{"mat":'), "}" + tail
+        elif mutation == "file-in-an-array":
+            head, tail = "[" + head, tail + "]"
+        elif mutation == "brackets-in-a-later-string":
+            tail = ',"note":"]]]"' + tail
+        elif mutation == "trailing-data":
+            tail += draw(st.sampled_from([" []", "x", "}", " ", "\n"]))
+    mat = "[[[" + "]],[[".join("],[".join(row) for row in rows) + "]]]"
+    if "space-in-the-matrix" in mutations:
+        at = draw(st.integers(1, len(mat) - 1))
+        mat = mat[:at] + " " + mat[at:]
+    return (head + mat + tail).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_compact_densities())
+def test_a_mutated_compact_density_reads_as_json_reads_it(data):
+    assert _outcome(loads_state, data) == _outcome(_json_only, data)
+
+
+@contextlib.contextmanager
+def _decode_calls():
+    """The byte counts that ``orjson.loads`` is given, and the ``_fast_complex`` calls, while it runs."""
+    import orjson
+
+    with mock.patch.object(orjson, "loads", wraps=orjson.loads) as decode, \
+            mock.patch.object(statefile, "_fast_complex", wraps=statefile._fast_complex) as walk:
+        calls = types.SimpleNamespace()
+        yield calls
+    calls.sizes = [memoryview(c.args[0]).nbytes for c in decode.call_args_list]
+    calls.walks = walk.call_count
+
+
+@settings(max_examples=100, deadline=None)
+@given(_compact_densities())
+def test_a_compact_density_is_read_row_by_row_bit_for_bit(text):
+    data = text.encode()
+    with _decode_calls() as calls:
+        outcome = _outcome(loads_state, data)
+    assert outcome == _outcome(_json_only, data)
+    assert calls.walks == 0
+    assert len(data) not in calls.sizes
+
+
+def test_a_compact_density_of_dimension_16_is_never_decoded_whole():
+    rng = np.random.default_rng(16)
+    vectors = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+    ensemble = [(1 / 3, PureState(v / np.linalg.norm(v))) for v in vectors]
+    data = dumps_canonical(state_to_json(mix(MixedEnsemble(tuple(ensemble))))).encode()
+    with _decode_calls() as calls:
+        state = loads_state(data)
+    assert (calls.walks, len(calls.sizes)) == (0, 1 + 16)  # the rest of the file, then each row
+    assert max(calls.sizes) < len(data) / 8  # no call is given the whole matrix
+    assert _fingerprint(state) == _fingerprint(_json_only(data))
+
+
+def test_a_pretty_density_is_decoded_whole():
+    data = (Path(__file__).parents[1] / "sample_states" / "maximally_mixed.json").read_bytes()
+    with _decode_calls() as calls:
+        state = loads_state(data)
+    assert (calls.walks, calls.sizes) == (1, [len(data)])
+    assert _fingerprint(state) == _fingerprint(_json_only(data))
 
 
 def test_importing_the_cli_and_running_verify_never_load_orjson():
