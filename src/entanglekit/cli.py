@@ -57,14 +57,19 @@ def _resolve_tolerance(value: Optional[float]) -> Tolerance:
     return Tolerance(DEFAULT_EPS)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``, else a usage error naming the flag."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return parse
 
 
 def _read_input(path: str) -> bytes:
@@ -214,10 +219,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--side", type=int, choices=(1, 2), required=True)
 
     p = sub.add_parser("verify", parents=[common], help="run the built-in verification suites")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed of the suites' generator")
+    p.add_argument(
+        "--seed",
+        type=_int_at_least(0),
+        default=DEFAULT_SEED,
+        help="seed of the suites' generator (non-negative)",
+    )
     p.add_argument(
         "--instances",
-        type=_positive_int,
+        type=_int_at_least(1),
         default=DEFAULT_INSTANCES,
         help="instances per suite (at least 1)",
     )

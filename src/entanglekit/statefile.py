@@ -43,17 +43,21 @@ literal outside 64 bits comes back from orjson as a float of equal value, so
 domain ValueError is never re-run: the values are the same.
 
 A density matrix written compactly, ``"mat":[[[re,im],...],...]`` with no
-whitespace (as ``dumps_canonical`` writes it), is read row by row, and no
-tree of the whole file is built: at D=1024 the tree held about 3 M objects
-and doubled the reading process's peak memory.  With its number bytes
+whitespace (as ``dumps_canonical`` writes it), is read in chunks of whole
+rows, and no tree of the whole file or of the matrix is built: at D=1024 the
+tree held about 3 M objects and doubled the reading process's peak memory.
+The matrix's end is the file's last ``]]]``.  With its number bytes
 removed, the matrix text must be exactly the rows x cols x 2 skeleton
-``[[[,],...],...]``, so it holds only numbers; the rest of the file, with
-``[]`` in the matrix's place, is decoded by orjson (after the same depth
-check) and must hold that ``[]`` as its one ``"mat"``.  Each row is decoded
-by orjson from a slice of the bytes, and its numbers fill one float array,
-which ``parse_state`` takes as it is.  Any other file, and one whose rows
-orjson refuses, takes the whole-tree path, so the values are bit for bit
-those of the whole tree and the refusals are json's.
+``[[[,],...],...]``, so it holds only numbers, and a later ``]]]`` (say in
+a string) fails this check.  The rest of the file, with ``[]`` in the
+matrix's place, is decoded by orjson (after the same depth check) and must
+hold that ``[]`` as its one ``"mat"``.  The rows are cut into chunks of
+about ``_CHUNK_BYTES`` (a longer row is a chunk of its own); each chunk,
+with its brackets dropped, is decoded by orjson as one flat list of
+numbers, which fills a slice of one complex array.  That array is made
+read-only, and the density keeps it without a copy.  Any other file, and
+one whose numbers orjson refuses, takes the whole-tree path, so the values
+are bit for bit those of the whole tree and the refusals are json's.
 """
 
 from __future__ import annotations
@@ -213,7 +217,7 @@ def _as_cvec(value, loc: str) -> np.ndarray:
 
 
 def _as_cmat(value, loc: str) -> np.ndarray:
-    if isinstance(value, np.ndarray):  # read row by row from a compact file
+    if isinstance(value, np.ndarray):  # read in chunks of rows from a compact file
         return value
     fast = _fast_complex(value, 2)
     return fast if fast is not None else _walk_cmat(value, loc)
@@ -294,7 +298,7 @@ def parse_state(obj, tol: Tolerance = Tolerance(), loc: str = "$") -> State:
 def loads_state(data: bytes, tol: Tolerance = Tolerance()) -> State:
     """Parse a state file from its bytes.
 
-    orjson's tree, with a compact matrix read row by row, is parsed first;
+    orjson's tree, with a compact matrix read in chunks of rows, is parsed first;
     a SchemaError on that path, from the decode or the parse, hands the
     bytes to json (see the module docstring).
     The collector stays off while a decoded tree lives, through decoding
@@ -346,8 +350,8 @@ def _nesting_depth(data: bytes) -> int:
 def _fast_decode(data: bytes):
     """orjson's tree of ``data``; SchemaError when json is to judge the file.
 
-    A compact density matrix is read row by row (``_compact_density``);
-    every other file, and one whose rows are refused, is decoded whole.
+    A compact density matrix is read in chunks of rows (``_compact_density``);
+    every other file, and one whose numbers are refused, is decoded whole.
     """
     if b"\\" in data:
         raise SchemaError("escapes: decoded by json")
@@ -366,21 +370,22 @@ def _fast_decode(data: bytes):
 
 _NUMBER_BYTES = b"0123456789.eE+-"
 _COMPACT_MAT = b'"mat":[[['
+_CHUNK_BYTES = 1 << 20  # the text of about 50,000 numbers
 
 
 def _compact_density(data: bytes, orjson) -> Optional[dict]:
     """orjson's tree of ``data`` with a compact ``"mat"`` read into a complex array.
 
     None, judging nothing, for a file not in that layout (see the module
-    docstring) and for one whose rows orjson refuses.  No tree of the whole
-    matrix is built: each row is decoded from a zero-copy slice, and its
-    numbers go straight into one float array.
+    docstring) and for one whose numbers orjson refuses.  No tree of the
+    matrix is built: each chunk of whole rows, its brackets dropped, is
+    decoded as one flat list of numbers, which fills a slice of the array.
     """
     start = data.find(_COMPACT_MAT)
     if start < 0:
         return None
     start += len(_COMPACT_MAT) - 3  # at the matrix's first "["
-    end = data.find(b"]]]", start) + 3  # a compact matrix holds no "]]]" before its end
+    end = data.rfind(b"]]]", start) + 3  # the skeleton check proves this "]]]" ends the matrix
     if end < 3:
         return None
     skeleton = data.translate(None, _NUMBER_BYTES)
@@ -405,24 +410,40 @@ def _compact_density(data: bytes, orjson) -> Optional[dict]:
     if not isinstance(tree, dict) or tree.get("mat") != []:
         return None
 
-    view = memoryview(data)
-
-    def row_texts():
-        at = start + 1
-        for _ in range(rows):
-            stop = data.find(b"]]", at) + 2
-            yield view[at:stop]
-            at = stop + 1
-
-    leaves = chain.from_iterable(chain.from_iterable(map(orjson.loads, row_texts())))
-    try:
-        values = np.fromiter(leaves, dtype=float, count=rows * cols * 2)
-    except orjson.JSONDecodeError:
-        return None
+    matrix = np.empty((rows, cols), dtype=complex)
+    values = matrix.reshape(-1).view(float)
+    filled = 0
+    for a, b in _row_chunks(data, start + 1, end - 1):
+        try:
+            numbers = orjson.loads(b"[" + data[a:b].translate(None, b"[]") + b"]")
+        except orjson.JSONDecodeError:
+            return None
+        values[filled : filled + len(numbers)] = numbers  # each as float() converts it
+        filled += len(numbers)
     if not np.isfinite(values).all():
         return None
-    tree["mat"] = values.view(complex).reshape(rows, cols)
+    matrix.flags.writeable = False  # it owns its memory, so the density keeps it uncopied
+    tree["mat"] = matrix
     return tree
+
+
+def _row_chunks(data: bytes, at: int, stop: int):
+    """``(start, stop)`` of runs of whole rows that cover ``data[at:stop]``, a compact matrix's rows.
+
+    A run ends at the last ``]],`` within ``_CHUNK_BYTES`` of its start; a row
+    longer than that is a run of its own.  The skeleton check has proved
+    that ``]],`` occurs only between rows, so each run holds whole rows, at
+    least one, and the loop ends.
+    """
+    while stop - at > _CHUNK_BYTES:
+        cut = data.rfind(b"]],", at, at + _CHUNK_BYTES)
+        if cut < 0:  # the row at ``at`` is longer than a chunk
+            cut = data.find(b"]],", at, stop)
+            if cut < 0:  # and it is the last
+                break
+        yield at, cut + 2
+        at = cut + 3
+    yield at, stop
 
 
 def _decode(data: bytes):

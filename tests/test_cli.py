@@ -473,6 +473,21 @@ class TestArgumentValidation:
         assert info.value.code == 2
         assert "--instances: invalid int value: 'many'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-5", "-1"])
+    def test_verify_rejects_a_negative_seed(self, capsys, seed):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--seed", seed])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --seed: must be at least 0, got {seed}" in captured.err
+
+    @pytest.mark.parametrize("seed", ["0", str(2**64)])
+    def test_verify_accepts_seeds_from_zero_past_64_bits(self, capsys, seed):
+        code, report = _run_json(capsys, "verify", "--seed", seed, "--instances", "1")
+        assert code == 0
+        assert report["result"]["seed"] == int(seed)
+
     def test_verify_accepts_one_instance(self, capsys):
         code, report = _run_json(capsys, "verify", "--instances", "1")
         assert code == 0

@@ -125,6 +125,32 @@ class TestMix:
             MixedEnsemble(((1.5, E1), (-0.5, E2)))
 
 
+class TestDensityOperatorArray:
+    def test_a_callers_writable_array_is_copied(self):
+        m = np.eye(2, dtype=complex) / 2
+        rho = DensityOperator(m)
+        m[0, 0] = 7.0
+        assert rho.mat.tolist() == [[0.5, 0], [0, 0.5]]
+        assert not rho.mat.flags.writeable
+
+    def test_a_read_only_view_of_a_writable_array_is_copied(self):
+        m = np.eye(2, dtype=complex) / 2
+        view = m.view()
+        view.flags.writeable = False
+        rho = DensityOperator(view)
+        m[0, 0] = 7.0
+        assert rho.mat.tolist() == [[0.5, 0], [0, 0.5]]
+
+    def test_a_read_only_array_that_owns_its_memory_is_kept_and_checked(self):
+        m = np.eye(2, dtype=complex) / 2
+        m.flags.writeable = False
+        assert DensityOperator(m).mat is m
+        bad = np.diag([1.5, -0.5]).astype(complex)
+        bad.flags.writeable = False
+        with pytest.raises(ValueError, match="positive"):
+            DensityOperator(bad)
+
+
 class TestIsDensity:
     def test_maximally_mixed(self):
         assert is_density(np.eye(2) / 2)

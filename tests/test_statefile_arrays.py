@@ -16,6 +16,7 @@ import dataclasses
 import decimal
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -809,7 +810,7 @@ def test_json_decodes_only_what_it_judges(text, refusal, count):
 
 
 # ---------------------------------------------------------------------------
-# a compact density matrix is read row by row
+# a compact density matrix is read in chunks of whole rows
 
 
 with mock.patch.object(sys, "path", [str(Path(__file__).parents[1] / "perfbench"), *sys.path]):
@@ -879,10 +880,22 @@ def _mutated_compact_densities(draw):
     return (head + mat + tail).encode()
 
 
+# A chunk of a few dozen bytes: files of many chunks, rows longer than a
+# chunk, and a last row longer than one
+_SMALL_CHUNKS = st.integers(1, 96)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_mutated_compact_densities())
 def test_a_mutated_compact_density_reads_as_json_reads_it(data):
     assert _outcome(loads_state, data) == _outcome(_json_only, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_compact_densities(), _SMALL_CHUNKS)
+def test_a_mutated_compact_density_reads_as_json_reads_it_in_small_chunks(data, chunk):
+    with mock.patch.object(statefile, "_CHUNK_BYTES", chunk):
+        assert _outcome(loads_state, data) == _outcome(_json_only, data)
 
 
 @contextlib.contextmanager
@@ -898,9 +911,7 @@ def _decode_calls():
     calls.walks = walk.call_count
 
 
-@settings(max_examples=100, deadline=None)
-@given(_compact_densities())
-def test_a_compact_density_is_read_row_by_row_bit_for_bit(text):
+def _assert_read_in_pieces_bit_for_bit(text: str) -> None:
     data = text.encode()
     with _decode_calls() as calls:
         outcome = _outcome(loads_state, data)
@@ -909,16 +920,85 @@ def test_a_compact_density_is_read_row_by_row_bit_for_bit(text):
     assert len(data) not in calls.sizes
 
 
-def test_a_compact_density_of_dimension_16_is_never_decoded_whole():
+@settings(max_examples=100, deadline=None)
+@given(_compact_densities())
+def test_a_compact_density_is_read_row_by_row_bit_for_bit(text):
+    _assert_read_in_pieces_bit_for_bit(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_compact_densities(), _SMALL_CHUNKS)
+def test_a_compact_density_is_read_in_small_chunks_bit_for_bit(text, chunk):
+    with mock.patch.object(statefile, "_CHUNK_BYTES", chunk):
+        _assert_read_in_pieces_bit_for_bit(text)
+
+
+def _density_16() -> bytes:
     rng = np.random.default_rng(16)
     vectors = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
     ensemble = [(1 / 3, PureState(v / np.linalg.norm(v))) for v in vectors]
-    data = dumps_canonical(state_to_json(mix(MixedEnsemble(tuple(ensemble))))).encode()
+    return dumps_canonical(state_to_json(mix(MixedEnsemble(tuple(ensemble))))).encode()
+
+
+def test_a_compact_density_of_dimension_16_is_never_decoded_whole():
+    data = _density_16()
+    mat = data[data.index(b'"mat":') + 6 : -1]
+    rows = [b"[[" + row + b"]]" for row in mat[3:-3].split(b"]],[[")]
+    assert b",".join(rows) == mat[1:-1]
+    for chunk in (statefile._CHUNK_BYTES, 48, 2048):  # one chunk; a row each; runs of rows
+        with mock.patch.object(statefile, "_CHUNK_BYTES", chunk), _decode_calls() as calls:
+            state = loads_state(data)
+        assert calls.walks == 0
+        assert len(data) not in calls.sizes
+        # the rest of the file, then each chunk: bracketed, at most one chunk or one row long
+        assert max(calls.sizes[1:]) <= max(chunk, max(map(len, rows))) + 2
+        if chunk < len(data):
+            assert len(calls.sizes) > 2
+        if chunk < min(map(len, rows)):
+            assert len(calls.sizes) == 1 + 16
+        assert _fingerprint(state) == _fingerprint(_json_only(data))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=8), _SMALL_CHUNKS)
+def test_row_chunks_are_runs_of_whole_rows(widths, chunk):
+    rows = [b"[" + b",".join([b"[0.25,-1]"] * w) + b"]" for w in widths]
+    text = b"[" + b",".join(rows) + b"]"
+    with mock.patch.object(statefile, "_CHUNK_BYTES", chunk):
+        runs = list(itertools.islice(statefile._row_chunks(text, 1, len(text) - 1), len(rows) + 1))
+    k = 0
+    for a, b in runs:
+        ends = [j for j in range(k + 1, len(rows) + 1) if b",".join(rows[k:j]) == text[a:b]]
+        assert ends, (a, b)
+        assert b - a <= chunk or ends[0] == k + 1  # a run longer than a chunk is one row
+        assert runs[-1] == (a, b) or text[b : b + 1] == b","
+        k = ends[0]
+    assert k == len(rows)
+
+
+def test_a_later_closing_triple_sends_the_file_to_the_whole_tree_path():
+    data = (_compact_density(COMPACT_MAT)[:-1] + ',"note":"]]]"}').encode()
     with _decode_calls() as calls:
-        state = loads_state(data)
-    assert (calls.walks, len(calls.sizes)) == (0, 1 + 16)  # the rest of the file, then each row
-    assert max(calls.sizes) < len(data) / 8  # no call is given the whole matrix
-    assert _fingerprint(state) == _fingerprint(_json_only(data))
+        outcome = _outcome(loads_state, data)
+    assert outcome == _outcome(_json_only, data)
+    assert (calls.walks, calls.sizes) == (1, [len(data)])
+
+
+def test_a_compact_density_keeps_the_array_it_was_read_into():
+    read = []
+
+    def reader(data, orjson):
+        tree = compact_density(data, orjson)
+        read.append(id(tree["mat"]))
+        return tree
+
+    compact_density = statefile._compact_density
+    with mock.patch.object(statefile, "_compact_density", reader):
+        rho = loads_state(_density_16())
+    assert read == [id(rho.mat)]  # not copied
+    assert rho.mat.flags.owndata and not rho.mat.flags.writeable
+    refs = sys.getrefcount(rho.mat)  # rho's reference and the call's: no view of it lives
+    assert refs == 2
 
 
 def test_a_pretty_density_is_decoded_whole():
