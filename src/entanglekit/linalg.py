@@ -3,8 +3,7 @@
 Inner products, ``np.vdot`` throughout the package, are conjugate-linear
 in the FIRST argument and linear in the second.  All functions treat their
 inputs as immutable values: nothing is modified in place and every result
-is freshly allocated, except that ``as_matrix`` keeps a read-only array
-that owns its memory.
+is freshly allocated.
 """
 
 from __future__ import annotations
@@ -68,19 +67,12 @@ def as_vector(entries) -> np.ndarray:
 
 
 def as_matrix(entries) -> np.ndarray:
-    """Coerce to a read-only 2-D complex matrix, rejecting NaN/Inf entries.
+    """Coerce to a read-only 2-D complex matrix, rejecting NaN/Inf entries."""
+    return _checked_matrix(np.array(entries, dtype=complex))
 
-    A read-only complex array that owns its memory (as a state file's reader
-    hands over) is checked and kept as it is; anything else, a caller's
-    writable array included, is copied first.
-    """
-    kept = (
-        isinstance(entries, np.ndarray)
-        and entries.dtype == complex
-        and entries.flags.owndata
-        and not entries.flags.writeable
-    )
-    m = entries if kept else np.array(entries, dtype=complex)
+
+def _checked_matrix(m: np.ndarray) -> np.ndarray:
+    """m, a complex array, made read-only once it is a non-empty 2-D matrix of finite entries."""
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
     if not np.isfinite(m).all():

@@ -11,11 +11,12 @@ result with ``_built_density`` and run no second check.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ZeroVectorError
-from .linalg import Tolerance, _is_positive, _norm, as_matrix, as_vector, check_weights
+from .linalg import Tolerance, _checked_matrix, _is_positive, _norm, as_matrix, as_vector, check_weights
 
 
 def check_unit_norm(v: np.ndarray, tol: Tolerance) -> None:
@@ -56,7 +57,10 @@ class DensityOperator:
     tol: InitVar[Tolerance] = Tolerance()
 
     def __post_init__(self, tol):
-        m = as_matrix(self.mat)
+        if isinstance(self.mat, _HandedOver):
+            m = _checked_matrix(self.mat.array)
+        else:
+            m = as_matrix(self.mat)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
         if not _is_positive(m, tol):
@@ -69,6 +73,16 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+class _HandedOver(NamedTuple):
+    """A complex matrix that a state file's reader allocated and holds nowhere else.
+
+    ``DensityOperator(_HandedOver(m), tol)`` runs every check on m itself and
+    keeps it, made read-only, with no copy.  Any other matrix is copied.
+    """
+
+    array: np.ndarray
 
 
 def _built_density(m: np.ndarray) -> DensityOperator:

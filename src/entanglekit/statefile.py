@@ -53,9 +53,9 @@ a string) fails this check.  The rest of the file, with ``[]`` in the
 matrix's place, is decoded by orjson (after the same depth check) and must
 hold that ``[]`` as its one ``"mat"``.  The rows are cut into chunks of
 about ``_CHUNK_BYTES`` (a longer row is a chunk of its own); each chunk,
-with its brackets dropped, is decoded by orjson as one flat list of
-numbers, which fills a slice of one complex array.  That array is made
-read-only, and the density keeps it without a copy.  Any other file, and
+with each bracket made a space, is decoded by orjson as one flat list of
+numbers, which fills a slice of one complex array.  The density keeps that
+array, checked and made read-only, without a copy.  Any other file, and
 one whose numbers orjson refuses, takes the whole-tree path, so the values
 are bit for bit those of the whole tree and the refusals are json's.
 """
@@ -74,7 +74,7 @@ from .bipartite import BipartiteDims, BipartiteVector, SchmidtDecomposition
 from .classical import ClassicalSeparableCert, ClassicalState, CompositeClassicalState, PhaseSpace
 from .errors import SchemaError
 from .linalg import Tolerance
-from .quantum import DensityOperator, PureState
+from .quantum import DensityOperator, PureState, _HandedOver
 from .separability import (
     Classification,
     EntangledCertificate,
@@ -217,8 +217,8 @@ def _as_cvec(value, loc: str) -> np.ndarray:
 
 
 def _as_cmat(value, loc: str) -> np.ndarray:
-    if isinstance(value, np.ndarray):  # read in chunks of rows from a compact file
-        return value
+    if isinstance(value, _HandedOver):  # read in chunks of rows from a compact file
+        return value.array
     fast = _fast_complex(value, 2)
     return fast if fast is not None else _walk_cmat(value, loc)
 
@@ -268,10 +268,11 @@ def parse_state(obj, tol: Tolerance = Tolerance(), loc: str = "$") -> State:
 
     if kind == "density":
         dim = _as_int(_require(obj, "dim", loc), f"{loc}.dim")
-        mat = _as_cmat(_require(obj, "mat", loc), f"{loc}.mat")
+        raw = _require(obj, "mat", loc)
+        mat = _as_cmat(raw, f"{loc}.mat")
         if mat.shape != (dim, dim):
             raise SchemaError(f"matrix shape {mat.shape} does not match dim {dim}", f"{loc}.mat")
-        return DensityOperator(mat, tol)
+        return DensityOperator(raw if isinstance(raw, _HandedOver) else mat, tol)
 
     if kind == "bipartite":
         dims = _as_dims(_require(obj, "dims", loc), f"{loc}.dims")
@@ -371,6 +372,9 @@ def _fast_decode(data: bytes):
 _NUMBER_BYTES = b"0123456789.eE+-"
 _COMPACT_MAT = b'"mat":[[['
 _CHUNK_BYTES = 1 << 20  # the text of about 50,000 numbers
+# A bracket becomes a space, not nothing, so a number byte beside it stays
+# its own token, which orjson refuses, and never joins the next number.
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 
 
 def _compact_density(data: bytes, orjson) -> Optional[dict]:
@@ -378,7 +382,7 @@ def _compact_density(data: bytes, orjson) -> Optional[dict]:
 
     None, judging nothing, for a file not in that layout (see the module
     docstring) and for one whose numbers orjson refuses.  No tree of the
-    matrix is built: each chunk of whole rows, its brackets dropped, is
+    matrix is built: each chunk of whole rows, its brackets made spaces, is
     decoded as one flat list of numbers, which fills a slice of the array.
     """
     start = data.find(_COMPACT_MAT)
@@ -415,15 +419,14 @@ def _compact_density(data: bytes, orjson) -> Optional[dict]:
     filled = 0
     for a, b in _row_chunks(data, start + 1, end - 1):
         try:
-            numbers = orjson.loads(b"[" + data[a:b].translate(None, b"[]") + b"]")
+            numbers = orjson.loads(b"[" + data[a:b].translate(_BRACKETS_TO_SPACES) + b"]")
         except orjson.JSONDecodeError:
             return None
         values[filled : filled + len(numbers)] = numbers  # each as float() converts it
         filled += len(numbers)
     if not np.isfinite(values).all():
         return None
-    matrix.flags.writeable = False  # it owns its memory, so the density keeps it uncopied
-    tree["mat"] = matrix
+    tree["mat"] = _HandedOver(matrix)  # held nowhere else, so the density keeps it uncopied
     return tree
 
 

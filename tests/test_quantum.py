@@ -8,6 +8,7 @@ from entanglekit.quantum import (
     DensityOperator,
     MixedEnsemble,
     PureState,
+    _HandedOver,
     is_density,
     mix,
     projector,
@@ -133,22 +134,23 @@ class TestDensityOperatorArray:
         assert rho.mat.tolist() == [[0.5, 0], [0, 0.5]]
         assert not rho.mat.flags.writeable
 
-    def test_a_read_only_view_of_a_writable_array_is_copied(self):
+    def test_a_callers_read_only_array_is_copied(self):
         m = np.eye(2, dtype=complex) / 2
-        view = m.view()
-        view.flags.writeable = False
-        rho = DensityOperator(view)
+        m.flags.writeable = False
+        rho = DensityOperator(m)
+        assert not np.shares_memory(rho.mat, m)
+        m.flags.writeable = True  # m owns its memory, so its caller may
         m[0, 0] = 7.0
         assert rho.mat.tolist() == [[0.5, 0], [0, 0.5]]
 
-    def test_a_read_only_array_that_owns_its_memory_is_kept_and_checked(self):
+    def test_a_handed_over_array_is_kept_and_checked(self):
         m = np.eye(2, dtype=complex) / 2
-        m.flags.writeable = False
-        assert DensityOperator(m).mat is m
-        bad = np.diag([1.5, -0.5]).astype(complex)
-        bad.flags.writeable = False
+        assert DensityOperator(_HandedOver(m)).mat is m
+        assert not m.flags.writeable
         with pytest.raises(ValueError, match="positive"):
-            DensityOperator(bad)
+            DensityOperator(_HandedOver(np.diag([1.5, -0.5]).astype(complex)))
+        with pytest.raises(ValueError, match="finite"):
+            DensityOperator(_HandedOver(np.array([[np.nan]], dtype=complex)))
 
 
 class TestIsDensity:

@@ -655,6 +655,10 @@ DECODER_EDGES = [
     ("compact-duplicate-mat-last-bad", _compact_density(COMPACT_MAT)[:-1] + ',"mat":1}'),
     ("compact-1e400", _compact_density("[[[1e400,0.0],[0.0,0.0]],[[0.0,0.0],[0.5,0.0]]]")),
     ("compact-minus-zero", _compact_density("[[[0.5,-0],[-0.0,-0.0]],[[-0,0.0],[0.5,-0.0]]]")),
+    # a number byte beside a bracket, which the skeleton check cannot see
+    ("compact-exponent-after-a-pair", _compact_density("[[[0.5,0]e0,[0,0]],[[0,0],[0.5,0]]]")),
+    ("compact-digit-after-a-row", _compact_density("[[[0.4,0.1],[0,0.2]]5,[[0,-0.2],[0.6,0]]]")),
+    ("compact-digit-before-a-pair", _compact_density("[[[0.5,0],5[3,4]],[[0,0],[0.5,0]]]")),
     ("compact-nesting-1100-in-an-ignored-field",
      _compact_density(COMPACT_MAT)[:-1] + ',"note":' + _DEEP + "}"),
     ("control-character", '{"type": "classical", "space": ["a\tb"], "probs": {"a\tb": 1.0}}'),
@@ -834,7 +838,10 @@ _SPLICED_LEAVES = ["true", "null", '"0.5"', "1e400", "NaN", "-0", str(2**64), st
 _SECOND_MATS = ['"mat":[[[1.0,0.0]]]', '"mat":[]', '"mat":1', '"mat":[ [[1.0,0.0]]]']
 _MUTATIONS = ["leaf", "ragged-row", "drop-column", "drop-row", "dim+1", "second-mat-first",
               "second-mat-last", "mat-in-a-nested-object", "file-in-an-array",
-              "brackets-in-a-later-string", "trailing-data", "space-in-the-matrix"]
+              "brackets-in-a-later-string", "trailing-data", "space-in-the-matrix",
+              "number-beside-a-bracket"]
+# number bytes that would join a neighbouring number if the bracket between them were dropped
+_BESIDE_A_BRACKET = ["5", "0", "e0", "E+1", ".5", "-1"]
 
 
 @st.composite
@@ -877,6 +884,11 @@ def _mutated_compact_densities(draw):
     if "space-in-the-matrix" in mutations:
         at = draw(st.integers(1, len(mat) - 1))
         mat = mat[:at] + " " + mat[at:]
+    if "number-beside-a-bracket" in mutations:
+        brackets = [k for k, c in enumerate(mat) if c in "[]"]
+        inner = brackets[3:-3] or brackets  # a pair's or a row's bracket, which sits between numbers
+        at = draw(st.sampled_from(inner)) + draw(st.integers(0, 1))  # before or after it
+        mat = mat[:at] + draw(st.sampled_from(_BESIDE_A_BRACKET)) + mat[at:]
     return (head + mat + tail).encode()
 
 
@@ -989,7 +1001,7 @@ def test_a_compact_density_keeps_the_array_it_was_read_into():
 
     def reader(data, orjson):
         tree = compact_density(data, orjson)
-        read.append(id(tree["mat"]))
+        read.append(id(tree["mat"].array))
         return tree
 
     compact_density = statefile._compact_density
