@@ -72,6 +72,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type: a positive finite real, else a usage error naming the flag."""
+    try:
+        return Tolerance(float(text)).eps
+    except ValueError as exc:  # not a number, or not a tolerance
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _read_input(path: str) -> bytes:
     if path == "-":
         return sys.stdin.buffer.read()
@@ -186,7 +194,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=None,
         metavar="EPS",
         help=f"relative tolerance (default {DEFAULT_EPS}; {TOL_ENV_VAR} overrides)",

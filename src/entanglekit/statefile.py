@@ -30,34 +30,25 @@ rows), and the writer formats each in one pass from its float view, with
 the integral values (and -0.0) sent through ``format_float``.  Lists of
 ``[re, im]`` pairs are written entry by entry, with the same bytes.
 
-A file's bytes go to orjson undecoded; only the ``json`` fallback decodes
-UTF-8 (strictly), and json is the contract for every refusal.  orjson is given
-only files without backslashes that nest at most ``_FAST_MAX_DEPTH`` deep: it
-recurses on the C stack without a limit, so a deeper file could overflow that
-stack or decode where json stops at the interpreter's recursion limit.
-Whatever orjson refuses, and every tree of its that ``parse_state`` refuses
-with a SchemaError, json decodes again, and that parse gives the result or the
-error.  The one difference between the two decoders' trees is that an integer
-literal outside 64 bits comes back from orjson as a float of equal value, so
-``"dim": 18446744073709551616`` would otherwise be refused as a float.  A
-domain ValueError is never re-run: the values are the same.
-
-A density matrix written compactly, ``"mat":[[[re,im],...],...]`` with no
-whitespace (as ``dumps_canonical`` writes it), is read in chunks of whole
-rows, and no tree of the whole file or of the matrix is built: at D=1024 the
-tree held about 3 M objects and doubled the reading process's peak memory.
-The matrix's end is the file's last ``]]]``.  With its number bytes
-removed, the matrix text must be exactly the rows x cols x 2 skeleton
-``[[[,],...],...]``, so it holds only numbers, and a later ``]]]`` (say in
-a string) fails this check.  The rest of the file, with ``[]`` in the
-matrix's place, is decoded by orjson (after the same depth check) and must
-hold that ``[]`` as its one ``"mat"``.  The rows are cut into chunks of
-about ``_CHUNK_BYTES`` (a longer row is a chunk of its own); each chunk,
-with each bracket made a space, is decoded by orjson as one flat list of
-numbers, which fills a slice of one complex array.  The density keeps that
-array, checked and made read-only, without a copy.  Any other file, and
-one whose numbers orjson refuses, takes the whole-tree path, so the values
-are bit for bit those of the whole tree and the refusals are json's.
+json decodes every tree, and orjson decodes only the numbers of a density
+matrix.  A file is decoded by json, after a strict UTF-8 decode, and json is
+the contract for every value and every refusal.  The one exception is the
+matrix of a ``"mat"`` key, in any JSON whitespace (space, tab, LF, CR): it
+ends at the last ``]`` that closes three brackets, and with its number bytes
+and whitespace removed it must be exactly the rows x cols x 2 skeleton
+``[[[,],...],...]``, so it holds only numbers and each of its commas lies
+between two.  The rest of the file, with ``[]`` in the matrix's place, is
+decoded by json and must be an object that holds that ``[]`` as its one
+``"mat"`` (escaped spellings of the key count).  The matrix text is cut at
+commas into chunks of about ``_CHUNK_BYTES`` (a longer number is a chunk of
+its own); each chunk, with each bracket made a space, is decoded by orjson as
+one flat list of numbers, which fills a slice of one complex array, and no
+tree of the matrix is built: at D=1024 the tree held about 3 M objects and
+doubled the reading process's peak memory.  The density keeps that array,
+checked and made read-only, without a copy.  Any file this path declines, at
+any step (a number orjson refuses included), is decoded whole by json, so the
+values are bit for bit json's and the refusals are json's.  orjson, which
+recurses on the C stack without a limit, is never given a tree.
 """
 
 from __future__ import annotations
@@ -65,6 +56,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 from itertools import chain
 from typing import Any, Optional, Union
 
@@ -299,9 +291,10 @@ def parse_state(obj, tol: Tolerance = Tolerance(), loc: str = "$") -> State:
 def loads_state(data: bytes, tol: Tolerance = Tolerance()) -> State:
     """Parse a state file from its bytes.
 
-    orjson's tree, with a compact matrix read in chunks of rows, is parsed first;
-    a SchemaError on that path, from the decode or the parse, hands the
-    bytes to json (see the module docstring).
+    A density matrix is read by ``_chunked_density`` where it can be; every
+    other file, and every one that reader declines, is decoded by json (see
+    the module docstring).  ``parse_state`` runs once, so its result or its
+    error is the read's.
     The collector stays off while a decoded tree lives, through decoding
     and parsing: the tree has no cycles, and a collection would only walk
     its lists.  Once parsed, the tree is freed, not collected, before the
@@ -312,11 +305,7 @@ def loads_state(data: bytes, tol: Tolerance = Tolerance()) -> State:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        try:
-            return parse_state(_fast_decode(data), tol)  # no name holds the tree
-        except SchemaError:
-            pass  # leaving the handler frees orjson's tree; json judges the file
-        return parse_state(_decode(data), tol)
+        return parse_state(_chunked_density(data) or _decode(data), tol)  # no name holds the tree
     except ValueError as exc:  # a refusal
         tb = exc.__traceback__.tb_next  # the frames below this one, which is still running
         while tb is not None:
@@ -328,73 +317,42 @@ def loads_state(data: bytes, tol: Tolerance = Tolerance()) -> State:
             gc.enable()
 
 
-# A state file nests 5 deep.  orjson 3.8 overflows the C stack on a
-# million nested arrays, and json refuses about 1000 (the recursion limit).
-_FAST_MAX_DEPTH = 64
-_NOT_STRUCTURAL = bytes(sorted(set(range(256)) - set(b'[]{}"')))
-_DEPTH_STEPS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")  # +1 and -1 as int8; quotes stay
-
-
-def _nesting_depth(data: bytes) -> int:
-    """How deep arrays and objects nest in ``data``, which holds no backslash.
-
-    A byte scan is exact: no ASCII byte occurs inside a UTF-8 multibyte
-    sequence.  Without escapes every ``"`` opens or closes a string, so the
-    brackets outside strings are those after an even number of quotes.  For
-    bytes that are not JSON this bounds the depth of their longest valid prefix.
-    """
-    marks = data.translate(_DEPTH_STEPS, _NOT_STRUCTURAL)
-    steps = np.frombuffer(b"".join(marks.split(b'"')[::2]), dtype=np.int8)  # outside strings
-    return int(steps.cumsum(dtype=np.int32).max(initial=0))
-
-
-def _fast_decode(data: bytes):
-    """orjson's tree of ``data``; SchemaError when json is to judge the file.
-
-    A compact density matrix is read in chunks of rows (``_compact_density``);
-    every other file, and one whose numbers are refused, is decoded whole.
-    """
-    if b"\\" in data:
-        raise SchemaError("escapes: decoded by json")
-    import orjson  # at first use: importing the CLI, or running verify, never loads it
-
-    tree = _compact_density(data, orjson)
-    if tree is not None:
-        return tree
-    if _nesting_depth(data) > _FAST_MAX_DEPTH:
-        raise SchemaError("deep nesting: decoded by json")
-    try:
-        return orjson.loads(data)
-    except orjson.JSONDecodeError:
-        raise SchemaError("refused by orjson: decoded by json") from None
-
-
-_NUMBER_BYTES = b"0123456789.eE+-"
-_COMPACT_MAT = b'"mat":[[['
-_CHUNK_BYTES = 1 << 20  # the text of about 50,000 numbers
+_WHITESPACE = rb"[ \t\n\r]*"  # JSON's four; \s would take \f and \v as well
+# a "mat" key and the three brackets that open its matrix; the group is the first of them
+_MAT_START = re.compile(rb'"mat"' + _WHITESPACE + rb":" + _WHITESPACE + rb"(\[)" + (_WHITESPACE + rb"\[") * 2)
+# the greedy ".*" backs up from the end of the file to the last "]" that closes three brackets
+_MAT_END = re.compile(rb".*\]" + (_WHITESPACE + rb"\]") * 2, re.DOTALL)
+# the key "mat" in every spelling json reads as "mat"
+_MAT_KEYS = re.compile(rb'"(?:m|\\u006[dD])(?:a|\\u0061)(?:t|\\u0074)"')
+_NOT_SKELETON = b"0123456789.eE+- \t\n\r"  # number bytes and JSON whitespace
+# The text of about 11,000 numbers.  A chunk's copies and its list of floats
+# add to the reading process's peak: 1 MB chunks read D=1024 at 2 MB more.
+_CHUNK_BYTES = 1 << 18
 # A bracket becomes a space, not nothing, so a number byte beside it stays
 # its own token, which orjson refuses, and never joins the next number.
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 
 
-def _compact_density(data: bytes, orjson) -> Optional[dict]:
-    """orjson's tree of ``data`` with a compact ``"mat"`` read into a complex array.
+def _chunked_density(data: bytes) -> Optional[dict]:
+    """json's tree of ``data``, with its ``"mat"`` read by orjson into a complex array.
 
-    None, judging nothing, for a file not in that layout (see the module
-    docstring) and for one whose numbers orjson refuses.  No tree of the
-    matrix is built: each chunk of whole rows, its brackets made spaces, is
+    None, judging nothing, for a file whose matrix is not a skeleton of
+    numbers, whose rest json refuses or does not hold as its one ``"mat"``,
+    and for one whose numbers orjson refuses (see the module docstring).
+    No tree of the matrix is built: each chunk, its brackets made spaces, is
     decoded as one flat list of numbers, which fills a slice of the array.
     """
-    start = data.find(_COMPACT_MAT)
-    if start < 0:
+    found = _MAT_START.search(data)
+    if found is None:
         return None
-    start += len(_COMPACT_MAT) - 3  # at the matrix's first "["
-    end = data.rfind(b"]]]", start) + 3  # the skeleton check proves this "]]]" ends the matrix
-    if end < 3:
+    start = found.start(1)
+    closed = _MAT_END.match(data, start)
+    if closed is None:
         return None
-    skeleton = data.translate(None, _NUMBER_BYTES)
-    head = len(data[:start].translate(None, _NUMBER_BYTES))
-    tail = len(data[end:].translate(None, _NUMBER_BYTES))
+    end = closed.end()
+    skeleton = data.translate(None, _NOT_SKELETON)
+    head = len(data[:start].translate(None, _NOT_SKELETON))
+    tail = len(data[end:].translate(None, _NOT_SKELETON))
     mat = skeleton[head : len(skeleton) - tail]
     cols = mat.find(b"]]") // 4  # "[[" and then "[,]," for each pair but the last, "[,"
     if cols < 1:
@@ -405,19 +363,21 @@ def _compact_density(data: bytes, orjson) -> Optional[dict]:
         return None
 
     rest = data[:start] + b"[]" + data[end:]
-    if rest.count(b'"mat"') != 1 or _nesting_depth(rest) > _FAST_MAX_DEPTH:
+    if len(_MAT_KEYS.findall(rest)) != 1:
         return None
     try:
-        tree = orjson.loads(rest)
-    except orjson.JSONDecodeError:
+        tree = _decode(rest)
+    except SchemaError:
         return None
     if not isinstance(tree, dict) or tree.get("mat") != []:
         return None
 
+    import orjson  # at first use: importing the CLI, or running verify, never loads it
+
     matrix = np.empty((rows, cols), dtype=complex)
     values = matrix.reshape(-1).view(float)
     filled = 0
-    for a, b in _row_chunks(data, start + 1, end - 1):
+    for a, b in _chunks(data, start, end):
         try:
             numbers = orjson.loads(b"[" + data[a:b].translate(_BRACKETS_TO_SPACES) + b"]")
         except orjson.JSONDecodeError:
@@ -430,22 +390,22 @@ def _compact_density(data: bytes, orjson) -> Optional[dict]:
     return tree
 
 
-def _row_chunks(data: bytes, at: int, stop: int):
-    """``(start, stop)`` of runs of whole rows that cover ``data[at:stop]``, a compact matrix's rows.
+def _chunks(data: bytes, at: int, stop: int):
+    """``(start, stop)`` of the runs between commas that cover ``data[at:stop]``, a matrix's text.
 
-    A run ends at the last ``]],`` within ``_CHUNK_BYTES`` of its start; a row
-    longer than that is a run of its own.  The skeleton check has proved
-    that ``]],`` occurs only between rows, so each run holds whole rows, at
-    least one, and the loop ends.
+    A run ends at the last comma within ``_CHUNK_BYTES`` of its start; where
+    that window holds none (a number longer than a chunk), at the next comma.
+    The skeleton check has proved that every comma lies between two numbers,
+    so each run holds whole numbers, and each step moves past a comma.
     """
     while stop - at > _CHUNK_BYTES:
-        cut = data.rfind(b"]],", at, at + _CHUNK_BYTES)
-        if cut < 0:  # the row at ``at`` is longer than a chunk
-            cut = data.find(b"]],", at, stop)
-            if cut < 0:  # and it is the last
+        cut = data.rfind(b",", at, at + _CHUNK_BYTES)
+        if cut < 0:
+            cut = data.find(b",", at, stop)
+            if cut < 0:  # the last number
                 break
-        yield at, cut + 2
-        at = cut + 3
+        yield at, cut
+        at = cut + 1
     yield at, stop
 
 

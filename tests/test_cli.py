@@ -509,6 +509,27 @@ class TestArgumentValidation:
 
 
 class TestRunTolerance:
+    @pytest.mark.parametrize("argv", [["classify", BELL], ["verify", "--instances", "1"]],
+                             ids=["classify", "verify"])
+    @pytest.mark.parametrize("tol, shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan"),
+                                            ("inf", "inf"), ("-inf", "-inf")])
+    def test_a_tolerance_that_is_not_positive_and_finite_is_a_usage_error(
+        self, capsys, monkeypatch, argv, tol, shown
+    ):
+        monkeypatch.delenv("ENTANGLEKIT_TOL", raising=False)
+        with pytest.raises(SystemExit) as info:
+            main([*argv, f"--tol={tol}"])  # "-inf" alone would read as an option
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --tol: eps must be a positive finite real, got {shown}\n" in captured.err
+
+    def test_a_tolerance_that_is_not_a_number_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["classify", BELL, "--tol", "abc"])
+        assert info.value.code == 2
+        assert "argument --tol: could not convert string to float: 'abc'" in capsys.readouterr().err
+
     def test_ptrace_validates_the_projector_at_the_run_tolerance(self, capsys, tmp_path):
         # |v| = 1 + 3e-6: inside --tol 1e-5 for the norm (and the trace, 1 + 6e-6)
         s = (1 + 3e-6) / np.sqrt(2)

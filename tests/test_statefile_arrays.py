@@ -4,9 +4,10 @@
 when the input is well formed, and falls back to the per-entry walk
 otherwise.  These tests pin the contract: the same values bit for bit, the
 same ``SchemaError`` message and location for every malformed input, and
-the same canonical bytes on output.  A file's bytes are decoded by orjson
-where they can be; a read must still equal a ``json``-only read of the
-strictly decoded UTF-8 text, state for state and error for error.
+the same canonical bytes on output.  json decodes every tree, and orjson
+only the numbers of a density matrix, as flat lists; a read must equal a
+``json``-only read of the strictly decoded UTF-8 text, state for state and
+error for error.
 """
 
 from __future__ import annotations
@@ -531,7 +532,7 @@ def test_refusing_a_density_runs_no_collection():
 
 
 # ---------------------------------------------------------------------------
-# orjson decodes, json judges: loads_state == a json-only read, bit for bit
+# json decodes every tree: loads_state == a json-only read, bit for bit
 
 
 def _json_only(data: bytes):
@@ -602,7 +603,7 @@ def _state_file_bytes(draw):
 @settings(max_examples=300, deadline=None)
 @given(_state_file_bytes())
 def test_reading_matches_a_json_only_read_bit_for_bit(data):
-    assert _outcome(loads_state, data) == _outcome(_json_only, data)
+    assert _read_flat(data) == _outcome(_json_only, data)
 
 
 COMPACT_MAT = "[[[0.5,0.0],[0.0,0.0]],[[0.0,0.0],[0.5,0.0]]]"
@@ -614,7 +615,7 @@ def _compact_density(mat: str) -> str:
 
 BIG = str(2**64)
 _DEEP = "[" * 1100 + "]" * 1100
-# (case, text): where orjson and json differ, or might
+# (case, text): where a read could differ from json's read of the whole file
 DECODER_EDGES = [
     ("dim-2^64", f'{{"type": "density", "dim": {BIG}, "mat": {GOOD_MAT}}}'),
     ("dim-2^64-as-the-shape", f'{{"type": "density", "dim": {BIG}, "mat": [[[1.0, 0.0]]]}}'),
@@ -663,6 +664,25 @@ DECODER_EDGES = [
      _compact_density(COMPACT_MAT)[:-1] + ',"note":' + _DEEP + "}"),
     ("control-character", '{"type": "classical", "space": ["a\tb"], "probs": {"a\tb": 1.0}}'),
     ("empty", ""),
+    # the key "mat" spelled with escapes, or "mat" ending a key that holds an escaped quote
+    ("escaped-mat-after-the-matrix", _compact_density(COMPACT_MAT)[:-1] + ',"m\\u0061t":[]}'),
+    ("upper-case-escaped-mat-after-the-matrix",
+     _compact_density(COMPACT_MAT)[:-1] + ',"\\u006Dat":1}'),
+    ("escaped-mat-before-the-matrix",
+     '{"type":"density","dim":2,"m\\u0061t":[],"mat":' + COMPACT_MAT + "}"),
+    ("mat-ending-a-key-with-an-escaped-quote",
+     '{"x\\"mat":' + COMPACT_MAT + ',"type":"density","dim":2,"mat":[]}'),
+    # whitespace: JSON's four bytes anywhere between tokens, and nothing else
+    ("crlf-and-tabs-around-the-colon",
+     '{"type":"density","dim":2,"mat"\r\n\t:\t\r\n' + COMPACT_MAT + "}"),
+    ("whitespace-between-the-closers",
+     _compact_density("[ [ [0.5,0.0],[0.0,0.0] ] ,\n[[0.0,0.0],[0.5,0.0]\t]\r\n]")),
+    ("form-feed-in-the-matrix", _compact_density("[[[0.5,0.0],\f[0.0,0.0]],[[0.0,0.0],[0.5,0.0]]]")),
+    ("vertical-tab-in-the-matrix",
+     _compact_density("[[[0.5,0.0],[0.0,0.0]],[[0.0,0.0],[0.5,0.0]\v]]")),
+    ("space-inside-a-number", _compact_density("[[[0.5,0.0],[0.0,0.0]],[[0.0,0.0],[0. 5,0.0]]]")),
+    ("newline-inside-an-exponent",
+     _compact_density("[[[0.5,0.0],[0.0,0.0]],[[0.0,0.0],[5e\n-1,0.0]]]")),
 ]
 
 
@@ -671,7 +691,7 @@ def _labels(label: bytes) -> bytes:
 
 
 # (case, bytes): files that are not UTF-8, and multibyte characters next to
-# the bytes the depth scan counts
+# brackets and quotes
 BYTE_EDGES = [
     ("invalid-utf8-in-a-label", _labels(b'"a\xffb"')),
     ("invalid-utf8-after-the-closing-brace", _pure(GOOD_VEC).encode() + b"\xff"),
@@ -699,7 +719,7 @@ EDGES = [(c, t.encode()) for c, t in DECODER_EDGES] + BYTE_EDGES
 
 @pytest.mark.parametrize("data", [d for _, d in EDGES], ids=[c for c, _ in EDGES])
 def test_decoder_edges_read_as_json_reads_them(data):
-    assert _outcome(loads_state, data) == _outcome(_json_only, data)
+    assert _read_flat(data) == _outcome(_json_only, data)
 
 
 _SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -707,14 +727,24 @@ _SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 
 
 def test_nesting_a_million_deep_is_a_schema_error_not_a_crash(tmp_path):
-    # orjson 3.8 recurses on the C stack without a limit: given this text it
-    # overflows the stack, so the read runs in a process of its own
+    # json stops at the recursion limit; the read runs in a process of its
+    # own, so a decoder that overflowed the C stack would fail this test and
+    # not end the test run
     path = tmp_path / "deep.json"
     path.write_text("[" * 10**6 + "]" * 10**6)
     run = subprocess.run([sys.executable, "-m", "entanglekit.cli", "classify", str(path)],
                          capture_output=True, text=True, env=_SUBPROCESS_ENV, timeout=120)
     assert (run.returncode, run.stdout) == (2, "")
     assert run.stderr.startswith("entanglekit: schema error: $: invalid JSON: maximum recursion")
+
+
+def _depth(value) -> int:
+    """How deep arrays and objects nest in a decoded value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return 1 + max(map(_depth, value), default=0)
+    return 0
 
 
 @pytest.mark.parametrize(
@@ -727,7 +757,14 @@ def test_nesting_a_million_deep_is_a_schema_error_not_a_crash(tmp_path):
                                      ('["]é"]', 1), ("[[é]]", 2), ('["€[["]', 1)]],
 )
 def test_nesting_depth_counts_brackets_outside_strings(data, depth):
-    assert statefile._nesting_depth(data) == depth
+    # Each value, in an ignored field before or after a compact matrix (where
+    # the reader seeks the matrix's "mat" key and its closing triple), reads
+    # as json reads the file, and orjson is handed flat lists only.
+    compact = _compact_density(COMPACT_MAT).encode()
+    for file in (b'{"note":' + data + b"," + compact[1:], compact[:-1] + b',"note":' + data + b"}"):
+        assert _read_flat(file) == _outcome(_json_only, file)
+    with contextlib.suppress(ValueError):  # json refuses the text: no depth to compare
+        assert _depth(json.loads(data)) == depth  # the depth counts the brackets outside strings
 
 
 # A double's repr and its .17g and .25g forms, the exact midpoint between two
@@ -785,36 +822,43 @@ def test_orjson_reads_an_integer_as_float_of_int_does(literal):
         assert value.hex() == expected.hex(), literal
 
 
-# How often each read runs json.loads: never for a file orjson decodes and
-# the constructors accept or refuse; once when json judges a schema refusal.
+# How often each read runs json.loads: once, on the whole file or on the rest
+# of a chunk-read density; twice for a density whose chunked read is declined
+# after json decoded its rest, since json then judges the whole file.
 DECODE_COUNTS = [
-    ("valid", _density(GOOD_MAT), None, 0),
-    ("valid-compact", _compact_density(COMPACT_MAT), None, 0),
+    ("valid", _density(GOOD_MAT), None, 1),
+    ("valid-compact", _compact_density(COMPACT_MAT), None, 1),
     ("domain-refusal", _density("[[[-0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.5, 0.0]]]"),
-     ValueError, 0),
+     ValueError, 1),
     ("schema-refusal-of-orjsons-tree", '{"type": "pure"}', SchemaError, 1),
     ("schema-refusal-of-an-int-beyond-64-bits", dict(DECODER_EDGES)["dim-2^64"], SchemaError, 1),
     ("schema-refusal-orjson-refused", dict(DECODER_EDGES)["nan"], SchemaError, 1),
     ("invalid-json", "{not json", SchemaError, 1),
     ("too-deep-for-orjson", dict(DECODER_EDGES)["nesting-100-in-an-ignored-field"], None, 1),
+    ("density-declined-by-the-skeleton", _density("[[[0.5, true], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]"),
+     SchemaError, 1),
+    ("density-whose-numbers-orjson-refuses", dict(DECODER_EDGES)["compact-1e400"], SchemaError, 2),
+    ("density-whose-rest-json-refuses", _compact_density(COMPACT_MAT) + "x", SchemaError, 2),
 ]
 
 
 @pytest.mark.parametrize("text, refusal, count", [c[1:] for c in DECODE_COUNTS],
                          ids=[c[0] for c in DECODE_COUNTS])
 def test_json_decodes_only_what_it_judges(text, refusal, count):
-    with mock.patch.object(statefile.json, "loads", wraps=json.loads) as loads:
+    with _decode_calls() as calls:
         if refusal is None:
             loads_state(text.encode())
         else:
             with pytest.raises(refusal) as info:
                 loads_state(text.encode())
             assert (type(info.value) is SchemaError) == (refusal is SchemaError)
-    assert loads.call_count == count
+    assert len(calls.trees) == count
+    if count == 2:  # the rest of the file, then the whole file
+        assert calls.trees[0] < calls.trees[1] == len(text)
 
 
 # ---------------------------------------------------------------------------
-# a compact density matrix is read in chunks of whole rows
+# a density matrix is read in chunks, each one flat list of numbers
 
 
 with mock.patch.object(sys, "path", [str(Path(__file__).parents[1] / "perfbench"), *sys.path]):
@@ -892,57 +936,123 @@ def _mutated_compact_densities(draw):
     return (head + mat + tail).encode()
 
 
-# A chunk of a few dozen bytes: files of many chunks, rows longer than a
-# chunk, and a last row longer than one
+
+
+# JSON's whitespace, alone and in runs, and the characters a token ends at
+_JSON_WHITESPACE = [" ", "\t", "\n", "\r", "\r\n", "\t\r\n  "]
+_PUNCTUATION = set("[]{},:")
+_NUMBER_CHARS = set("0123456789.eE+-")
+
+
+@st.composite
+def _spaced_densities(draw, mutated=True):
+    """A density file in another whitespace layout: ``json.dumps``'s default
+    separators, ``indent=2``, or JSON whitespace beside any brackets, braces,
+    commas and colons of a compact file.  With ``mutated``, the compact file
+    is mutated half the time, and one time in four a whitespace byte is put
+    inside a number, which json refuses."""
+    layout = draw(st.sampled_from(["dumps", "indent=2", "between-tokens"]))
+    if layout != "between-tokens":
+        obj = json.loads(draw(_compact_densities()))
+        return (json.dumps(obj) if layout == "dumps" else json.dumps(obj, indent=2)).encode()
+    compact = _compact_densities().map(str.encode)
+    text = draw(_mutated_compact_densities() if mutated and draw(st.booleans()) else compact).decode()
+    between = [k for k in range(len(text) + 1) if _PUNCTUATION & set(text[max(k - 1, 0) : k + 1])]
+    spaces = [(k, draw(st.sampled_from(_JSON_WHITESPACE)))
+              for k in draw(st.lists(st.sampled_from(between), max_size=12))]
+    inside = [k for k in range(1, len(text)) if {text[k - 1], text[k]} <= _NUMBER_CHARS]
+    if mutated and inside and not draw(st.integers(0, 3)):
+        spaces.append((draw(st.sampled_from(inside)), draw(st.sampled_from(_JSON_WHITESPACE))))
+    for k, space in sorted(spaces, reverse=True):
+        text = text[:k] + space + text[k:]
+    return text.encode()
+
+
+# A chunk of a few dozen bytes: files of many chunks, and numbers longer
+# than a chunk, the last one included
 _SMALL_CHUNKS = st.integers(1, 96)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_mutated_compact_densities())
 def test_a_mutated_compact_density_reads_as_json_reads_it(data):
-    assert _outcome(loads_state, data) == _outcome(_json_only, data)
+    assert _read_flat(data) == _outcome(_json_only, data)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_mutated_compact_densities(), _SMALL_CHUNKS)
 def test_a_mutated_compact_density_reads_as_json_reads_it_in_small_chunks(data, chunk):
     with mock.patch.object(statefile, "_CHUNK_BYTES", chunk):
-        assert _outcome(loads_state, data) == _outcome(_json_only, data)
+        assert _read_flat(data) == _outcome(_json_only, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spaced_densities())
+def test_a_spaced_density_reads_as_json_reads_it(data):
+    assert _read_flat(data) == _outcome(_json_only, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spaced_densities(), _SMALL_CHUNKS)
+def test_a_spaced_density_reads_as_json_reads_it_in_small_chunks(data, chunk):
+    with mock.patch.object(statefile, "_CHUNK_BYTES", chunk):
+        assert _read_flat(data) == _outcome(_json_only, data)
+
+
+def _is_flat_list(data: bytes) -> bool:
+    return data[:1] == b"[" and b"[" not in data[1:] and b"{" not in data
 
 
 @contextlib.contextmanager
 def _decode_calls():
-    """The byte counts that ``orjson.loads`` is given, and the ``_fast_complex`` calls, while it runs."""
+    """What the decoders are given while it runs: the bytes of each
+    ``orjson.loads`` call, each one flat list, the length of each text
+    ``json.loads`` decodes, and the number of ``_fast_complex`` calls."""
     import orjson
 
-    with mock.patch.object(orjson, "loads", wraps=orjson.loads) as decode, \
+    with mock.patch.object(orjson, "loads", wraps=orjson.loads) as numbers, \
+            mock.patch.object(statefile.json, "loads", wraps=json.loads) as trees, \
             mock.patch.object(statefile, "_fast_complex", wraps=statefile._fast_complex) as walk:
         calls = types.SimpleNamespace()
         yield calls
-    calls.sizes = [memoryview(c.args[0]).nbytes for c in decode.call_args_list]
+    calls.lists = [bytes(c.args[0]) for c in numbers.call_args_list]
+    calls.trees = [len(c.args[0]) for c in trees.call_args_list]
     calls.walks = walk.call_count
+    assert all(map(_is_flat_list, calls.lists)), calls.lists  # orjson never sees a tree
 
 
-def _assert_read_in_pieces_bit_for_bit(text: str) -> None:
-    data = text.encode()
+def _read_flat(data: bytes):
+    """``loads_state``'s outcome, with every ``orjson.loads`` call on the way given a flat list."""
+    with _decode_calls():
+        return _outcome(loads_state, data)
+
+
+def _assert_read_in_pieces_bit_for_bit(data: bytes) -> None:
     with _decode_calls() as calls:
         outcome = _outcome(loads_state, data)
     assert outcome == _outcome(_json_only, data)
-    assert calls.walks == 0
-    assert len(data) not in calls.sizes
+    assert calls.walks == 0 and calls.lists  # orjson read the numbers, and no tree held them
+    assert len(calls.trees) == 1 and calls.trees[0] < len(data)  # json decoded only the rest
 
 
 @settings(max_examples=100, deadline=None)
 @given(_compact_densities())
 def test_a_compact_density_is_read_row_by_row_bit_for_bit(text):
-    _assert_read_in_pieces_bit_for_bit(text)
+    _assert_read_in_pieces_bit_for_bit(text.encode())
 
 
 @settings(max_examples=100, deadline=None)
 @given(_compact_densities(), _SMALL_CHUNKS)
 def test_a_compact_density_is_read_in_small_chunks_bit_for_bit(text, chunk):
     with mock.patch.object(statefile, "_CHUNK_BYTES", chunk):
-        _assert_read_in_pieces_bit_for_bit(text)
+        _assert_read_in_pieces_bit_for_bit(text.encode())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spaced_densities(mutated=False), st.one_of(st.none(), _SMALL_CHUNKS))
+def test_a_density_in_any_whitespace_layout_is_read_in_chunks_bit_for_bit(data, chunk):
+    with mock.patch.object(statefile, "_CHUNK_BYTES", chunk or statefile._CHUNK_BYTES):
+        _assert_read_in_pieces_bit_for_bit(data)
 
 
 def _density_16() -> bytes:
@@ -955,37 +1065,52 @@ def _density_16() -> bytes:
 def test_a_compact_density_of_dimension_16_is_never_decoded_whole():
     data = _density_16()
     mat = data[data.index(b'"mat":') + 6 : -1]
-    rows = [b"[[" + row + b"]]" for row in mat[3:-3].split(b"]],[[")]
-    assert b",".join(rows) == mat[1:-1]
-    for chunk in (statefile._CHUNK_BYTES, 48, 2048):  # one chunk; a row each; runs of rows
+    # one chunk; a few numbers each; runs of rows; one number each
+    for chunk in (statefile._CHUNK_BYTES, 48, 2048, 1):
         with mock.patch.object(statefile, "_CHUNK_BYTES", chunk), _decode_calls() as calls:
             state = loads_state(data)
         assert calls.walks == 0
-        assert len(data) not in calls.sizes
-        # the rest of the file, then each chunk: bracketed, at most one chunk or one row long
-        assert max(calls.sizes[1:]) <= max(chunk, max(map(len, rows))) + 2
-        if chunk < len(data):
-            assert len(calls.sizes) > 2
-        if chunk < min(map(len, rows)):
-            assert len(calls.sizes) == 1 + 16
+        assert calls.trees == [len(data) - len(mat) + 2]  # json decodes the rest, "[]" in the matrix's place
+        # orjson is given the matrix's chunks, in order, each one chunk long or one number
+        assert b",".join(c[1:-1] for c in calls.lists) == mat.translate(statefile._BRACKETS_TO_SPACES)
+        assert all(len(c) - 2 <= chunk or b"," not in c for c in calls.lists)
+        assert (len(calls.lists) == 1) == (chunk >= len(mat))
+        if chunk == 1:
+            assert len(calls.lists) == 16 * 16 * 2
         assert _fingerprint(state) == _fingerprint(_json_only(data))
 
 
+def test_a_number_longer_than_a_chunk_is_a_chunk_of_its_own():
+    half, zero = "0.5" + "0" * 60, "0." + "0" * 60  # the last number is a long one too
+    data = _compact_density(f"[[[{half},0.0],[0.0,0.0]],[[0.0,0.0],[{half},{zero}]]]").encode()
+    for chunk in (1, 8, 40):
+        with mock.patch.object(statefile, "_CHUNK_BYTES", chunk), _decode_calls() as calls:
+            outcome = _outcome(loads_state, data)
+        assert outcome == _outcome(_json_only, data)
+        assert calls.walks == 0 and len(calls.trees) == 1
+        assert all(len(c) - 2 <= chunk or b"," not in c for c in calls.lists)
+        assert [c.strip(b"[ ]") for c in calls.lists if len(c) - 2 > chunk][-1] == zero.encode()
+
+
+def test_an_array_after_the_matrix_keeps_the_chunked_path():
+    _assert_read_in_pieces_bit_for_bit((_compact_density(COMPACT_MAT)[:-1] + ',"note":[1,2]}').encode())
+
+
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.text("0123456789", min_size=1, max_size=120))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 12), min_size=1, max_size=8), _SMALL_CHUNKS)
-def test_row_chunks_are_runs_of_whole_rows(widths, chunk):
-    rows = [b"[" + b",".join([b"[0.25,-1]"] * w) + b"]" for w in widths]
-    text = b"[" + b",".join(rows) + b"]"
+@given(st.lists(_NUMBERS, min_size=1, max_size=24), st.sampled_from([",", ", ", ",\n  ", "] ,\t["]),
+       _SMALL_CHUNKS)
+def test_chunks_are_runs_between_commas(numbers, comma, chunk):
+    text = ("[[[" + comma.join(numbers) + "]]]").encode()
     with mock.patch.object(statefile, "_CHUNK_BYTES", chunk):
-        runs = list(itertools.islice(statefile._row_chunks(text, 1, len(text) - 1), len(rows) + 1))
-    k = 0
-    for a, b in runs:
-        ends = [j for j in range(k + 1, len(rows) + 1) if b",".join(rows[k:j]) == text[a:b]]
-        assert ends, (a, b)
-        assert b - a <= chunk or ends[0] == k + 1  # a run longer than a chunk is one row
-        assert runs[-1] == (a, b) or text[b : b + 1] == b","
-        k = ends[0]
-    assert k == len(rows)
+        runs = list(itertools.islice(statefile._chunks(text, 0, len(text)), len(numbers) + 1))
+    # consecutive runs, each after a comma, that give the text back when joined by commas
+    assert [a for a, _ in runs] == [0] + [b + 1 for _, b in runs[:-1]]
+    assert b",".join(text[a:b] for a, b in runs) == text
+    assert all(b - a <= chunk or b"," not in text[a:b] for a, b in runs)  # a chunk, or one number
 
 
 def test_a_later_closing_triple_sends_the_file_to_the_whole_tree_path():
@@ -993,19 +1118,19 @@ def test_a_later_closing_triple_sends_the_file_to_the_whole_tree_path():
     with _decode_calls() as calls:
         outcome = _outcome(loads_state, data)
     assert outcome == _outcome(_json_only, data)
-    assert (calls.walks, calls.sizes) == (1, [len(data)])
+    assert (calls.walks, calls.lists, calls.trees) == (1, [], [len(data)])  # json's, and orjson's never
 
 
 def test_a_compact_density_keeps_the_array_it_was_read_into():
     read = []
 
-    def reader(data, orjson):
-        tree = compact_density(data, orjson)
+    def reader(data):
+        tree = chunked_density(data)
         read.append(id(tree["mat"].array))
         return tree
 
-    compact_density = statefile._compact_density
-    with mock.patch.object(statefile, "_compact_density", reader):
+    chunked_density = statefile._chunked_density
+    with mock.patch.object(statefile, "_chunked_density", reader):
         rho = loads_state(_density_16())
     assert read == [id(rho.mat)]  # not copied
     assert rho.mat.flags.owndata and not rho.mat.flags.writeable
@@ -1013,12 +1138,9 @@ def test_a_compact_density_keeps_the_array_it_was_read_into():
     assert refs == 2
 
 
-def test_a_pretty_density_is_decoded_whole():
-    data = (Path(__file__).parents[1] / "sample_states" / "maximally_mixed.json").read_bytes()
-    with _decode_calls() as calls:
-        state = loads_state(data)
-    assert (calls.walks, calls.sizes) == (1, [len(data)])
-    assert _fingerprint(state) == _fingerprint(_json_only(data))
+def test_a_pretty_density_is_read_in_chunks():
+    _assert_read_in_pieces_bit_for_bit(
+        (Path(__file__).parents[1] / "sample_states" / "maximally_mixed.json").read_bytes())
 
 
 def test_importing_the_cli_and_running_verify_never_load_orjson():
