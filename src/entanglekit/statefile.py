@@ -36,19 +36,17 @@ the contract for every value and every refusal.  The one exception is the
 matrix of a ``"mat"`` key, in any JSON whitespace (space, tab, LF, CR): it
 ends at the last ``]`` that closes three brackets, and with its number bytes
 and whitespace removed it must be exactly the rows x cols x 2 skeleton
-``[[[,],...],...]``, so it holds only numbers and each of its commas lies
-between two.  The rest of the file, with ``[]`` in the matrix's place, is
-decoded by json and must be an object that holds that ``[]`` as its one
-``"mat"`` (escaped spellings of the key count).  The matrix text is cut at
-commas into chunks of about ``_CHUNK_BYTES`` (a longer number is a chunk of
-its own); each chunk, with each bracket made a space, is decoded by orjson as
-one flat list of numbers, which fills a slice of one complex array, and no
-tree of the matrix is built: at D=1024 the tree held about 3 M objects and
-doubled the reading process's peak memory.  The density keeps that array,
-checked and made read-only, without a copy.  Any file this path declines, at
-any step (a number orjson refuses included), is decoded whole by json, so the
-values are bit for bit json's and the refusals are json's.  orjson, which
-recurses on the C stack without a limit, is never given a tree.
+``[[[,],...],...]``.  The rest of the file, with ``[]`` in the matrix's place,
+must hold no backslash and ``"mat"`` once, and json must decode it to an
+object whose ``"mat"`` is that ``[]``.  The matrix text is cut at commas into
+chunks of about ``_CHUNK_BYTES``; each, its brackets made whitespace and no
+slot empty, is decoded by orjson as one flat list of numbers into a slice of
+one complex array, which the density keeps, checked and read-only, without a
+copy.  No tree of the matrix is built: at D=1024 it held about 3 M objects
+and doubled the reading process's peak memory.  Any file this path declines,
+at any step (a number orjson refuses included), is decoded whole by json, so
+the values and the refusals are json's.  orjson, which recurses on the C
+stack without a limit, is never given a tree.
 """
 
 from __future__ import annotations
@@ -209,7 +207,7 @@ def _as_cvec(value, loc: str) -> np.ndarray:
 
 
 def _as_cmat(value, loc: str) -> np.ndarray:
-    if isinstance(value, _HandedOver):  # read in chunks of rows from a compact file
+    if isinstance(value, _HandedOver):  # read in chunks by _chunked_density
         return value.array
     fast = _fast_complex(value, 2)
     return fast if fast is not None else _walk_cmat(value, loc)
@@ -317,20 +315,22 @@ def loads_state(data: bytes, tol: Tolerance = Tolerance()) -> State:
             gc.enable()
 
 
-_WHITESPACE = rb"[ \t\n\r]*"  # JSON's four; \s would take \f and \v as well
+_SPACES = rb"[ \t\n\r]*"  # JSON's whitespace; \s would take \f and \v as well
 # a "mat" key and the three brackets that open its matrix; the group is the first of them
-_MAT_START = re.compile(rb'"mat"' + _WHITESPACE + rb":" + _WHITESPACE + rb"(\[)" + (_WHITESPACE + rb"\[") * 2)
+_MAT_START = re.compile(rb'"mat"' + _SPACES + rb":" + _SPACES + rb"(\[)" + (_SPACES + rb"\[") * 2)
 # the greedy ".*" backs up from the end of the file to the last "]" that closes three brackets
-_MAT_END = re.compile(rb".*\]" + (_WHITESPACE + rb"\]") * 2, re.DOTALL)
-# the key "mat" in every spelling json reads as "mat"
-_MAT_KEYS = re.compile(rb'"(?:m|\\u006[dD])(?:a|\\u0061)(?:t|\\u0074)"')
+_MAT_END = re.compile(rb".*\]" + (_SPACES + rb"\]") * 2, re.DOTALL)
 _NOT_SKELETON = b"0123456789.eE+- \t\n\r"  # number bytes and JSON whitespace
 # The text of about 11,000 numbers.  A chunk's copies and its list of floats
 # add to the reading process's peak: 1 MB chunks read D=1024 at 2 MB more.
 _CHUNK_BYTES = 1 << 18
-# A bracket becomes a space, not nothing, so a number byte beside it stays
-# its own token, which orjson refuses, and never joins the next number.
-_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+# "[" becomes a tab and "]" a newline, whitespace to orjson, so a number byte
+# beside a bracket stays its own token, which orjson refuses, and never joins
+# the next number; JSON's whitespace becomes spaces, so brackets stay apart.
+_BRACKETS_TO_WHITESPACE = bytes.maketrans(b"[] \t\n\r", b"\t\n    ")
+# "[," and ",]", so translated, as 16-bit words: a slot with no number, such
+# as a number on the wrong side of its bracket leaves ("[0.5,]0,[")
+_EMPTY_SLOTS = (int.from_bytes(b"\t,", "little"), int.from_bytes(b",\n", "little"))
 
 
 def _chunked_density(data: bytes) -> Optional[dict]:
@@ -338,9 +338,8 @@ def _chunked_density(data: bytes) -> Optional[dict]:
 
     None, judging nothing, for a file whose matrix is not a skeleton of
     numbers, whose rest json refuses or does not hold as its one ``"mat"``,
-    and for one whose numbers orjson refuses (see the module docstring).
-    No tree of the matrix is built: each chunk, its brackets made spaces, is
-    decoded as one flat list of numbers, which fills a slice of the array.
+    and for one whose numbers orjson refuses or leave a slot empty (see the
+    module docstring).
     """
     found = _MAT_START.search(data)
     if found is None:
@@ -363,7 +362,7 @@ def _chunked_density(data: bytes) -> Optional[dict]:
         return None
 
     rest = data[:start] + b"[]" + data[end:]
-    if len(_MAT_KEYS.findall(rest)) != 1:
+    if b"\\" in rest or rest.count(b'"mat"') != 1:  # an escaped key could spell "mat"
         return None
     try:
         tree = _decode(rest)
@@ -377,9 +376,17 @@ def _chunked_density(data: bytes) -> Optional[dict]:
     matrix = np.empty((rows, cols), dtype=complex)
     values = matrix.reshape(-1).view(float)
     filled = 0
+    view = memoryview(data)
     for a, b in _chunks(data, start, end):
+        # the chunk and the byte on either side, a comma at a cut, where a slot may end
+        text = bytearray(view[a - 1 : b + 1]).translate(_BRACKETS_TO_WHITESPACE)
+        packed = text.translate(None, b" ") if b" " in text else text
+        words = (np.frombuffer(packed, "<u2", (len(packed) - k) // 2, k) for k in (0, 1))
+        if any((w == slot).any() for w in words for slot in _EMPTY_SLOTS):  # at both alignments
+            return None
+        text[0], text[-1] = ord("["), ord("]")
         try:
-            numbers = orjson.loads(b"[" + data[a:b].translate(_BRACKETS_TO_SPACES) + b"]")
+            numbers = orjson.loads(text)
         except orjson.JSONDecodeError:
             return None
         values[filled : filled + len(numbers)] = numbers  # each as float() converts it
@@ -395,8 +402,8 @@ def _chunks(data: bytes, at: int, stop: int):
 
     A run ends at the last comma within ``_CHUNK_BYTES`` of its start; where
     that window holds none (a number longer than a chunk), at the next comma.
-    The skeleton check has proved that every comma lies between two numbers,
-    so each run holds whole numbers, and each step moves past a comma.
+    The skeleton check has proved that every comma separates two slots of
+    numbers, so no run splits a number, and each step moves past a comma.
     """
     while stop - at > _CHUNK_BYTES:
         cut = data.rfind(b",", at, at + _CHUNK_BYTES)

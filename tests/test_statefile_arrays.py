@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
@@ -660,11 +661,27 @@ DECODER_EDGES = [
     ("compact-exponent-after-a-pair", _compact_density("[[[0.5,0]e0,[0,0]],[[0,0],[0.5,0]]]")),
     ("compact-digit-after-a-row", _compact_density("[[[0.4,0.1],[0,0.2]]5,[[0,-0.2],[0.6,0]]]")),
     ("compact-digit-before-a-pair", _compact_density("[[[0.5,0],5[3,4]],[[0,0],[0.5,0]]]")),
+    # a slot left empty, or emptied by a number on the wrong side of its bracket
+    ("compact-empty-slot", _compact_density("[[[0.5,0],[0,0]],[[0,0],[0.5,]]]")),
+    ("compact-empty-slot-first", _compact_density("[[[,0],[0,0]],[[0,0],[0.5,0]]]")),
+    ("spaced-empty-slot", _compact_density("[[[0.5,0],[0,0]],[[0,0],[0.5, \n ]]]")),
+    # whitespace that fills a slot is then a chunk of its own, which holds no number: the entry
+    # must not keep what np.empty left, nor the later numbers move back one place
+    ("empty-last-slot-padded-past-a-chunk",
+     _compact_density(f"[[[0.5,0],[0,0]],[[0,0],[0.5,{' ' * 2 * statefile._CHUNK_BYTES}]]]")),
+    ("empty-middle-slot-padded-past-a-chunk",
+     _compact_density(f"[[[0.5,0],[0,{' ' * 2 * statefile._CHUNK_BYTES}]],[[0,0],[0.5,0]]]")),
+    ("compact-number-after-its-closing-bracket", _compact_density("[[[0.5,0],[0,]0],[[0,0],[0.5,0]]]")),
+    ("compact-number-before-its-opening-bracket", _compact_density("[[[0.5,0],[0,0]],0[[,0],[0.5,0]]]")),
+    ("compact-number-between-two-brackets", _compact_density("[[[0.5,0],[0,0]],[0[,0],[0.5,0]]]")),
+    ("spaced-number-after-its-closing-bracket",
+     _compact_density("[[[0.5,0],[0, ]\t0 ],[[0,0],[0.5,0]]]")),
     ("compact-nesting-1100-in-an-ignored-field",
      _compact_density(COMPACT_MAT)[:-1] + ',"note":' + _DEEP + "}"),
     ("control-character", '{"type": "classical", "space": ["a\tb"], "probs": {"a\tb": 1.0}}'),
     ("empty", ""),
-    # the key "mat" spelled with escapes, or "mat" ending a key that holds an escaped quote
+    # the key "mat" spelled with escapes, or "mat" ending a key that holds an escaped quote:
+    # a backslash outside the matrix sends the file to json
     ("escaped-mat-after-the-matrix", _compact_density(COMPACT_MAT)[:-1] + ',"m\\u0061t":[]}'),
     ("upper-case-escaped-mat-after-the-matrix",
      _compact_density(COMPACT_MAT)[:-1] + ',"\\u006Dat":1}'),
@@ -883,7 +900,7 @@ _SECOND_MATS = ['"mat":[[[1.0,0.0]]]', '"mat":[]', '"mat":1', '"mat":[ [[1.0,0.0
 _MUTATIONS = ["leaf", "ragged-row", "drop-column", "drop-row", "dim+1", "second-mat-first",
               "second-mat-last", "mat-in-a-nested-object", "file-in-an-array",
               "brackets-in-a-later-string", "trailing-data", "space-in-the-matrix",
-              "number-beside-a-bracket"]
+              "number-beside-a-bracket", "empty-slot", "number-across-its-bracket"]
 # number bytes that would join a neighbouring number if the bracket between them were dropped
 _BESIDE_A_BRACKET = ["5", "0", "e0", "E+1", ".5", "-1"]
 
@@ -902,6 +919,11 @@ def _mutated_compact_densities(draw):
             c = draw(st.integers(0, len(rows[r]) - 1))
             pair = rows[r][c].split(",")
             pair[draw(st.integers(0, len(pair) - 1))] = draw(st.sampled_from(_SPLICED_LEAVES))
+            rows[r][c] = ",".join(pair)
+        elif mutation == "empty-slot" and rows and rows[r]:  # a leaf deleted, or made whitespace
+            c = draw(st.integers(0, len(rows[r]) - 1))
+            pair = rows[r][c].split(",")
+            pair[draw(st.integers(0, len(pair) - 1))] = draw(st.sampled_from(["", " ", "\t\r\n  "]))
             rows[r][c] = ",".join(pair)
         elif mutation == "ragged-row" and rows and rows[r]:
             del rows[r][draw(st.integers(0, len(rows[r]) - 1))]
@@ -933,6 +955,12 @@ def _mutated_compact_densities(draw):
         inner = brackets[3:-3] or brackets  # a pair's or a row's bracket, which sits between numbers
         at = draw(st.sampled_from(inner)) + draw(st.integers(0, 1))  # before or after it
         mat = mat[:at] + draw(st.sampled_from(_BESIDE_A_BRACKET)) + mat[at:]
+    whole_pairs = list(re.finditer(r"\[([^][,]+),([^][,]+)\]", mat))  # "[re,im]"
+    if "number-across-its-bracket" in mutations and whole_pairs:  # as "re[,im]" or "[re,]im"
+        found = draw(st.sampled_from(whole_pairs))
+        re_, im = found.groups()
+        moved = draw(st.sampled_from([f"{re_}[,{im}]", f"[{re_},]{im}"]))
+        mat = mat[: found.start()] + moved + mat[found.end() :]
     return (head + mat + tail).encode()
 
 
@@ -1072,7 +1100,7 @@ def test_a_compact_density_of_dimension_16_is_never_decoded_whole():
         assert calls.walks == 0
         assert calls.trees == [len(data) - len(mat) + 2]  # json decodes the rest, "[]" in the matrix's place
         # orjson is given the matrix's chunks, in order, each one chunk long or one number
-        assert b",".join(c[1:-1] for c in calls.lists) == mat.translate(statefile._BRACKETS_TO_SPACES)
+        assert b",".join(c[1:-1] for c in calls.lists) == mat.translate(statefile._BRACKETS_TO_WHITESPACE)
         assert all(len(c) - 2 <= chunk or b"," not in c for c in calls.lists)
         assert (len(calls.lists) == 1) == (chunk >= len(mat))
         if chunk == 1:
@@ -1089,7 +1117,17 @@ def test_a_number_longer_than_a_chunk_is_a_chunk_of_its_own():
         assert outcome == _outcome(_json_only, data)
         assert calls.walks == 0 and len(calls.trees) == 1
         assert all(len(c) - 2 <= chunk or b"," not in c for c in calls.lists)
-        assert [c.strip(b"[ ]") for c in calls.lists if len(c) - 2 > chunk][-1] == zero.encode()
+        assert [c[1:-1].strip() for c in calls.lists if len(c) - 2 > chunk][-1] == zero.encode()
+
+
+def test_a_slot_emptied_at_any_cut_is_refused_as_json_refuses_it():
+    # a number moved past its bracket, with the chunks cut at every comma in turn
+    for text in ["[[[0.5,0],[0,]0],[[0,0],[0.5,0]]]", "[[[0.5,0],[0,0]],0[[,0],[0.5,0]]]",
+                 "[[[0.5,0],[0, ]\n0],[[0,0],[0.5,0]]]"]:
+        data = _compact_density(text).encode()
+        for chunk in range(1, len(text) + 1):
+            with mock.patch.object(statefile, "_CHUNK_BYTES", chunk):
+                assert _read_flat(data) == _outcome(_json_only, data), (text, chunk)
 
 
 def test_an_array_after_the_matrix_keeps_the_chunked_path():
