@@ -211,16 +211,16 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p = sub.add_parser("classify", parents=[common], help="entanglement/separability verdict")
     p.add_argument("path", help="state file, or - for stdin")
-    p.add_argument("--dims", type=int, nargs=2, metavar=("D1", "D2"), default=None)
+    p.add_argument("--dims", type=_int_at_least(1), nargs=2, metavar=("D1", "D2"), default=None)
 
     p = sub.add_parser("schmidt", parents=[common], help="Schmidt coefficients and factors")
     p.add_argument("path", help="bipartite state file, or - for stdin")
-    p.add_argument("--dims", type=int, nargs=2, metavar=("D1", "D2"), default=None)
+    p.add_argument("--dims", type=_int_at_least(1), nargs=2, metavar=("D1", "D2"), default=None)
 
     p = sub.add_parser("ptrace", parents=[common], help="partial trace of a bipartite state")
     p.add_argument("path", help="bipartite/pure/density file, or - for stdin")
     p.add_argument("--keep", type=int, choices=(1, 2), required=True)
-    p.add_argument("--dims", type=int, nargs=2, metavar=("D1", "D2"), default=None)
+    p.add_argument("--dims", type=_int_at_least(1), nargs=2, metavar=("D1", "D2"), default=None)
 
     p = sub.add_parser("marginal", parents=[common], help="marginal of a composite classical state")
     p.add_argument("path", help="classical2 file, or - for stdin")

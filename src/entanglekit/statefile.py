@@ -17,12 +17,11 @@ negative probability, non-positive matrix) surface as ValueError from the
 domain constructors.  Serialization writes floats with 17 significant
 digits, so serialize -> parse round-trips are exact.
 
-Complex arrays are read in bulk, and a per-entry walk behind the bulk path
-defines the contract.  A vector or matrix fills one float array in a single
-pass when it is a rectangular array of ``[re, im]`` pairs of finite JSON
-numbers (no booleans); anything else goes to the walk, which raises the
-SchemaError naming the exact offending element.  Both give the same values,
-bit for bit, and the same errors.
+A complex array takes one of two paths, with the same values, bit for bit,
+and the same errors and locations: a density's matrix is read in chunks
+where it can be (below), and every other array goes through a per-entry
+walk of json's tree, which raises the SchemaError naming the exact
+offending element.
 
 Reports carry complex values as the numpy arrays the library holds: the
 ``*_to_json`` functions pass 1-D complex arrays (a matrix as a list of its
@@ -37,16 +36,19 @@ matrix of a ``"mat"`` key, in any JSON whitespace (space, tab, LF, CR): it
 ends at the last ``]`` that closes three brackets, and with its number bytes
 and whitespace removed it must be exactly the rows x cols x 2 skeleton
 ``[[[,],...],...]``.  The rest of the file, with ``[]`` in the matrix's place,
-must hold no backslash and ``"mat"`` once, and json must decode it to an
-object whose ``"mat"`` is that ``[]``.  The matrix text is cut at commas into
-chunks of about ``_CHUNK_BYTES``; each, its brackets made whitespace and no
-slot empty, is decoded by orjson as one flat list of numbers into a slice of
-one complex array, which the density keeps, checked and read-only, without a
-copy.  No tree of the matrix is built: at D=1024 it held about 3 M objects
-and doubled the reading process's peak memory.  Any file this path declines,
-at any step (a number orjson refuses included), is decoded whole by json, so
-the values and the refusals are json's.  orjson, which recurses on the C
-stack without a limit, is never given a tree.
+must hold ``"mat"`` once and no ``\\u`` escape (the only escape that can
+spell a letter of ``"mat"``), and json must decode it to an object whose
+``"mat"`` is that ``[]``.  The matrix text is cut at commas into chunks of
+about ``_CHUNK_BYTES``; each, its brackets made whitespace and no slot empty,
+is decoded by orjson as one flat list of numbers into a slice of one complex
+array, which the density keeps, checked and read-only, without a copy.  No
+tree of the matrix is built: at D=1024 it held about 3 M objects and doubled
+the reading process's peak memory.  Any file this path declines, at any step
+(a number orjson refuses included), is decoded whole by json, so the values
+and the refusals are json's; the valid densities it declines hold a ``\\u``
+escape outside the matrix, a second ``"mat"``, or a later ``]]]`` (in a
+string, say).  orjson, which recurses on the C stack without a limit, is never
+given a tree.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ import gc
 import json
 import math
 import re
-from itertools import chain
 from typing import Any, Optional, Union
 
 import numpy as np
@@ -140,77 +141,25 @@ def _as_complex(value, loc: str) -> complex:
     return complex(_as_number(pair[0], f"{loc}[0]"), _as_number(pair[1], f"{loc}[1]"))
 
 
-def _walk_cvec(value, loc: str) -> np.ndarray:
+def _as_cvec(value, loc: str) -> np.ndarray:
     entries = _as_list(value, loc)
     if not entries:
         raise SchemaError("vector must be non-empty", loc)
     return np.array([_as_complex(e, f"{loc}[{k}]") for k, e in enumerate(entries)])
 
 
-def _walk_cmat(value, loc: str) -> np.ndarray:
+def _as_cmat(value, loc: str) -> np.ndarray:
+    if isinstance(value, _HandedOver):  # read in chunks by _chunked_density
+        return value.array
     rows = _as_list(value, loc)
     if not rows:
         raise SchemaError("matrix must be non-empty", loc)
-    parsed = [_walk_cvec(row, f"{loc}[{k}]") for k, row in enumerate(rows)]
+    parsed = [_as_cvec(row, f"{loc}[{k}]") for k, row in enumerate(rows)]
     width = parsed[0].shape[0]
     for k, row in enumerate(parsed):
         if row.shape[0] != width:
             raise SchemaError(f"row has length {row.shape[0]}, expected {width}", f"{loc}[{k}]")
     return np.array(parsed)
-
-
-def _nested(value: list, depth: int):
-    """Iterator over the items of ``value`` at nesting ``depth``: its own at 0, theirs at 1."""
-    items = iter(value)
-    for _ in range(depth):
-        items = chain.from_iterable(items)
-    return items
-
-
-def _fast_complex(value, ndim: int) -> Optional[np.ndarray]:
-    """Convert a well-formed ``ndim``-D array of ``[re, im]`` pairs without the per-entry walk.
-
-    Returns None, judging nothing, unless ``value`` is a non-empty
-    rectangular array of JSON numbers that are finite as doubles; the
-    per-entry walk then reports the error.  The shape is read level by
-    level, the leaf types are checked (a boolean is no number here), and
-    the leaves fill one float array, so no nested-list discovery runs.
-    ``np.fromiter`` converts an integer leaf exactly as ``float()`` does,
-    and raises the same ``OverflowError`` past the double range.
-    """
-    if not isinstance(value, list):
-        return None
-    shape = [len(value)]
-    for depth in range(ndim):
-        if set(map(type, _nested(value, depth))) != {list}:
-            return None
-        lengths = set(map(len, _nested(value, depth)))
-        if len(lengths) != 1 or 0 in lengths:
-            return None
-        shape += lengths
-    if shape[-1] != 2:
-        return None
-    if not set(map(type, _nested(value, ndim))) <= {float, int}:
-        return None
-    try:
-        arr = np.fromiter(_nested(value, ndim), dtype=float, count=math.prod(shape))
-    except OverflowError:
-        return None
-    if not np.isfinite(arr).all():
-        return None
-    return arr.reshape(shape).view(complex)[..., 0]  # reinterpreted, not computed: signed zeros survive
-
-
-def _as_cvec(value, loc: str) -> np.ndarray:
-    fast = _fast_complex(value, 1)
-    return fast if fast is not None else _walk_cvec(value, loc)
-
-
-def _as_cmat(value, loc: str) -> np.ndarray:
-    if isinstance(value, _HandedOver):  # read in chunks by _chunked_density
-        return value.array
-    fast = _fast_complex(value, 2)
-    return fast if fast is not None else _walk_cmat(value, loc)
 
 
 def _as_labels(value, loc: str) -> tuple[str, ...]:
@@ -258,11 +207,10 @@ def parse_state(obj, tol: Tolerance = Tolerance(), loc: str = "$") -> State:
 
     if kind == "density":
         dim = _as_int(_require(obj, "dim", loc), f"{loc}.dim")
-        raw = _require(obj, "mat", loc)
-        mat = _as_cmat(raw, f"{loc}.mat")
+        mat = _as_cmat(_require(obj, "mat", loc), f"{loc}.mat")
         if mat.shape != (dim, dim):
             raise SchemaError(f"matrix shape {mat.shape} does not match dim {dim}", f"{loc}.mat")
-        return DensityOperator(raw if isinstance(raw, _HandedOver) else mat, tol)
+        return DensityOperator(_HandedOver(mat), tol)  # a fresh array, held nowhere else
 
     if kind == "bipartite":
         dims = _as_dims(_require(obj, "dims", loc), f"{loc}.dims")
@@ -362,7 +310,7 @@ def _chunked_density(data: bytes) -> Optional[dict]:
         return None
 
     rest = data[:start] + b"[]" + data[end:]
-    if b"\\" in rest or rest.count(b'"mat"') != 1:  # an escaped key could spell "mat"
+    if b"\\u" in rest or rest.count(b'"mat"') != 1:  # a \u escape could spell "mat"
         return None
     try:
         tree = _decode(rest)

@@ -507,6 +507,22 @@ class TestArgumentValidation:
         assert captured.out == ""
         assert "unrecognized arguments: --seed 5" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", BELL], ["schmidt", BELL], ["ptrace", BELL, "--keep", "1"]],
+        ids=["classify", "schmidt", "ptrace"],
+    )
+    @pytest.mark.parametrize("dims, bad", [(["0", "4"], "0"), (["4", "0"], "0"),
+                                           (["-2", "2"], "-2"), (["2", "-2"], "-2")],
+                             ids=["0x4", "4x0", "-2x2", "2x-2"])
+    def test_dims_below_one_are_a_usage_error(self, capsys, argv, dims, bad):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--dims", *dims])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --dims: must be at least 1, got {bad}\n" in captured.err
+
 
 class TestRunTolerance:
     @pytest.mark.parametrize("argv", [["classify", BELL], ["verify", "--instances", "1"]],

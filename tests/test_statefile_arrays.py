@@ -1,10 +1,10 @@
-"""Complex arrays in state files: the bulk paths against the per-entry ones.
+"""Complex arrays in state files: the chunked read against the per-entry walk.
 
-``statefile`` converts each ``[re, im]`` vector or matrix in one bulk pass
-when the input is well formed, and falls back to the per-entry walk
-otherwise.  These tests pin the contract: the same values bit for bit, the
-same ``SchemaError`` message and location for every malformed input, and
-the same canonical bytes on output.  json decodes every tree, and orjson
+``statefile`` reads a density's matrix in chunks where it can, and walks
+every other ``[re, im]`` vector or matrix entry by entry in json's tree.
+These tests pin the contract: the same values bit for bit, the same
+``SchemaError`` message and location for every malformed input, and the
+same canonical bytes on output.  json decodes every tree, and orjson
 only the numbers of a density matrix, as flat lists; a read must equal a
 ``json``-only read of the strictly decoded UTF-8 text, state for state and
 error for error.
@@ -37,7 +37,7 @@ from entanglekit import statefile
 from entanglekit.bipartite import BipartiteDims, BipartiteVector, kron_vec, schmidt
 from entanglekit.cli import main
 from entanglekit.errors import SchemaError
-from entanglekit.quantum import MixedEnsemble, PureState, mix
+from entanglekit.quantum import MixedEnsemble, PureState, _HandedOver, mix
 from entanglekit.separability import SeparableDecomposition, classify
 from entanglekit.statefile import (
     classification_to_json,
@@ -182,7 +182,7 @@ def test_integer_too_large_for_a_double_is_a_schema_error(text, loc, tmp_path, c
 
 
 # ---------------------------------------------------------------------------
-# fast parse == per-entry walk, bit for bit
+# the chunked read of a matrix == the per-entry walk, bit for bit
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
                 1.7976931348623157e308, 0.1, 1 / 3]
@@ -201,28 +201,21 @@ def _bits(a: np.ndarray) -> tuple:
     return a.dtype, a.shape, a.tobytes()
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(pairs, min_size=1, max_size=12))
-def test_fast_vector_parse_is_bit_identical_to_the_walk(vec):
-    fast = statefile._fast_complex(vec, 1)
-    assert fast is not None
-    assert _bits(fast) == _bits(statefile._walk_cvec(vec, "$"))
-    assert _bits(statefile._as_cvec(vec, "$")) == _bits(fast)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 5), st.data())
 def test_fast_matrix_parse_is_bit_identical_to_the_walk(rows, cols, data):
+    # the chunked reader, the one fast parse left, on a compact matrix of edge leaves
     mat = data.draw(st.lists(st.lists(pairs, min_size=cols, max_size=cols),
                              min_size=rows, max_size=rows))
-    fast = statefile._fast_complex(mat, 2)
-    assert fast is not None
-    assert _bits(fast) == _bits(statefile._walk_cmat(mat, "$"))
-    assert _bits(statefile._as_cmat(mat, "$")) == _bits(fast)
+    text = json.dumps({"type": "density", "dim": rows, "mat": mat}, separators=(",", ":")).encode()
+    chunk = data.draw(st.one_of(st.none(), _SMALL_CHUNKS))
+    with mock.patch.object(statefile, "_CHUNK_BYTES", chunk or statefile._CHUNK_BYTES):
+        tree = statefile._chunked_density(text)
+    assert _bits(tree["mat"].array) == _bits(statefile._as_cmat(json.loads(text)["mat"], "$"))
 
 
-def test_fast_parse_keeps_signed_zeros():
-    v = statefile._fast_complex([[-0.0, 0.0], [0.0, -0.0]], 1)
+def test_the_walk_keeps_signed_zeros():
+    v = statefile._as_cvec([[-0.0, 0.0], [0.0, -0.0]], "$")
     assert [math.copysign(1, x) for x in (v[0].real, v[0].imag, v[1].real, v[1].imag)] == [
         -1, 1, 1, -1
     ]
@@ -235,7 +228,13 @@ def test_fast_parse_keeps_signed_zeros():
      [[2**1024, 0.0]], [1.0, 0.0]],
 )
 def test_fast_parse_declines_what_the_walk_must_judge(value):
-    assert statefile._fast_complex(value, 1) is None
+    # the chunked reader declines a matrix whose one row is such a vector; the walk refuses it
+    data = json.dumps({"type": "density", "dim": 1, "mat": [value]}, separators=(",", ":")).encode()
+    assert statefile._chunked_density(data) is None
+    with _decode_calls() as calls:
+        outcome = _outcome(loads_state, data)
+    assert outcome[0] is SchemaError and outcome == _outcome(_json_only, data)
+    assert calls.walks == 1
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +680,7 @@ DECODER_EDGES = [
     ("control-character", '{"type": "classical", "space": ["a\tb"], "probs": {"a\tb": 1.0}}'),
     ("empty", ""),
     # the key "mat" spelled with escapes, or "mat" ending a key that holds an escaped quote:
-    # a backslash outside the matrix sends the file to json
+    # a \u escape outside the matrix, or a second "mat", sends the file to json
     ("escaped-mat-after-the-matrix", _compact_density(COMPACT_MAT)[:-1] + ',"m\\u0061t":[]}'),
     ("upper-case-escaped-mat-after-the-matrix",
      _compact_density(COMPACT_MAT)[:-1] + ',"\\u006Dat":1}'),
@@ -900,7 +899,10 @@ _SECOND_MATS = ['"mat":[[[1.0,0.0]]]', '"mat":[]', '"mat":1', '"mat":[ [[1.0,0.0
 _MUTATIONS = ["leaf", "ragged-row", "drop-column", "drop-row", "dim+1", "second-mat-first",
               "second-mat-last", "mat-in-a-nested-object", "file-in-an-array",
               "brackets-in-a-later-string", "trailing-data", "space-in-the-matrix",
-              "number-beside-a-bracket", "empty-slot", "number-across-its-bracket"]
+              "number-beside-a-bracket", "empty-slot", "number-across-its-bracket",
+              "escaped-string-field"]
+# a string field's text with an escape: only the \u escape sends the file to json
+_ESCAPED_STRINGS = [r'"a\\b"', r'"say \"hi\""', r'"\u0061"']
 # number bytes that would join a neighbouring number if the bracket between them were dropped
 _BESIDE_A_BRACKET = ["5", "0", "e0", "E+1", ".5", "-1"]
 
@@ -946,6 +948,12 @@ def _mutated_compact_densities(draw):
             tail = ',"note":"]]]"' + tail
         elif mutation == "trailing-data":
             tail += draw(st.sampled_from([" []", "x", "}", " ", "\n"]))
+        elif mutation == "escaped-string-field":
+            field = '"note":' + draw(st.sampled_from(_ESCAPED_STRINGS))
+            if draw(st.booleans()):
+                head = head[:1] + field + "," + head[1:]
+            else:
+                tail = "," + field + tail
     mat = "[[[" + "]],[[".join("],[".join(row) for row in rows) + "]]]"
     if "space-in-the-matrix" in mutations:
         at = draw(st.integers(1, len(mat) - 1))
@@ -1035,17 +1043,17 @@ def _is_flat_list(data: bytes) -> bool:
 def _decode_calls():
     """What the decoders are given while it runs: the bytes of each
     ``orjson.loads`` call, each one flat list, the length of each text
-    ``json.loads`` decodes, and the number of ``_fast_complex`` calls."""
+    ``json.loads`` decodes, and the number of matrices walked entry by entry."""
     import orjson
 
     with mock.patch.object(orjson, "loads", wraps=orjson.loads) as numbers, \
             mock.patch.object(statefile.json, "loads", wraps=json.loads) as trees, \
-            mock.patch.object(statefile, "_fast_complex", wraps=statefile._fast_complex) as walk:
+            mock.patch.object(statefile, "_as_cmat", wraps=statefile._as_cmat) as cmat:
         calls = types.SimpleNamespace()
         yield calls
     calls.lists = [bytes(c.args[0]) for c in numbers.call_args_list]
     calls.trees = [len(c.args[0]) for c in trees.call_args_list]
-    calls.walks = walk.call_count
+    calls.walks = sum(not isinstance(c.args[0], _HandedOver) for c in cmat.call_args_list)
     assert all(map(_is_flat_list, calls.lists)), calls.lists  # orjson never sees a tree
 
 
@@ -1134,6 +1142,29 @@ def test_an_array_after_the_matrix_keeps_the_chunked_path():
     _assert_read_in_pieces_bit_for_bit((_compact_density(COMPACT_MAT)[:-1] + ',"note":[1,2]}').encode())
 
 
+def _with_a_note(note: str) -> list:
+    """A compact density file with a ``"note"`` field before its matrix, and one with it after."""
+    compact = _compact_density(COMPACT_MAT)
+    return [('{"note":' + note + "," + compact[1:]).encode(),
+            (compact[:-1] + ',"note":' + note + "}").encode()]
+
+
+@pytest.mark.parametrize("note", [r'"a\\b"', r'"say \"hi\""', r'"a \"mat\" b"', r'"\/\b\f\n\r\t"'],
+                         ids=["backslash", "quote", "quoted-mat", "other-escapes"])
+def test_a_string_with_escapes_other_than_u_keeps_the_chunked_path(note):
+    for data in _with_a_note(note):
+        _assert_read_in_pieces_bit_for_bit(data)
+
+
+@pytest.mark.parametrize("note", [r'"\u00e9"', r'"\u0061"', r'"a\\\u0062"'])
+def test_a_u_escape_outside_the_matrix_sends_the_file_to_json(note):
+    for data in _with_a_note(note):
+        with _decode_calls() as calls:
+            outcome = _outcome(loads_state, data)
+        assert outcome == _outcome(_json_only, data)
+        assert (calls.walks, calls.lists, calls.trees) == (1, [], [len(data)])  # json's, and orjson's never
+
+
 _NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                      st.text("0123456789", min_size=1, max_size=120))
 
@@ -1174,6 +1205,23 @@ def test_a_compact_density_keeps_the_array_it_was_read_into():
     assert rho.mat.flags.owndata and not rho.mat.flags.writeable
     refs = sys.getrefcount(rho.mat)  # rho's reference and the call's: no view of it lives
     assert refs == 2
+
+
+def test_a_walked_density_keeps_the_array_it_was_walked_into():
+    walked = []
+
+    def walk(value, loc):
+        mat = as_cmat(value, loc)
+        walked.append(id(mat))
+        return mat
+
+    as_cmat = statefile._as_cmat
+    data = _density_16()[:-1] + b',"note":"]]]"}'  # a later closing triple: json's tree, walked
+    with mock.patch.object(statefile, "_as_cmat", walk):
+        rho = loads_state(data)
+    assert walked == [id(rho.mat)]  # not copied
+    assert rho.mat.flags.owndata and not rho.mat.flags.writeable
+    assert _fingerprint(rho) == _fingerprint(loads_state(_density_16()))
 
 
 def test_a_pretty_density_is_read_in_chunks():
@@ -1296,5 +1344,8 @@ def test_every_state_file_ends_in_a_defined_exit_code(raw, dims, tol, as_json):
         stdin = types.SimpleNamespace(buffer=io.BytesIO(raw))
         with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(io.StringIO()):
             with contextlib.redirect_stderr(io.StringIO()):
-                code = main(args)
+                try:
+                    code = main(args)
+                except SystemExit as exc:  # a usage error: a --dims entry of 0
+                    code = exc.code
         assert code in (0, 2, 3, 4), (args, raw)
