@@ -35,19 +35,20 @@ the contract for every value and every refusal.  The one exception is the
 matrix of a ``"mat"`` key, in any JSON whitespace (space, tab, LF, CR): it
 ends at the last ``]`` that closes three brackets, and with its number bytes
 and whitespace removed it must be exactly the rows x cols x 2 skeleton
-``[[[,],...],...]``.  The rest of the file, with ``[]`` in the matrix's place,
-must hold ``"mat"`` once and no ``\\u`` escape (the only escape that can
-spell a letter of ``"mat"``), and json must decode it to an object whose
-``"mat"`` is that ``[]``.  The matrix text is cut at commas into chunks of
-about ``_CHUNK_BYTES``; each, its brackets made whitespace and no slot empty,
-is decoded by orjson as one flat list of numbers into a slice of one complex
-array, which the density keeps, checked and read-only, without a copy.  No
-tree of the matrix is built: at D=1024 it held about 3 M objects and doubled
-the reading process's peak memory.  Any file this path declines, at any step
-(a number orjson refuses included), is decoded whole by json, so the values
-and the refusals are json's; the valid densities it declines hold a ``\\u``
-escape outside the matrix, a second ``"mat"``, or a later ``]]]`` (in a
-string, say).  orjson, which recurses on the C stack without a limit, is never
+``[[[,],...],...]``.  The rest of the file, with the number ``-0E-0`` in the
+matrix's place (spelled as no writer spells one), must hold that spelling
+once, and json must decode it to an object whose ``"mat"`` is that number:
+json's own escapes and last-key rule decide where the matrix sits.  The
+matrix text is cut at commas into chunks of about ``_CHUNK_BYTES``; each, its
+brackets made whitespace and no slot empty, is decoded by orjson as one flat
+list of numbers into a slice of one complex array, which the density keeps,
+checked and read-only, without a copy.  No tree of the matrix is built: at
+D=1024 it held about 3 M objects and doubled the reading process's peak
+memory.  Any file this path declines, at any step (a number orjson refuses
+included), is decoded whole by json, so the values and the refusals are
+json's; the valid densities it declines hold a later ``]]]`` (in a string,
+say), a second top-level ``"mat"`` key, or the slot's spelling elsewhere in
+the file.  orjson, which recurses on the C stack without a limit, is never
 given a tree.
 """
 
@@ -244,20 +245,12 @@ def loads_state(data: bytes, tol: Tolerance = Tolerance()) -> State:
     The collector stays off while a decoded tree lives, through decoding
     and parsing: the tree has no cycles, and a collection would only walk
     its lists.  Once parsed, the tree is freed, not collected, before the
-    caller's collector state comes back.  A refusal's traceback would keep
-    the parsing frames, and the tree in their locals, alive; those frames
-    are cleared before it propagates.
+    caller's collector state comes back.
     """
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         return parse_state(_chunked_density(data) or _decode(data), tol)  # no name holds the tree
-    except ValueError as exc:  # a refusal
-        tb = exc.__traceback__.tb_next  # the frames below this one, which is still running
-        while tb is not None:
-            tb.tb_frame.clear()
-            tb = tb.tb_next
-        raise
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -279,15 +272,19 @@ _BRACKETS_TO_WHITESPACE = bytes.maketrans(b"[] \t\n\r", b"\t\n    ")
 # "[," and ",]", so translated, as 16-bit words: a slot with no number, such
 # as a number on the wrong side of its bracket leaves ("[0.5,]0,[")
 _EMPTY_SLOTS = (int.from_bytes(b"\t,", "little"), int.from_bytes(b",\n", "little"))
+# The number put in the matrix's place when json decodes the rest of the file,
+# spelled as no writer spells one, and the marker json's parse_float makes of it
+_SLOT = "-0E-0"
+_IN_THE_SLOT = object()
 
 
 def _chunked_density(data: bytes) -> Optional[dict]:
     """json's tree of ``data``, with its ``"mat"`` read by orjson into a complex array.
 
     None, judging nothing, for a file whose matrix is not a skeleton of
-    numbers, whose rest json refuses or does not hold as its one ``"mat"``,
-    and for one whose numbers orjson refuses or leave a slot empty (see the
-    module docstring).
+    numbers, whose rest json refuses or does not decode with the slot as its
+    ``"mat"``, and for one whose numbers orjson refuses or leave a slot empty
+    (see the module docstring).
     """
     found = _MAT_START.search(data)
     if found is None:
@@ -309,14 +306,14 @@ def _chunked_density(data: bytes) -> Optional[dict]:
     if mat != b"[" + (row + b",") * (rows - 1) + row + b"]":
         return None
 
-    rest = data[:start] + b"[]" + data[end:]
-    if b"\\u" in rest or rest.count(b'"mat"') != 1:  # a \u escape could spell "mat"
+    rest = data[:start] + _SLOT.encode() + data[end:]
+    if rest.count(_SLOT.encode()) != 1:  # json must place this one and no other
         return None
     try:
-        tree = _decode(rest)
+        tree = _decode(rest, parse_float=lambda s: _IN_THE_SLOT if s == _SLOT else float(s))
     except SchemaError:
         return None
-    if not isinstance(tree, dict) or tree.get("mat") != []:
+    if not isinstance(tree, dict) or tree.get("mat") is not _IN_THE_SLOT:
         return None
 
     import orjson  # at first use: importing the CLI, or running verify, never loads it
@@ -364,9 +361,9 @@ def _chunks(data: bytes, at: int, stop: int):
     yield at, stop
 
 
-def _decode(data: bytes):
+def _decode(data: bytes, parse_float=None):
     try:
-        return json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"), parse_float=parse_float)
     except UnicodeDecodeError as exc:  # a parse error, as for any text json refuses
         raise SchemaError(f"invalid UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:

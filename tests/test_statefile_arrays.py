@@ -485,8 +485,8 @@ def test_decoding_restores_the_collector_state():
         gc.enable()
 
 
-def _collections_while(read) -> list:
-    """The collections that run during ``read()`` and the allocations after it."""
+def _collections_while(read, allocate_after: bool = True) -> list:
+    """The collections that run during ``read()`` and, with ``allocate_after``, the allocations after it."""
     import gc
 
     collections = []
@@ -498,7 +498,8 @@ def _collections_while(read) -> list:
     gc.callbacks.append(record)
     try:
         read()
-        [[] for _ in range(100)]  # allocations after the read: the tree must not be left to collect
+        if allocate_after:
+            [[] for _ in range(100)]  # the tree must not be left to collect
     finally:
         gc.callbacks.remove(record)
     return collections
@@ -518,13 +519,21 @@ def test_reading_a_density_runs_no_collection():
     assert _collections_while(read) == []
 
 
+def test_reading_a_classical2_file_runs_no_collection():
+    labels = [f"x{k}" for k in range(30)]  # 900 triples, each a list the collector would walk
+    probs = [[x, y, 1 / 900] for x in labels for y in labels]
+    data = json.dumps({"type": "classical2", "spaceX": labels, "spaceY": labels, "probs": probs}).encode()
+    # only while loads_state runs: the state's own 900 points may start a collection after it
+    assert _collections_while(lambda: loads_state(data), allocate_after=False) == []
+
+
 def test_refusing_a_density_runs_no_collection():
     n = 72
     mat = _identity_density(n)
     mat[0][0][0] = -0.5  # one negative eigenvalue: the constructor refuses the matrix
     text = json.dumps({"type": "density", "dim": n, "mat": mat})
 
-    def read():  # the refusal's traceback must not keep the tree alive for a collection
+    def read():  # read in chunks and refused by the constructor: no tree is built to collect
         with pytest.raises(ValueError, match="must be positive"):
             loads_state(text.encode())
 
@@ -680,7 +689,7 @@ DECODER_EDGES = [
     ("control-character", '{"type": "classical", "space": ["a\tb"], "probs": {"a\tb": 1.0}}'),
     ("empty", ""),
     # the key "mat" spelled with escapes, or "mat" ending a key that holds an escaped quote:
-    # a \u escape outside the matrix, or a second "mat", sends the file to json
+    # json's decode of the rest, the slot in the matrix's place, says which "mat" holds it
     ("escaped-mat-after-the-matrix", _compact_density(COMPACT_MAT)[:-1] + ',"m\\u0061t":[]}'),
     ("upper-case-escaped-mat-after-the-matrix",
      _compact_density(COMPACT_MAT)[:-1] + ',"\\u006Dat":1}'),
@@ -894,15 +903,17 @@ def _compact_densities(draw):
 
 
 _SPLICED_LEAVES = ["true", "null", '"0.5"', "1e400", "NaN", "-0", str(2**64), str(-(2**70) - 3),
-                   "+0.5", "01"]
+                   "+0.5", "01", statefile._SLOT]
 _SECOND_MATS = ['"mat":[[[1.0,0.0]]]', '"mat":[]', '"mat":1', '"mat":[ [[1.0,0.0]]]']
 _MUTATIONS = ["leaf", "ragged-row", "drop-column", "drop-row", "dim+1", "second-mat-first",
               "second-mat-last", "mat-in-a-nested-object", "file-in-an-array",
               "brackets-in-a-later-string", "trailing-data", "space-in-the-matrix",
               "number-beside-a-bracket", "empty-slot", "number-across-its-bracket",
-              "escaped-string-field"]
-# a string field's text with an escape: only the \u escape sends the file to json
+              "escaped-string-field", "slot-spelling"]
+# a string field's text with an escape, which json's decode of the rest reads as it reads the file
 _ESCAPED_STRINGS = [r'"a\\b"', r'"say \"hi\""', r'"\u0061"']
+# the number the reader puts in the matrix's place, as a field's value, in a string, in an array
+_SLOT_SPELLINGS = [statefile._SLOT, f'"{statefile._SLOT}"', f"[1,{statefile._SLOT}]"]
 # number bytes that would join a neighbouring number if the bracket between them were dropped
 _BESIDE_A_BRACKET = ["5", "0", "e0", "E+1", ".5", "-1"]
 
@@ -948,8 +959,9 @@ def _mutated_compact_densities(draw):
             tail = ',"note":"]]]"' + tail
         elif mutation == "trailing-data":
             tail += draw(st.sampled_from([" []", "x", "}", " ", "\n"]))
-        elif mutation == "escaped-string-field":
-            field = '"note":' + draw(st.sampled_from(_ESCAPED_STRINGS))
+        elif mutation in ("escaped-string-field", "slot-spelling"):
+            values = _ESCAPED_STRINGS if mutation == "escaped-string-field" else _SLOT_SPELLINGS
+            field = '"note":' + draw(st.sampled_from(values))
             if draw(st.booleans()):
                 head = head[:1] + field + "," + head[1:]
             else:
@@ -1106,7 +1118,7 @@ def test_a_compact_density_of_dimension_16_is_never_decoded_whole():
         with mock.patch.object(statefile, "_CHUNK_BYTES", chunk), _decode_calls() as calls:
             state = loads_state(data)
         assert calls.walks == 0
-        assert calls.trees == [len(data) - len(mat) + 2]  # json decodes the rest, "[]" in the matrix's place
+        assert calls.trees == [len(data) - len(mat) + len(statefile._SLOT)]  # the rest, the slot in place
         # orjson is given the matrix's chunks, in order, each one chunk long or one number
         assert b",".join(c[1:-1] for c in calls.lists) == mat.translate(statefile._BRACKETS_TO_WHITESPACE)
         assert all(len(c) - 2 <= chunk or b"," not in c for c in calls.lists)
@@ -1156,13 +1168,38 @@ def test_a_string_with_escapes_other_than_u_keeps_the_chunked_path(note):
         _assert_read_in_pieces_bit_for_bit(data)
 
 
-@pytest.mark.parametrize("note", [r'"\u00e9"', r'"\u0061"', r'"a\\\u0062"'])
-def test_a_u_escape_outside_the_matrix_sends_the_file_to_json(note):
+# (case, note): json's decode of the rest still holds the slot as its "mat"
+_NOTES_BESIDE = [("u-escape", r'"\u00e9"'), ("u-escape-of-a-letter", r'"\u0061"'),
+                 ("backslash-then-u-escape", r'"a\\\u0062"'), ("mat-string", '"mat"'),
+                 ("mat-strings-in-an-array", '["mat", "mat"]'), ("mat-key-of-a-nested-object", '{"mat": 1}'),
+                 ("mat-ending-a-key-with-an-escaped-quote", r'{"x\"mat": 1}')]
+
+
+@pytest.mark.parametrize("note", [n for _, n in _NOTES_BESIDE], ids=[c for c, _ in _NOTES_BESIDE])
+def test_a_note_beside_the_matrix_keeps_the_chunked_path(note):
     for data in _with_a_note(note):
+        _assert_read_in_pieces_bit_for_bit(data)
+
+
+_DECLINED = [  # (case, files): each a valid density or a refusal, read by json whole
+    ("slot-spelling-as-a-value", _with_a_note(statefile._SLOT)),
+    ("slot-spelling-in-a-string", _with_a_note(f'"x{statefile._SLOT}"')),
+    ("slot-spelling-as-the-top-level-mat",  # the matrix is the value of the key x"mat
+     [('{"type":"density","dim":2,"x\\"mat":' + COMPACT_MAT + f',"mat":{statefile._SLOT}}}').encode()]),
+    ("escaped-mat-after-the-matrix-wins",
+     [(_compact_density(COMPACT_MAT)[:-1] + ',"m\\u0061t":5}').encode()]),
+    ("matrix-in-a-nested-object", [('{"type":"density","dim":2,"x":{"mat":' + COMPACT_MAT + "}}").encode()]),
+]  # a later closing triple: test_a_later_closing_triple_sends_the_file_to_the_whole_tree_path
+
+
+@pytest.mark.parametrize("files", [f for _, f in _DECLINED], ids=[c for c, _ in _DECLINED])
+def test_a_matrix_json_would_not_place_at_the_top_level_mat_is_declined(files):
+    for data in files:
+        assert statefile._chunked_density(data) is None
         with _decode_calls() as calls:
             outcome = _outcome(loads_state, data)
         assert outcome == _outcome(_json_only, data)
-        assert (calls.walks, calls.lists, calls.trees) == (1, [], [len(data)])  # json's, and orjson's never
+        assert calls.lists == [] and calls.trees[-1] == len(data)  # json judged the whole file
 
 
 _NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
