@@ -45,9 +45,9 @@ TOL_ENV_VAR = "ENTANGLEKIT_TOL"
 _SIDE_NAMES = {1: "first", 2: "second"}
 
 
-def _resolve_tolerance(value: Optional[float]) -> Tolerance:
-    if value is not None:
-        return Tolerance(value)
+def _resolve_tolerance(tol: Optional[Tolerance]) -> Tolerance:
+    if tol is not None:
+        return tol
     env = os.environ.get(TOL_ENV_VAR)
     if env is not None:
         try:
@@ -72,10 +72,10 @@ def _int_at_least(low: int):
     return parse
 
 
-def _tolerance(text: str) -> float:
+def _tolerance(text: str) -> Tolerance:
     """An argparse type: a positive finite real, else a usage error naming the flag."""
     try:
-        return Tolerance(float(text)).eps
+        return Tolerance(float(text))
     except ValueError as exc:  # not a number, or not a tolerance
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -197,7 +197,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         type=_tolerance,
         default=None,
         metavar="EPS",
-        help=f"relative tolerance (default {DEFAULT_EPS}; {TOL_ENV_VAR} overrides)",
+        help=f"relative tolerance ({TOL_ENV_VAR} sets the default, else {DEFAULT_EPS}; "
+        "--tol overrides it)",
     )
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit the canonical JSON report")

@@ -143,17 +143,6 @@ def range_basis(rho: DensityOperator, tol: Tolerance = Tolerance()) -> list[np.n
     return list(basis)
 
 
-def _orthonormal_span(vectors: list[np.ndarray], tol: Tolerance) -> np.ndarray:
-    """Orthonormal columns spanning the given vectors."""
-    u, s, _ = np.linalg.svd(np.column_stack(vectors), full_matrices=False)
-    return u[:, : count_above(s, tol)]
-
-
-def _in_span(v: np.ndarray, basis_columns: np.ndarray, tol: Tolerance) -> bool:
-    residual = v - basis_columns @ (basis_columns.conj().T @ v)
-    return _norm(residual) <= tol.eps * _norm(v)
-
-
 def check_range_criterion(dec: SeparableDecomposition, tol: Tolerance = Tolerance()) -> bool:
     """Verify span{x_i (x) y_i} equals the range of the assembled density.
 
@@ -165,21 +154,19 @@ def check_range_criterion(dec: SeparableDecomposition, tol: Tolerance = Toleranc
     When eps lies above every eigenvalue the range is empty: the cut is then
     ``eps`` and the reverse containment holds vacuously.
     """
-    rho = separable_density(dec)
-    basis = range_basis(rho, tol)
-    range_columns = np.zeros((rho.dim, 0), dtype=complex)
-    largest = 0.0
-    if basis:
-        range_columns = np.column_stack(basis)
-        largest = float(np.vdot(basis[0], rho.mat @ basis[0]).real)
-    cut = tol.eps * max(1.0, largest)
+    values, vectors = np.linalg.eigh(separable_density(dec).mat)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    k = count_above(values, tol)
+    basis = vectors[:, :k].T.copy()  # one contiguous row per range vector
+    cut = tol.eps * max(1.0, float(values[0])) if k else tol.eps
     terms = [(p, _outer_flat(x.vec, y.vec)) for p, x, y in dec.terms if p > 0.0]
     for p, t in terms:
-        outside = t - range_columns @ (range_columns.conj().T @ t)
+        outside = t - basis.T @ (basis.conj() @ t)
         if p * float(np.vdot(outside, outside).real) > cut:
             return False
-    span_columns = _orthonormal_span([t for _, t in terms], tol)
-    return all(_in_span(b, span_columns, tol) for b in basis)
+    u, s, _ = np.linalg.svd(np.column_stack([t for _, t in terms]), full_matrices=False)
+    span = u[:, : count_above(s, tol)]
+    return all(_norm(b - span @ (span.conj().T @ b)) <= tol.eps * _norm(b) for b in basis)
 
 
 def _unit_schmidt(t: BipartiteVector, tol: Tolerance) -> SchmidtDecomposition:

@@ -175,25 +175,25 @@ def _as_dims(value, loc: str) -> BipartiteDims:
     return BipartiteDims(_as_int(pair[0], f"{loc}[0]"), _as_int(pair[1], f"{loc}[1]"))
 
 
-def parse_state(obj, tol: Tolerance = Tolerance(), loc: str = "$") -> State:
+def parse_state(obj, tol: Tolerance = Tolerance()) -> State:
     """Build the domain object described by a decoded JSON payload."""
-    obj = _as_dict(obj, loc)
-    kind = _as_str(_require(obj, "type", loc), f"{loc}.type")
+    obj = _as_dict(obj, "$")
+    kind = _as_str(_require(obj, "type", "$"), "$.type")
 
     if kind == "classical":
-        space = PhaseSpace(_as_labels(_require(obj, "space", loc), f"{loc}.space"))
-        raw = _as_dict(_require(obj, "probs", loc), f"{loc}.probs")
+        space = PhaseSpace(_as_labels(_require(obj, "space", "$"), "$.space"))
+        raw = _as_dict(_require(obj, "probs", "$"), "$.probs")
         probs = {
-            _as_str(k, f"{loc}.probs"): _as_number(v, f"{loc}.probs.{k}") for k, v in raw.items()
+            _as_str(k, "$.probs"): _as_number(v, f"$.probs.{k}") for k, v in raw.items()
         }
         return ClassicalState(space, probs)
 
     if kind == "classical2":
-        space_x = PhaseSpace(_as_labels(_require(obj, "spaceX", loc), f"{loc}.spaceX"))
-        space_y = PhaseSpace(_as_labels(_require(obj, "spaceY", loc), f"{loc}.spaceY"))
+        space_x = PhaseSpace(_as_labels(_require(obj, "spaceX", "$"), "$.spaceX"))
+        space_y = PhaseSpace(_as_labels(_require(obj, "spaceY", "$"), "$.spaceY"))
         probs: dict[tuple[str, str], float] = {}
-        for k, entry in enumerate(_as_list(_require(obj, "probs", loc), f"{loc}.probs")):
-            eloc = f"{loc}.probs[{k}]"
+        for k, entry in enumerate(_as_list(_require(obj, "probs", "$"), "$.probs")):
+            eloc = f"$.probs[{k}]"
             triple = _as_list(entry, eloc)
             if len(triple) != 3:
                 raise SchemaError(f"expected [labelX, labelY, p], got length {len(triple)}", eloc)
@@ -204,27 +204,27 @@ def parse_state(obj, tol: Tolerance = Tolerance(), loc: str = "$") -> State:
         return CompositeClassicalState(space_x, space_y, probs)
 
     if kind == "pure":
-        return PureState(_as_cvec(_require(obj, "vec", loc), f"{loc}.vec"), tol)
+        return PureState(_as_cvec(_require(obj, "vec", "$"), "$.vec"), tol)
 
     if kind == "density":
-        dim = _as_int(_require(obj, "dim", loc), f"{loc}.dim")
-        mat = _as_cmat(_require(obj, "mat", loc), f"{loc}.mat")
+        dim = _as_int(_require(obj, "dim", "$"), "$.dim")
+        mat = _as_cmat(_require(obj, "mat", "$"), "$.mat")
         if mat.shape != (dim, dim):
-            raise SchemaError(f"matrix shape {mat.shape} does not match dim {dim}", f"{loc}.mat")
+            raise SchemaError(f"matrix shape {mat.shape} does not match dim {dim}", "$.mat")
         return DensityOperator(_HandedOver(mat), tol)  # a fresh array, held nowhere else
 
     if kind == "bipartite":
-        dims = _as_dims(_require(obj, "dims", loc), f"{loc}.dims")
-        vec = _as_cvec(_require(obj, "vec", loc), f"{loc}.vec")
+        dims = _as_dims(_require(obj, "dims", "$"), "$.dims")
+        vec = _as_cvec(_require(obj, "vec", "$"), "$.vec")
         if vec.shape[0] != dims.total:
-            raise SchemaError(f"vector length {vec.shape[0]} does not match dims {dims}", f"{loc}.vec")
+            raise SchemaError(f"vector length {vec.shape[0]} does not match dims {dims}", "$.vec")
         return BipartiteVector(vec, dims)
 
     if kind == "separable":
-        dims = _as_dims(_require(obj, "dims", loc), f"{loc}.dims")
+        dims = _as_dims(_require(obj, "dims", "$"), "$.dims")
         terms = []
-        for k, entry in enumerate(_as_list(_require(obj, "terms", loc), f"{loc}.terms")):
-            eloc = f"{loc}.terms[{k}]"
+        for k, entry in enumerate(_as_list(_require(obj, "terms", "$"), "$.terms")):
+            eloc = f"$.terms[{k}]"
             entry = _as_dict(entry, eloc)
             p = _as_number(_require(entry, "p", eloc), f"{eloc}.p")
             x = PureState(_as_cvec(_require(entry, "x", eloc), f"{eloc}.x"), tol)
@@ -232,7 +232,7 @@ def parse_state(obj, tol: Tolerance = Tolerance(), loc: str = "$") -> State:
             terms.append((p, x, y))
         return SeparableDecomposition(dims, tuple(terms))
 
-    raise SchemaError(f"unknown state type {kind!r}; expected one of {STATE_TYPES}", f"{loc}.type")
+    raise SchemaError(f"unknown state type {kind!r}; expected one of {STATE_TYPES}", "$.type")
 
 
 def loads_state(data: bytes, tol: Tolerance = Tolerance()) -> State:

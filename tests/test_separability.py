@@ -21,6 +21,7 @@ from entanglekit.separability import (
     range_basis,
     separable_density,
 )
+from entanglekit.verify import rand_separable_decomposition
 
 D22 = BipartiteDims(2, 2)
 E = np.eye(2, dtype=complex)
@@ -223,6 +224,27 @@ class TestRangeCriterion:
         only_first = DensityOperator(np.diag([1.0, 0.0, 0.0, 0.0]), tol)
         monkeypatch.setattr(separability, "separable_density", lambda dec: only_first)
         assert not check_range_criterion(dec, tol)
+
+    @pytest.mark.parametrize("seed", [3, 21, 40])
+    def test_an_empty_range_keeps_the_cut_at_eps(self, seed):
+        # one product term of weight 1 whose |t|**2 computes as 1 + 4e-16; at
+        # eps = 1 no eigenvalue clears eps * max(1, largest), so the range is
+        # empty and the cut is eps itself, which the term exceeds.  eigh puts
+        # the largest eigenvalue at 1 + 2e-16 (seed 3) or 1 + 4e-16 (21, 40):
+        # a cut taken from it would pass the last two
+        tol = Tolerance(1.0)
+        dec = rand_separable_decomposition(np.random.default_rng(seed), D22, 1)
+        assert range_basis(separable_density(dec), tol) == []
+        assert not check_range_criterion(dec, tol)
+
+    @pytest.mark.parametrize("eps, rank_", [(1e-9, 3), (1.0, 0)])
+    def test_one_eigh_and_one_svd(self, decompositions, eps, rank_):
+        tol = Tolerance(eps)
+        dec = rand_separable_decomposition(np.random.default_rng(3), D22, 3)
+        assert len(range_basis(separable_density(dec), tol)) == rank_
+        decompositions.clear()
+        check_range_criterion(dec, tol)
+        assert decompositions == {"eigh": 1, "svd": 1}
 
 
 class TestClassify:
