@@ -6,6 +6,13 @@ stored keys are exactly the support.  Composite systems live on the
 cartesian product of two label sets, and every operation here is exact
 rational-style arithmetic on doubles: no renormalization ever happens
 behind the caller's back.
+
+States are validated when read, trusted when built: the point masses,
+products, marginals and certificates the library builds from validated
+states are made with ``_built`` and not checked again.  A product or a
+marginal of a state at the edge of the weight rule is kept as computed,
+and may miss the rule when read back, as a partial trace may miss the
+tolerance.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .bipartite import BipartiteDims, Side
-from .linalg import Tolerance, check_weights, count_above
+from .linalg import Tolerance, _built, check_weights, count_above
 
 
 @dataclass(frozen=True)
@@ -156,38 +163,28 @@ class ClassicalSeparableCert:
 
 
 def classical_pure(space: PhaseSpace, label: str) -> ClassicalState:
-    """The state assigning total probability to a single label.
-
-    One weight of exactly 1.0 passes every check, so the state is built
-    without running them; an unknown label is still refused.
-    """
+    """The state assigning total probability to a label of ``space``; a weight of 1.0 needs no check."""
     label = space.labels[space.index(label)]
-    state = object.__new__(ClassicalState)
-    object.__setattr__(state, "space", space)
-    object.__setattr__(state, "probs", {label: 1.0})
-    return state
+    return _built(ClassicalState, space=space, probs={label: 1.0})
 
 
 def classical_tensor(f: ClassicalState, g: ClassicalState) -> CompositeClassicalState:
-    """Product density: (f (x) g)(x, y) = f(x) * g(y)."""
-    probs = {(x, y): px * py for x, px in f.probs.items() for y, py in g.probs.items()}
-    return CompositeClassicalState(f.space, g.space, probs)
+    """Product density: (f (x) g)(x, y) = f(x) * g(y), on its support (an underflow to 0.0 is dropped)."""
+    products = (((x, y), px * py) for x, px in f.probs.items() for y, py in g.probs.items())
+    probs = {pt: p for pt, p in products if p > 0.0}
+    return _built(CompositeClassicalState, space_x=f.space, space_y=g.space, probs=probs)
 
 
 def marginal(h: CompositeClassicalState, side: Side) -> ClassicalState:
-    """Sum out the discarded coordinate, keeping ``side``."""
-    probs: dict[str, float] = {}
-    if side == "first":
-        space = h.space_x
-        for (x, _), p in h.probs.items():
-            probs[x] = probs.get(x, 0.0) + p
-    elif side == "second":
-        space = h.space_y
-        for (_, y), p in h.probs.items():
-            probs[y] = probs.get(y, 0.0) + p
-    else:
+    """Sum out the discarded coordinate, keeping ``side``; the labels come in space order."""
+    if side not in ("first", "second"):
         raise ValueError(f"side must be 'first' or 'second', got {side!r}")
-    return ClassicalState(space, probs)
+    k = 0 if side == "first" else 1
+    space = (h.space_x, h.space_y)[k]
+    sums = dict.fromkeys(space.labels, 0.0)
+    for point, p in h.probs.items():
+        sums[point[k]] += p
+    return _built(ClassicalState, space=space, probs={lab: p for lab, p in sums.items() if p > 0.0})
 
 
 def classify_classical(h: CompositeClassicalState) -> ClassicalSeparableCert:
@@ -197,11 +194,9 @@ def classify_classical(h: CompositeClassicalState) -> ClassicalSeparableCert:
     weight, and the pure states at its coordinates as the product factors.
     This never fails; recombining the certificate reproduces the input.
     """
-    terms = [
-        (p, classical_pure(h.space_x, x), classical_pure(h.space_y, y))
-        for (x, y), p in h.probs.items()
-    ]
-    return ClassicalSeparableCert(tuple(terms))
+    sx, sy = h.space_x, h.space_y
+    terms = tuple((p, classical_pure(sx, x), classical_pure(sy, y)) for (x, y), p in h.probs.items())
+    return _built(ClassicalSeparableCert, terms=terms)
 
 
 def is_product_composite(

@@ -7,7 +7,8 @@ readable (default) or canonical JSON (``--json``).  Exit codes:
     0  success
     1  verification failure
     2  parse or schema error
-    3  state invariant violation (bad normalization, dims mismatch, ...)
+    3  state invariant violation (bad normalization, dims mismatch, ...),
+       or an input file that cannot be read (missing, or a directory)
     4  zero vector where a nonzero one is required
     5  the report could not be written (stdout was closed or full)
 """
@@ -210,18 +211,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="entanglement/separability verdict")
+    dims = argparse.ArgumentParser(add_help=False)
+    dims.add_argument("--dims", type=_int_at_least(1), nargs=2, metavar=("D1", "D2"), default=None)
+
+    p = sub.add_parser("classify", parents=[common, dims], help="entanglement/separability verdict")
     p.add_argument("path", help="state file, or - for stdin")
-    p.add_argument("--dims", type=_int_at_least(1), nargs=2, metavar=("D1", "D2"), default=None)
 
-    p = sub.add_parser("schmidt", parents=[common], help="Schmidt coefficients and factors")
+    p = sub.add_parser("schmidt", parents=[common, dims], help="Schmidt coefficients and factors")
     p.add_argument("path", help="bipartite state file, or - for stdin")
-    p.add_argument("--dims", type=_int_at_least(1), nargs=2, metavar=("D1", "D2"), default=None)
 
-    p = sub.add_parser("ptrace", parents=[common], help="partial trace of a bipartite state")
+    p = sub.add_parser("ptrace", parents=[common, dims], help="partial trace of a bipartite state")
     p.add_argument("path", help="bipartite/pure/density file, or - for stdin")
     p.add_argument("--keep", type=int, choices=(1, 2), required=True)
-    p.add_argument("--dims", type=_int_at_least(1), nargs=2, metavar=("D1", "D2"), default=None)
 
     p = sub.add_parser("marginal", parents=[common], help="marginal of a composite classical state")
     p.add_argument("path", help="classical2 file, or - for stdin")

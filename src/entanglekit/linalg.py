@@ -34,6 +34,14 @@ class Tolerance:
         object.__setattr__(self, "eps", eps)
 
 
+def _built(cls, **fields):
+    """An instance of the frozen state dataclass ``cls`` with ``fields`` set, and no check run."""
+    state = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(state, name, value)
+    return state
+
+
 def check_weights(weights, what: str, name=None) -> list[float]:
     """Return the weights as floats if each is finite and >= 0 and, summed in order, they make 1.
 

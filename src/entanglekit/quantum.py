@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ZeroVectorError
-from .linalg import Tolerance, _checked_matrix, _is_positive, _norm, as_matrix, as_vector, check_weights
+from .linalg import Tolerance, _built, _checked_matrix, _is_positive, _norm, as_matrix, as_vector, check_weights
 
 
 def check_unit_norm(v: np.ndarray, tol: Tolerance) -> None:
@@ -86,16 +86,10 @@ class _HandedOver(NamedTuple):
 
 
 def _built_density(m: np.ndarray) -> DensityOperator:
-    """A ``DensityOperator`` on m, a matrix the library assembled from validated states.
-
-    No check runs: the operations that build m preserve positivity and unit
-    trace, so m is made read-only and complex and set as it is.
-    """
+    """A ``DensityOperator`` on m, assembled from validated states: complex, read-only, unchecked."""
     m = np.asarray(m, dtype=complex)
     m.flags.writeable = False
-    rho = object.__new__(DensityOperator)
-    object.__setattr__(rho, "mat", m)
-    return rho
+    return _built(DensityOperator, mat=m)
 
 
 @dataclass(frozen=True)

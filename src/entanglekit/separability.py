@@ -19,7 +19,7 @@ import numpy as np
 
 from .bipartite import BipartiteDims, BipartiteVector, SchmidtDecomposition, schmidt
 from .classical import ClassicalSeparableCert, CompositeClassicalState, classify_classical
-from .linalg import Tolerance, _norm, _outer_flat, check_weights, count_above
+from .linalg import Tolerance, _built, _norm, _outer_flat, check_weights, count_above
 from .quantum import DensityOperator, PureState, _built_density, check_unit_norm
 
 
@@ -206,8 +206,8 @@ def classify(
       * BipartiteVector: its norm is checked, then it is decided by Schmidt
         rank; product factors are recovered for rank one, the full Schmidt
         data is attached for rank >= 2.
-      * Rank-one DensityOperator: its range vector, a unit vector as
-        computed, goes to the pure-state path above without a norm check.
+      * Rank-one DensityOperator: its read-only range vector, a unit vector
+        as computed, goes to the pure-state path above unchecked and uncopied.
       * SeparableDecomposition: separable by construction; the range
         criterion is checked and attached.
       * Any other DensityOperator: Undetermined, with a range report from
@@ -230,7 +230,7 @@ def classify(
                 "a density has rank >= 1"
             )
         if len(basis) == 1:
-            return _classify_pure_vector(BipartiteVector(basis[0], dims), tol)
+            return _classify_pure_vector(_built(BipartiteVector, vec=basis[0], dims=dims), tol)
         coeffs = np.linalg.svd(np.reshape(basis, (len(basis), dims.d1, dims.d2)), compute_uv=False)
         ranks = tuple(count_above(coeffs, tol).tolist())
         report = RangeReport(tuple(basis), ranks, all(r == 1 for r in ranks))

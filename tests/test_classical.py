@@ -1,7 +1,16 @@
-"""Classical densities: purity, decomposition, products, marginals."""
+"""Classical densities: purity, decomposition, products, marginals.
+
+The states the library builds from validated states (a point mass, a
+product, a marginal, a certificate) are not checked again; property tests
+confirm that they are classical states all the same.
+"""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entanglekit.classical import (
     ClassicalSeparableCert,
@@ -15,6 +24,7 @@ from entanglekit.classical import (
     marginal,
 )
 from entanglekit.linalg import Tolerance
+from entanglekit.separability import Verdict, classify
 from entanglekit.verify import _suite_classical_decomposition
 
 AB = PhaseSpace(("a", "b"))
@@ -232,3 +242,137 @@ def test_refusal_names_its_cause(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+class TestBuiltAtTheEdge:
+    """States built from states that passed the weight rule are not refused again."""
+
+    def test_tensor_of_edge_states_is_the_products(self):
+        # each sum is 1 + 0.9e-9, inside the rule; the product's,
+        # 1.0000000018000001, is not, and is kept as computed
+        f = ClassicalState(AB, {"a": 0.5, "b": 0.5 + 0.9e-9})
+        g = ClassicalState(CD, {"c": 0.5, "d": 0.5 + 0.9e-9})
+        h = classical_tensor(f, g)
+        expected = [((x, y), px * py) for x, px in f.probs.items() for y, py in g.probs.items()]
+        assert list(h.probs.items()) == expected
+        assert sum(h.probs.values()) == 1.0000000018000001
+
+    def test_a_product_that_underflows_is_dropped(self):
+        f = ClassicalState(AB, {"a": 1e-200, "b": 1.0})
+        g = ClassicalState(CD, {"c": 1e-200, "d": 1.0})
+        assert classical_tensor(f, g).support == (("a", "d"), ("b", "c"), ("b", "d"))
+
+
+class TestTrustedBuilds:
+    def test_builders_run_no_constructor_check(self, monkeypatch):
+        f = ClassicalState(AB, {"a": 0.3, "b": 0.7})
+        g = ClassicalState(CD, {"c": 0.6, "d": 0.4})
+        h = CompositeClassicalState(AB, CD, {("a", "c"): 0.5, ("a", "d"): 0.2, ("b", "d"): 0.3})
+
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} was checked again")
+
+        for cls in (ClassicalState, CompositeClassicalState, ClassicalSeparableCert):
+            monkeypatch.setattr(cls, "__post_init__", refuse)
+        assert classical_tensor(f, g).probs == {("a", "c"): 0.3 * 0.6, ("a", "d"): 0.3 * 0.4,
+                                                ("b", "c"): 0.7 * 0.6, ("b", "d"): 0.7 * 0.4}
+        assert marginal(h, "first").probs == {"a": 0.5 + 0.2, "b": 0.3}
+        assert marginal(h, "second").probs == {"c": 0.5, "d": 0.2 + 0.3}
+        assert len(classify_classical(h).terms) == 3
+        assert classify(h).verdict is Verdict.CLASSICAL_SEPARABLE
+
+
+_EDGE = 0.9e-9  # a weight sum this far from 1 still passes the rule
+
+
+@st.composite
+def _weights(draw, n, edge=True):
+    """n weights, some zero or tiny enough that their products underflow.
+
+    They sum to 1 up to rounding, or, with ``edge``, to 1 +- 0.9e-9.
+    """
+    mass = draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=n))
+    k = n - len(mass)
+    tiny = draw(st.lists(st.sampled_from([0.0, 5e-324, 1e-200]), min_size=k, max_size=k))
+    weights = [m / sum(mass) for m in mass]
+    if edge:
+        weights[0] += draw(st.floats(-_EDGE, _EDGE))
+    return draw(st.permutations(weights + tiny))
+
+
+def _space(prefix, n):
+    return PhaseSpace(tuple(f"{prefix}{k}" for k in range(n)))
+
+
+@st.composite
+def _states(draw, prefix, edge=True):
+    space = _space(prefix, draw(st.integers(1, 5)))
+    return ClassicalState(space, dict(zip(space.labels, draw(_weights(len(space), edge)))))
+
+
+@st.composite
+def _composites(draw):
+    sx, sy = _space("x", draw(st.integers(1, 4))), _space("y", draw(st.integers(1, 4)))
+    points = [(x, y) for x in sx.labels for y in sy.labels]
+    return CompositeClassicalState(sx, sy, dict(zip(points, draw(_weights(len(points))))))
+
+
+def _total(state):
+    return sum(state.probs.values())
+
+
+def _rounding(n):
+    """A bound on the relative rounding error of n products and sums of weights."""
+    return 2 * (n + 2) * np.finfo(float).eps
+
+
+def _assert_support_in_order(probs, points):
+    """The keys of probs are the points with weight > 0, in the order of ``points``."""
+    assert all(p > 0.0 for p in probs.values())
+    assert list(probs) == [pt for pt in points if pt in probs]
+
+
+class TestBuiltStatesAreClassical:
+    @settings(max_examples=150, deadline=None)
+    @given(f=_states("x"), g=_states("y"))
+    def test_tensor(self, f, g):
+        h = classical_tensor(f, g)
+        points = [(x, y) for x in f.space.labels for y in g.space.labels]
+        _assert_support_in_order(h.probs, points)
+        assert set(h.probs) <= {(x, y) for x in f.probs for y in g.probs}
+        n = len(f.probs) + len(g.probs) + len(h.probs)
+        assert abs(_total(h) - _total(f) * _total(g)) <= _rounding(n) * _total(f) * _total(g)
+        products = {(x, y): f.prob(x) * g.prob(y) for x, y in points}
+        if abs(sum(products.values()) - 1.0) <= Tolerance().eps:  # the constructor accepts them
+            checked = CompositeClassicalState(f.space, g.space, products)
+            assert list(checked.probs.items()) == list(h.probs.items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=_composites(), side=st.sampled_from(["first", "second"]))
+    def test_marginal(self, h, side):
+        m = marginal(h, side)
+        k = 0 if side == "first" else 1
+        _assert_support_in_order(m.probs, m.space.labels)
+        assert m.space == (h.space_x, h.space_y)[k]
+        assert set(m.probs) == {pt[k] for pt in h.probs}
+        assert abs(_total(m) - _total(h)) <= _rounding(len(h.probs)) * _total(h)
+        for lab, p in m.probs.items():
+            exact = math.fsum(q for pt, q in h.probs.items() if pt[k] == lab)
+            assert abs(p - exact) <= _rounding(len(h.probs)) * exact
+
+    @settings(max_examples=100, deadline=None)
+    @given(h=_composites())
+    def test_certificate(self, h):
+        cert = classify_classical(h)
+        assert [p for p, _, _ in cert.terms] == list(h.probs.values())
+        assert [(fx.support[0], gy.support[0]) for _, fx, gy in cert.terms] == list(h.probs)
+        assert all(fx.probs == {fx.support[0]: 1.0} and gy.is_pure for _, fx, gy in cert.terms)
+        assert cert.recombine().probs == h.probs
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=_states("x", edge=False), g=_states("y", edge=False))
+    def test_marginals_give_back_the_factors(self, f, g):
+        h = classical_tensor(f, g)
+        for factor, side in ((f, "first"), (g, "second")):
+            m = marginal(h, side)
+            assert max(abs(m.prob(lab) - factor.prob(lab)) for lab in factor.space.labels) <= 1e-12

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from entanglekit.cli import main
+from entanglekit.linalg import Tolerance
 from entanglekit.statefile import dumps_canonical, loads_state
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -217,6 +218,11 @@ class TestExitCodes:
     def test_missing_file_is_3(self, capsys):
         code, out, err = _run(capsys, "classify", "/nonexistent/state.json")
         assert code == 3
+
+    def test_directory_is_3(self, capsys, tmp_path):
+        code, out, err = _run(capsys, "classify", str(tmp_path))
+        assert (code, out) == (3, "")
+        assert err.startswith("entanglekit: ")
 
     def test_pure_without_dims_is_3(self, capsys, tmp_path):
         pure = tmp_path / "pure.json"
@@ -638,6 +644,29 @@ class TestBuiltDensitiesAtTheEdge:
         assert code == 0
         assert report["result"]["verdict"] == "QuantumSeparableByConstruction"
         assert report["result"]["certificate"]["range_criterion_passed"] is True
+
+
+class TestBuiltClassicalStatesAtTheEdge:
+    """Classical states the library builds from accepted input are not refused again."""
+
+    def test_marginal_of_an_accepted_composite_is_emitted_as_computed(self, capsys, tmp_path):
+        # the joint weights sum to 1 + 1e-9 less a rounding, inside the rule;
+        # the second marginal's two sums make exactly 1.000000001, outside it
+        path = tmp_path / "edge_classical2.json"
+        path.write_text(json.dumps({"type": "classical2", "spaceX": ["a", "b"], "spaceY": ["c", "d"],
+                                    "probs": [["a", "c", 0.56909392158058], ["a", "d", 0.2454078265868757],
+                                              ["b", "c", 0.1392254710815327],
+                                              ["b", "d", 0.04627278175101156]]}))
+        for argv in (["classify"], ["marginal", "--side", "1"]):
+            code, out, err = _run(capsys, argv[0], str(path), *argv[1:], "--json")
+            assert code == 0, err
+        code, out, err = _run(capsys, "marginal", str(path), "--side", "2", "--json")
+        assert (code, err) == (0, "")
+        assert '"result":{"type":"classical","space":["c","d"],' \
+            '"probs":{"c":0.70831939266211275,"d":0.29168060833788728}}' in out
+        reduced = dumps_canonical(json.loads(out)["result"]).encode()
+        with pytest.raises(ValueError, match=r"^probabilities must sum to 1, got 1\.000000001$"):
+            loads_state(reduced, Tolerance())
 
 
 class TestToleranceAboveEveryCoefficient:
