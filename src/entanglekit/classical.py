@@ -17,7 +17,7 @@ tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,6 +31,7 @@ class PhaseSpace:
     """Ordered, finite set of distinct configuration labels."""
 
     labels: tuple[str, ...]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)  # label -> position
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -39,20 +40,21 @@ class PhaseSpace:
             raise ValueError("phase space needs at least one label")
         if any(not isinstance(lab, str) or not lab for lab in labels):
             raise ValueError("phase space labels must be non-empty strings")
-        if len(set(labels)) != len(labels):
+        index = {lab: k for k, lab in enumerate(labels)}
+        if len(index) != len(labels):
             raise ValueError("phase space labels must be unique")
+        object.__setattr__(self, "_index", index)
 
     def __contains__(self, label) -> bool:
-        return label in self.labels
+        return isinstance(label, str) and label in self._index
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise ValueError(f"label {label!r} not in phase space {self.labels}") from None
+        if label not in self:
+            raise ValueError(f"label {label!r} not in phase space {self.labels}")
+        return self._index[label]
 
 
 @dataclass(frozen=True)

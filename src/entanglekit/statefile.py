@@ -98,52 +98,40 @@ def _require(obj: dict, key: str, loc: str) -> Any:
     return obj[key]
 
 
-def _as_dict(value, loc: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(f"expected an object, got {type(value).__name__}", loc)
-    return value
+# the JSON type each kind names; a bool is neither an integer nor a number
+_KINDS = {"an object": dict, "an array": list, "a string": str, "an integer": int,
+          "a number": (int, float)}
 
 
-def _as_list(value, loc: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(f"expected an array, got {type(value).__name__}", loc)
-    return value
-
-
-def _as_str(value, loc: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"expected a string, got {type(value).__name__}", loc)
+def _as(value, kind: str, loc: str):
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind]):
+        raise SchemaError(f"expected {kind}, got {type(value).__name__}", loc)
     return value
 
 
 def _as_number(value, loc: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"expected a number, got {type(value).__name__}", loc)
     try:
-        x = float(value)
+        x = float(_as(value, "a number", loc))
     except OverflowError:
-        message = f"number does not fit a double: an integer with {len(str(abs(value)))} digits"
+        from decimal import Decimal  # at first use: only a refused integer pays its import
+
+        digits = Decimal(value).adjusted() + 1  # str() refuses an integer past 4300 digits
+        message = f"number does not fit a double: an integer with {digits} digits"
         raise SchemaError(message, loc) from None
     if not math.isfinite(x):
         raise SchemaError(f"number must be finite, got {value!r}", loc)
     return x
 
 
-def _as_int(value, loc: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"expected an integer, got {type(value).__name__}", loc)
-    return value
-
-
 def _as_complex(value, loc: str) -> complex:
-    pair = _as_list(value, loc)
+    pair = _as(value, "an array", loc)
     if len(pair) != 2:
         raise SchemaError(f"complex entry must be a [re, im] pair, got length {len(pair)}", loc)
     return complex(_as_number(pair[0], f"{loc}[0]"), _as_number(pair[1], f"{loc}[1]"))
 
 
 def _as_cvec(value, loc: str) -> np.ndarray:
-    entries = _as_list(value, loc)
+    entries = _as(value, "an array", loc)
     if not entries:
         raise SchemaError("vector must be non-empty", loc)
     return np.array([_as_complex(e, f"{loc}[{k}]") for k, e in enumerate(entries)])
@@ -152,7 +140,7 @@ def _as_cvec(value, loc: str) -> np.ndarray:
 def _as_cmat(value, loc: str) -> np.ndarray:
     if isinstance(value, _HandedOver):  # read in chunks by _chunked_density
         return value.array
-    rows = _as_list(value, loc)
+    rows = _as(value, "an array", loc)
     if not rows:
         raise SchemaError("matrix must be non-empty", loc)
     parsed = [_as_cvec(row, f"{loc}[{k}]") for k, row in enumerate(rows)]
@@ -164,27 +152,27 @@ def _as_cmat(value, loc: str) -> np.ndarray:
 
 
 def _as_labels(value, loc: str) -> tuple[str, ...]:
-    entries = _as_list(value, loc)
-    return tuple(_as_str(e, f"{loc}[{k}]") for k, e in enumerate(entries))
+    entries = _as(value, "an array", loc)
+    return tuple(_as(e, "a string", f"{loc}[{k}]") for k, e in enumerate(entries))
 
 
 def _as_dims(value, loc: str) -> BipartiteDims:
-    pair = _as_list(value, loc)
+    pair = _as(value, "an array", loc)
     if len(pair) != 2:
         raise SchemaError(f"dims must be a [d1, d2] pair, got length {len(pair)}", loc)
-    return BipartiteDims(_as_int(pair[0], f"{loc}[0]"), _as_int(pair[1], f"{loc}[1]"))
+    return BipartiteDims(*(_as(d, "an integer", f"{loc}[{k}]") for k, d in enumerate(pair)))
 
 
 def parse_state(obj, tol: Tolerance = Tolerance()) -> State:
     """Build the domain object described by a decoded JSON payload."""
-    obj = _as_dict(obj, "$")
-    kind = _as_str(_require(obj, "type", "$"), "$.type")
+    obj = _as(obj, "an object", "$")
+    kind = _as(_require(obj, "type", "$"), "a string", "$.type")
 
     if kind == "classical":
         space = PhaseSpace(_as_labels(_require(obj, "space", "$"), "$.space"))
-        raw = _as_dict(_require(obj, "probs", "$"), "$.probs")
+        raw = _as(_require(obj, "probs", "$"), "an object", "$.probs")
         probs = {
-            _as_str(k, "$.probs"): _as_number(v, f"$.probs.{k}") for k, v in raw.items()
+            _as(k, "a string", "$.probs"): _as_number(v, f"$.probs.{k}") for k, v in raw.items()
         }
         return ClassicalState(space, probs)
 
@@ -192,12 +180,12 @@ def parse_state(obj, tol: Tolerance = Tolerance()) -> State:
         space_x = PhaseSpace(_as_labels(_require(obj, "spaceX", "$"), "$.spaceX"))
         space_y = PhaseSpace(_as_labels(_require(obj, "spaceY", "$"), "$.spaceY"))
         probs: dict[tuple[str, str], float] = {}
-        for k, entry in enumerate(_as_list(_require(obj, "probs", "$"), "$.probs")):
+        for k, entry in enumerate(_as(_require(obj, "probs", "$"), "an array", "$.probs")):
             eloc = f"$.probs[{k}]"
-            triple = _as_list(entry, eloc)
+            triple = _as(entry, "an array", eloc)
             if len(triple) != 3:
                 raise SchemaError(f"expected [labelX, labelY, p], got length {len(triple)}", eloc)
-            key = (_as_str(triple[0], f"{eloc}[0]"), _as_str(triple[1], f"{eloc}[1]"))
+            key = tuple(_as(lab, "a string", f"{eloc}[{j}]") for j, lab in enumerate(triple[:2]))
             if key in probs:
                 raise SchemaError(f"duplicate point {key!r}", eloc)
             probs[key] = _as_number(triple[2], f"{eloc}[2]")
@@ -207,7 +195,7 @@ def parse_state(obj, tol: Tolerance = Tolerance()) -> State:
         return PureState(_as_cvec(_require(obj, "vec", "$"), "$.vec"), tol)
 
     if kind == "density":
-        dim = _as_int(_require(obj, "dim", "$"), "$.dim")
+        dim = _as(_require(obj, "dim", "$"), "an integer", "$.dim")
         mat = _as_cmat(_require(obj, "mat", "$"), "$.mat")
         if mat.shape != (dim, dim):
             raise SchemaError(f"matrix shape {mat.shape} does not match dim {dim}", "$.mat")
@@ -223,9 +211,9 @@ def parse_state(obj, tol: Tolerance = Tolerance()) -> State:
     if kind == "separable":
         dims = _as_dims(_require(obj, "dims", "$"), "$.dims")
         terms = []
-        for k, entry in enumerate(_as_list(_require(obj, "terms", "$"), "$.terms")):
+        for k, entry in enumerate(_as(_require(obj, "terms", "$"), "an array", "$.terms")):
             eloc = f"$.terms[{k}]"
-            entry = _as_dict(entry, eloc)
+            entry = _as(entry, "an object", eloc)
             p = _as_number(_require(entry, "p", eloc), f"{eloc}.p")
             x = PureState(_as_cvec(_require(entry, "x", eloc), f"{eloc}.x"), tol)
             y = PureState(_as_cvec(_require(entry, "y", eloc), f"{eloc}.y"), tol)

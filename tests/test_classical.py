@@ -63,6 +63,21 @@ class TestPhaseSpace:
             PhaseSpace(("a", ""))
 
 
+    def test_lookups_by_label(self):
+        space = PhaseSpace(("b", "a", "c"))
+        assert [space.index(lab) for lab in ("a", "b", "c")] == [1, 0, 2]
+        assert "c" in space and "d" not in space and 1 not in space and ["a"] not in space
+        for label in ("d", ["a"]):
+            with pytest.raises(ValueError, match=r"^label .* not in phase space \('b', 'a', 'c'\)$"):
+                space.index(label)
+
+    def test_the_label_map_is_not_part_of_the_value(self):
+        space = PhaseSpace(["a", "b"])
+        assert repr(space) == "PhaseSpace(labels=('a', 'b'))"
+        assert space == AB and hash(space) == hash(AB)
+        assert space != PhaseSpace(("b", "a"))
+
+
 class TestClassicalState:
     def test_pure_state(self):
         f = classical_pure(AB, "a")

@@ -151,6 +151,30 @@ class TestExitCodes:
         assert code == 2
         assert "schema error" in err
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("[1]", "$: expected an object, got list"),
+            ('{"type": 5}', "$.type: expected a string, got int"),
+            ('{"type": "density", "dim": true, "mat": [[[1.0, 0.0]]]}',
+             "$.dim: expected an integer, got bool"),
+            ('{"type": "bipartite", "dims": [2, 2.0], "vec": [[1.0, 0.0]]}',
+             "$.dims[1]: expected an integer, got float"),
+            ('{"type": "separable", "dims": [1, 1], "terms": [5]}',
+             "$.terms[0]: expected an object, got int"),
+            ('{"type": "classical2", "spaceX": ["a", 1], "spaceY": ["c"], "probs": []}',
+             "$.spaceX[1]: expected a string, got int"),
+            ('{"type": "classical2", "spaceX": ["a"], "spaceY": ["c"], "probs": [5]}',
+             "$.probs[0]: expected an array, got int"),
+        ],
+        ids=["top-level", "type", "dim", "dims", "terms", "spaceX", "probs"],
+    )
+    def test_each_json_type_refusal_is_2(self, capsys, tmp_path, text, line):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = _run(capsys, "classify", str(bad), "--dims", "1", "1")
+        assert (code, out, err) == (2, "", f"entanglekit: schema error: {line}\n")
+
     def test_parse_error_is_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -181,6 +181,19 @@ def test_integer_too_large_for_a_double_is_a_schema_error(text, loc, tmp_path, c
     assert capsys.readouterr().err == f"entanglekit: schema error: {loc}: {HUGE_MESSAGE}\n"
 
 
+@pytest.mark.parametrize(
+    "value, digits",
+    [(10**400, 401), (-(10**400), 401), (10**5000, 5001), (-(10**5000) + 1, 5000)],
+    ids=["401-digits", "minus-401-digits", "5001-digits", "minus-5000-digits"],
+)
+def test_an_integer_past_str_s_digit_limit_is_a_schema_error(value, digits):
+    # only a library caller can pass one: json refuses such a literal in a file
+    with pytest.raises(SchemaError) as info:
+        statefile.parse_state({"type": "pure", "vec": [[value, 0.0]]})
+    message = f"number does not fit a double: an integer with {digits} digits"
+    assert str(info.value) == f"$.vec[0][0]: {message}"
+
+
 # ---------------------------------------------------------------------------
 # the chunked read of a matrix == the per-entry walk, bit for bit
 
