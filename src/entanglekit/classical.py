@@ -57,6 +57,17 @@ class PhaseSpace:
         return self._index[label]
 
 
+def _on_support(probs: dict, points, kind: str) -> dict:
+    """Check ``probs`` as weights on ``points``, in their order, and keep the support."""
+    weights = dict.fromkeys(points, 0.0)
+    for key in probs:
+        if key not in weights:
+            raise ValueError(f"probability assigned to unknown {kind} {key!r}")
+        weights[key] = probs[key]
+    checked = check_weights(weights.values(), "probabilities", lambda k: f"probability of {points[k]!r}")
+    return {pt: p for pt, p in zip(weights, checked) if p > 0.0}
+
+
 @dataclass(frozen=True)
 class ClassicalState:
     """Probability density with finite support on a phase space."""
@@ -65,16 +76,7 @@ class ClassicalState:
     probs: dict[str, float]
 
     def __post_init__(self):
-        for label in self.probs:
-            if label not in self.space:
-                raise ValueError(f"probability assigned to unknown label {label!r}")
-        labels = self.space.labels
-        weights = check_weights(
-            [self.probs.get(label, 0.0) for label in labels],
-            "probabilities",
-            lambda k: f"probability of {labels[k]!r}",
-        )
-        object.__setattr__(self, "probs", {lab: p for lab, p in zip(labels, weights) if p > 0.0})
+        object.__setattr__(self, "probs", _on_support(self.probs, self.space.labels, "label"))
 
     def prob(self, label: str) -> float:
         self.space.index(label)
@@ -98,16 +100,8 @@ class CompositeClassicalState:
     probs: dict[tuple[str, str], float]
 
     def __post_init__(self):
-        for x, y in self.probs:
-            if x not in self.space_x or y not in self.space_y:
-                raise ValueError(f"probability assigned to unknown point ({x!r}, {y!r})")
         points = [(x, y) for x in self.space_x.labels for y in self.space_y.labels]
-        weights = check_weights(
-            [self.probs.get(pt, 0.0) for pt in points],
-            "probabilities",
-            lambda k: f"probability of ({points[k][0]!r}, {points[k][1]!r})",
-        )
-        object.__setattr__(self, "probs", {pt: p for pt, p in zip(points, weights) if p > 0.0})
+        object.__setattr__(self, "probs", _on_support(self.probs, points, "point"))
 
     def prob(self, x: str, y: str) -> float:
         self.space_x.index(x)
@@ -193,11 +187,12 @@ def classify_classical(h: CompositeClassicalState) -> ClassicalSeparableCert:
     """Constructive separability certificate for a composite classical state.
 
     Each support point contributes one term: its probability as the
-    weight, and the pure states at its coordinates as the product factors.
+    weight, and the pure states at its coordinates as the product factors;
+    each label's point mass is built once and shared by its terms.
     This never fails; recombining the certificate reproduces the input.
     """
-    sx, sy = h.space_x, h.space_y
-    terms = tuple((p, classical_pure(sx, x), classical_pure(sy, y)) for (x, y), p in h.probs.items())
+    fx, gy = ({lab: classical_pure(s, lab) for lab in s.labels} for s in (h.space_x, h.space_y))
+    terms = tuple((p, fx[x], gy[y]) for (x, y), p in h.probs.items())
     return _built(ClassicalSeparableCert, terms=terms)
 
 

@@ -255,16 +255,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             report["tolerance"] = tol.eps
             report["result"] = {
                 "seed": args.seed,
-                "suites": [
-                    {
-                        "name": r.name,
-                        "description": r.description,
-                        "passed": r.passed,
-                        "instances": r.instances,
-                        **({"counterexample": r.counterexample} if r.counterexample else {}),
-                    }
-                    for r in results
-                ],
+                "suites": [{k: v for k, v in vars(r).items() if v is not None} for r in results],
                 "all_passed": all(r.passed for r in results),
             }
             exit_code = 0 if report["result"]["all_passed"] else 1

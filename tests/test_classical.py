@@ -247,6 +247,10 @@ REFUSALS = [
      "probability assigned to unknown point ('z', 'c')"),
     ("unknown-y", lambda: CompositeClassicalState(AB, CD, {("a", "c"): 0.5, ("b", "z"): 0.5}),
      "probability assigned to unknown point ('b', 'z')"),
+    ("key-not-a-pair", lambda: CompositeClassicalState(AB, CD, {"ac": 1.0}),
+     "probability assigned to unknown point 'ac'"),
+    ("key-of-three", lambda: CompositeClassicalState(AB, CD, {("a", "c", "e"): 1.0}),
+     "probability assigned to unknown point ('a', 'c', 'e')"),
     ("cert-without-terms", lambda: ClassicalSeparableCert(()),
      "certificate needs at least one term"),
 ]

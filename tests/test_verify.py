@@ -1,9 +1,12 @@
 """The verification-suite machinery itself: determinism and falsifiability."""
 
+import json
+
 import numpy as np
 import pytest
 
 from entanglekit import verify
+from entanglekit.cli import main
 from entanglekit.linalg import Tolerance
 from entanglekit.quantum import DensityOperator
 from entanglekit.separability import product_pure
@@ -92,3 +95,42 @@ def test_every_suite_passes_at_coarse_tolerance(seed, instances):
     # smallest singular value, 0.0096, lies under the cut 1e-3 * 9.69
     for r in run_all(seed=seed, instances=instances, tol=Tolerance(1e-3)):
         assert r.passed, (r.name, r.counterexample)
+
+
+def _fake_suite(name, outcome):
+    def fn(rng, n, tol):
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    fn.suite_name, fn.suite_description = name, f"{name} suite"
+    return fn
+
+
+@pytest.fixture
+def three_outcomes(monkeypatch):
+    # one suite per outcome run_all knows: a pass, a counterexample, a blow-up
+    monkeypatch.setattr(verify, "_SUITES", [
+        _fake_suite("passes", 7),
+        _fake_suite("counterexample", verify._Counterexample({"k": 1})),
+        _fake_suite("blows-up", RuntimeError("boom")),
+    ])
+
+
+def test_run_all_reports_each_outcome(three_outcomes):
+    results = run_all(instances=3)
+    assert [(r.name, r.description, r.passed, r.instances, r.counterexample) for r in results] == [
+        ("passes", "passes suite", True, 7, None),
+        ("counterexample", "counterexample suite", False, 3, {"k": 1}),
+        ("blows-up", "blows-up suite", False, 3, {"error": "RuntimeError: boom"}),
+    ]
+
+
+def test_cli_report_carries_the_suite_fields_in_order(three_outcomes, capsys):
+    assert main(["verify", "--json", "--instances", "3"]) == 1
+    suites = json.loads(capsys.readouterr().out)["result"]["suites"]  # json keeps the key order
+    keys = ["name", "description", "passed", "instances"]
+    assert [list(s) for s in suites] == [keys, keys + ["counterexample"], keys + ["counterexample"]]
+    assert [s.get("counterexample") for s in suites] == [
+        None, {"k": 1}, {"error": "RuntimeError: boom"}
+    ]
