@@ -33,7 +33,6 @@ from .quantum import DensityOperator, PureState, check_unit_norm, projector
 from .separability import SeparableDecomposition, _unit_schmidt, classify, separable_density
 from .statefile import (
     classification_to_json,
-    cvec_to_json,
     dumps_canonical,
     loads_state,
     schmidt_to_json,
@@ -161,8 +160,8 @@ def _render_pretty(command: str, result: dict, out) -> None:
             print(f"schmidt coefficients: {[round(c, 12) for c in coeffs]}", file=out)
         elif kind == "product-factors":
             print("recovered product factors (as [re, im] pairs):", file=out)
-            print(f"  x: {cvec_to_json(cert['x'])}", file=out)
-            print(f"  y: {cvec_to_json(cert['y'])}", file=out)
+            for side in "xy":
+                print(f"  {side}: {[[z.real, z.imag] for z in cert[side].tolist()]}", file=out)
         elif kind == "decomposition":
             terms = cert["decomposition"]["terms"]
             print(f"decomposition terms: {len(terms)}", file=out)

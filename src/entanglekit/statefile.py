@@ -24,10 +24,11 @@ walk of json's tree, which raises the SchemaError naming the exact
 offending element.
 
 Reports carry complex values as the numpy arrays the library holds: the
-``*_to_json`` functions pass 1-D complex arrays (a matrix as a list of its
-rows), and the writer formats each in one pass from its float view, with
-the integral values (and -0.0) sent through ``format_float``.  Lists of
-``[re, im]`` pairs are written entry by entry, with the same bytes.
+``*_to_json`` functions and ``verify``'s counterexamples pass 1-D complex
+arrays (a matrix as a list of its rows), and the writer formats each in one
+pass from its float view, with the integral values (and -0.0) sent through
+``format_float``.  ``_emit_pairs`` is the one place a complex array becomes
+text.
 
 json decodes every tree, and orjson decodes only the numbers of a density
 matrix.  A file is decoded by json, after a strict UTF-8 decode, and json is
@@ -364,16 +365,6 @@ def _decode(data: bytes, parse_float=None):
 # serialization
 
 
-def cvec_to_json(v: np.ndarray) -> list[list[float]]:
-    v = np.asarray(v, dtype=complex).ravel()
-    return np.column_stack((v.real, v.imag)).tolist()
-
-
-def cmat_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    m = np.asarray(m, dtype=complex)
-    return np.stack((m.real, m.imag), axis=-1).tolist()
-
-
 def state_to_json(state: State) -> dict:
     """Wire representation of any of the six state types."""
     if isinstance(state, ClassicalState):
@@ -467,7 +458,7 @@ def format_float(x: float) -> str:
     if x == 0.0:
         x = 0.0  # collapse negative zero
     s = format(x, ".17g")
-    if "." not in s and "e" not in s and "E" not in s:
+    if "." not in s and "e" not in s:
         s += ".0"
     return s
 
@@ -488,7 +479,7 @@ def _emit(obj, out: list[str], depth: int, pretty: bool) -> None:
         out.append("null")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+    elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(float(obj)))

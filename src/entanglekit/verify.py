@@ -3,10 +3,11 @@
 Every suite draws its instances from one shared seeded generator, checks
 the claimed identities against independent inline computations, and
 reports pass/fail together with the first counterexample found.  A check
-that fails raises ``_Counterexample`` right there, with a JSON-ready
-payload built only on that branch; ``run_all`` turns it into the suite's
-result.  Running the suites twice with the same seed produces identical
-results.
+that fails raises ``_Counterexample`` right there, with a payload built
+only on that branch; it holds the suite's own arrays (a matrix as the list
+of its rows), which the canonical writer writes.  ``run_all`` turns it into
+the suite's result.  Running the suites twice with the same seed produces
+identical results.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .separability import (
     range_basis,
     separable_density,
 )
-from .statefile import cmat_to_json, cvec_to_json
 
 DEFAULT_SEED = 1729
 DEFAULT_INSTANCES = 200
@@ -304,30 +304,26 @@ def _suite_self_adjoint(rng, n, tol):
         m = rand_hermitian(rng, d)
         if not is_hermitian(m, tol):
             raise _Counterexample(
-                {"matrix": cmat_to_json(m), "reason": "is_hermitian refused a Hermitian matrix"}
+                {"matrix": list(m), "reason": "is_hermitian refused a Hermitian matrix"}
             )
         for _ in range(50):
             x = rand_unit_vector(rng, d)
             im = complex(np.vdot(x, m @ x)).imag
             if not abs(im) <= tol.eps:
-                raise _Counterexample(
-                    {"matrix": cmat_to_json(m), "vector": cvec_to_json(x), "imag_part": im}
-                )
+                raise _Counterexample({"matrix": list(m), "vector": x, "imag_part": im})
     for k in range(n - n // 2):
         d = int(rng.integers(2, 7))
         m = rand_nonhermitian(rng, d)
         if is_hermitian(m, tol):
             raise _Counterexample(
-                {"matrix": cmat_to_json(m), "reason": "is_hermitian accepted a non-Hermitian matrix"}
+                {"matrix": list(m), "reason": "is_hermitian accepted a non-Hermitian matrix"}
             )
         found = any(
             abs(complex(np.vdot(x, m @ x)).imag) > tol.eps
             for x in (rand_unit_vector(rng, d) for _ in range(100))
         )
         if not found:
-            raise _Counterexample(
-                {"matrix": cmat_to_json(m), "reason": "no complex witness in 100 draws"}
-            )
+            raise _Counterexample({"matrix": list(m), "reason": "no complex witness in 100 draws"})
     # the classic real 2x2 counterexample: real realness does not imply self-adjoint
     a = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
     if is_hermitian(a, tol):
@@ -335,9 +331,7 @@ def _suite_self_adjoint(rng, n, tol):
     for _ in range(1000):
         x = rng.standard_normal(2).astype(complex)
         if not complex(np.vdot(x, a @ x)).imag == 0.0:
-            raise _Counterexample(
-                {"vector": cvec_to_json(x), "reason": "real witness unexpectedly complex"}
-            )
+            raise _Counterexample({"vector": x, "reason": "real witness unexpectedly complex"})
     witness = complex(np.vdot(np.array([1.0, 1j]), a @ np.array([1.0, 1j])))
     if not witness == 2 + 2j:
         raise _Counterexample({"witness_value": [witness.real, witness.imag]})
@@ -346,7 +340,7 @@ def _suite_self_adjoint(rng, n, tol):
         d = int(rng.integers(1, 7))
         u, v = rand_complex(rng, d), rand_complex(rng, d)
         if not abs(np.vdot(u, v) - np.conj(np.vdot(v, u))) <= 1e-12:
-            raise _Counterexample({"u": cvec_to_json(u), "v": cvec_to_json(v)})
+            raise _Counterexample({"u": u, "v": v})
     return n
 
 
@@ -378,12 +372,12 @@ def _suite_positive_factorization(rng, n, tol):
         t = b.conj().T @ b
         if not is_positive(t, tol):
             raise _Counterexample(
-                {"matrix": cmat_to_json(t), "reason": "is_positive refused a positive matrix"}
+                {"matrix": list(t), "reason": "is_positive refused a positive matrix"}
             )
         b2 = _factor_positive(t, tol)
         err = float(np.abs(b2.conj().T.copy() @ b2 - t).max())
         if not err <= 1e-8 * max(1.0, float(np.abs(t).max())):
-            raise _Counterexample({"matrix": cmat_to_json(t), "reconstruction_error": err})
+            raise _Counterexample({"matrix": list(t), "reconstruction_error": err})
     for k in range(n - n // 2):
         d = int(rng.integers(2, 9))
         u = rand_unitary(rng, d)
@@ -392,14 +386,14 @@ def _suite_positive_factorization(rng, n, tol):
         h = (u * values) @ u.conj().T
         if is_positive(h, tol):
             raise _Counterexample(
-                {"matrix": cmat_to_json(h), "reason": "is_positive accepted a non-positive matrix"}
+                {"matrix": list(h), "reason": "is_positive accepted a non-positive matrix"}
             )
         try:
             _factor_positive(h, tol)
         except ValueError:
             continue
         raise _Counterexample(
-            {"matrix": cmat_to_json(h), "reason": "factor_positive accepted a non-positive input"}
+            {"matrix": list(h), "reason": "factor_positive accepted a non-positive input"}
         )
     return n
 
@@ -415,7 +409,7 @@ def _suite_projector_laws(rng, n, tol):
         p = projector(x)
 
         def fail(reason):
-            return _Counterexample({"vector": cvec_to_json(x.vec), "reason": reason})
+            return _Counterexample({"vector": x.vec, "reason": reason})
 
         if not is_hermitian(p.mat, tol):
             raise fail("not self-adjoint")
@@ -430,9 +424,7 @@ def _suite_projector_laws(rng, n, tol):
         a = rand_hermitian(rng, d)
         gap = abs(complex(np.trace(a @ p.mat)) - complex(np.vdot(x.vec, a @ x.vec)))
         if not gap <= 1e-9:
-            raise _Counterexample(
-                {"observable": cmat_to_json(a), "vector": cvec_to_json(x.vec), "gap": gap}
-            )
+            raise _Counterexample({"observable": list(a), "vector": x.vec, "gap": gap})
     return n
 
 
@@ -533,7 +525,7 @@ def _suite_schmidt_dichotomy(rng, n, tol):
         dec = schmidt(t, tol)
 
         def fail(reason):
-            return _Counterexample({"vector": cvec_to_json(t.vec), "reason": reason})
+            return _Counterexample({"vector": t.vec, "reason": reason})
 
         if not dec.rank >= 2:
             raise fail("independent pair gave rank < 2")
@@ -554,9 +546,7 @@ def _suite_schmidt_dichotomy(rng, n, tol):
         if t.norm < 0.1:
             continue
         if not schmidt(t, tol).rank == 1:
-            raise _Counterexample(
-                {"vector": cvec_to_json(t.vec), "reason": "dependent pair not elementary"}
-            )
+            raise _Counterexample({"vector": t.vec, "reason": "dependent pair not elementary"})
     # bilinearity of the tensor product, including the null tensor
     for k in range(n):
         d1, d2 = int(rng.integers(2, 5)), int(rng.integers(2, 5))
@@ -606,9 +596,7 @@ def _suite_product_projector(rng, n, tol):
         built = product_pure(x, y).mat
         err = max(float(np.abs(joint - split).max()), float(np.abs(joint - built).max()))
         if not err <= 1e-10:
-            raise _Counterexample(
-                {"x": cvec_to_json(x.vec), "y": cvec_to_json(y.vec), "max_abs_difference": err}
-            )
+            raise _Counterexample({"x": x.vec, "y": y.vec, "max_abs_difference": err})
     return n
 
 
@@ -624,9 +612,7 @@ def _suite_product_states(rng, n, tol):
         result = classify(t, tol=tol)
 
         def fail(reason):
-            return _Counterexample(
-                {"x": cvec_to_json(x.vec), "y": cvec_to_json(y.vec), "reason": reason}
-            )
+            return _Counterexample({"x": x.vec, "y": y.vec, "reason": reason})
 
         if result.verdict is not Verdict.QUANTUM_PRODUCT_PURE:
             raise fail("not product-pure")
@@ -686,10 +672,7 @@ def _suite_range_criterion(rng, n, tol):
             raise _Counterexample(
                 {
                     "dims": [dec.dims.d1, dec.dims.d2],
-                    "terms": [
-                        {"p": p, "x": cvec_to_json(x.vec), "y": cvec_to_json(y.vec)}
-                        for p, x, y in dec.terms
-                    ],
+                    "terms": [{"p": p, "x": x.vec, "y": y.vec} for p, x, y in dec.terms],
                 }
             )
     return n
@@ -717,7 +700,7 @@ def _suite_entangled_pure(rng, n, tol):
 
         def fail(reason):
             return _Counterexample(
-                {"dims": [t.dims.d1, t.dims.d2], "vector": cvec_to_json(t.vec), "reason": reason}
+                {"dims": [t.dims.d1, t.dims.d2], "vector": t.vec, "reason": reason}
             )
 
         if not (result.verdict is Verdict.QUANTUM_ENTANGLED_PURE) == expected_entangled:
@@ -775,9 +758,7 @@ def _suite_traceless_commutators(rng, n, tol):
         xm, pm = rand_complex(rng, d, d), rand_complex(rng, d, d)
         val = complex(np.trace(xm @ pm - pm @ xm))
         if not abs(val) <= 1e-9:
-            raise _Counterexample(
-                {"x": cmat_to_json(xm), "p": cmat_to_json(pm), "trace": [val.real, val.imag]}
-            )
+            raise _Counterexample({"x": list(xm), "p": list(pm), "trace": [val.real, val.imag]})
     same = rand_complex(rng, 4, 4)
     if not np.trace(same @ same - same @ same) == 0:
         raise _Counterexample({"reason": "tr[X, X] not exactly zero"})
@@ -792,7 +773,7 @@ def _suite_trace_basis_independence(rng, n, tol):
         u = rand_unitary(rng, d)
         basis_sum = sum(complex(np.vdot(u[:, i], m @ u[:, i])) for i in range(d))
         if not abs(basis_sum - complex(np.trace(m))) <= 1e-9:
-            raise _Counterexample({"matrix": cmat_to_json(m), "basis": cmat_to_json(u)})
+            raise _Counterexample({"matrix": list(m), "basis": list(u)})
     return n
 
 

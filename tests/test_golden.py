@@ -139,8 +139,6 @@ def test_regeneration_writes_each_missing_input_as_committed(tmp_path, monkeypat
 
 def _generic_states(seed: int = 20260) -> dict:
     """Seeded random states with generic floats (17-digit, negative, tiny)."""
-    from entanglekit.statefile import cmat_to_json, cvec_to_json
-
     rng = np.random.default_rng(seed)
 
     def unit(d):
@@ -154,16 +152,13 @@ def _generic_states(seed: int = 20260) -> dict:
     probs = rng.dirichlet(np.ones(4)).tolist()
     probs[3] = 1.0 - sum(probs[:3])
     return {
-        "entangled_3x4": {"type": "bipartite", "dims": [3, 4], "vec": cvec_to_json(unit(12))},
-        "product_pure_2x3": {"type": "pure", "vec": cvec_to_json(np.kron(unit(2), unit(3)))},
-        "density_2x3_rank3": {"type": "density", "dim": 6, "mat": cmat_to_json(rho)},
+        "entangled_3x4": {"type": "bipartite", "dims": [3, 4], "vec": unit(12)},
+        "product_pure_2x3": {"type": "pure", "vec": np.kron(unit(2), unit(3))},
+        "density_2x3_rank3": {"type": "density", "dim": 6, "mat": list(rho)},
         "separable_3x2_4terms": {
             "type": "separable",
             "dims": [3, 2],
-            "terms": [
-                {"p": float(p), "x": cvec_to_json(unit(3)), "y": cvec_to_json(unit(2))}
-                for p in weights
-            ],
+            "terms": [{"p": float(p), "x": unit(3), "y": unit(2)} for p in weights],
         },
         "correlated_3x3": {
             "type": "classical2",
@@ -182,8 +177,6 @@ def _full_rank_4x4(seed: int = 20261) -> dict:
     16-vector range basis carries integral leaves (0.0, -0.0 and 1.0) among
     generic ones, and the report's writer must patch them.
     """
-    from entanglekit.statefile import cmat_to_json
-
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
     rho = np.zeros((16, 16), dtype=complex)
@@ -192,7 +185,7 @@ def _full_rank_4x4(seed: int = 20261) -> dict:
     rho[[0, 5, 10, 15], [0, 5, 10, 15]] = [3.0, 2.0, 1.0, 0.5]
     rho /= np.trace(rho).real
     rho = (rho + rho.conj().T) / 2
-    return {"density_4x4_full_rank": {"type": "density", "dim": 16, "mat": cmat_to_json(rho)}}
+    return {"density_4x4_full_rank": {"type": "density", "dim": 16, "mat": list(rho)}}
 
 
 def _write_missing_inputs() -> None:

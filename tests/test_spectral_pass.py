@@ -30,7 +30,6 @@ from entanglekit.separability import (
 )
 from entanglekit.statefile import (
     classification_to_json,
-    cmat_to_json,
     dumps_canonical,
     loads_state,
     state_to_json,
@@ -223,7 +222,7 @@ class TestDecompositionBudget:
 
     def test_a_non_positive_density_is_judged_by_eigvalsh(self, decompositions):
         mat = np.diag([0.5, 0.5 + 1e-6, -1e-6, 0.0]).astype(complex)
-        text = dumps_canonical({"type": "density", "dim": 4, "mat": cmat_to_json(mat)})
+        text = dumps_canonical({"type": "density", "dim": 4, "mat": list(mat)})
         decompositions.clear()
         with pytest.raises(ValueError, match="must be positive"):
             loads_state(text.encode(), TOL)

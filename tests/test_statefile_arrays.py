@@ -37,17 +37,18 @@ from entanglekit import statefile
 from entanglekit.bipartite import BipartiteDims, BipartiteVector, kron_vec, schmidt
 from entanglekit.cli import main
 from entanglekit.errors import SchemaError
+from entanglekit.linalg import Tolerance
 from entanglekit.quantum import MixedEnsemble, PureState, _HandedOver, mix
 from entanglekit.separability import SeparableDecomposition, classify
 from entanglekit.statefile import (
     classification_to_json,
-    cvec_to_json,
     dumps_canonical,
     format_float,
     loads_state,
     schmidt_to_json,
     state_to_json,
 )
+from entanglekit.verify import run_all
 
 GOOD_VEC = "[[1.0, 0.0], [0.0, 0.0]]"
 GOOD_MAT = "[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]"
@@ -323,7 +324,12 @@ def test_bulk_emitter_rejects_non_finite(bad, pretty):
         dumps_canonical({"vec": [[0.5, 0.0], [bad, 0.0]]}, pretty=pretty)
 
 
-# a complex array is written as the [re, im] lists that cvec_to_json makes of it
+def _pair_lists(vec) -> list:
+    """The reference form of a complex vector: one ``[re, im]`` list of floats per entry."""
+    return [[z.real, z.imag] for z in np.asarray(vec, dtype=complex).tolist()]
+
+
+# a complex array is written as its [re, im] lists
 _ARRAY_LEAVES = st.one_of(
     finite,
     st.sampled_from([-0.0, 1e16, -1e16, 1e16 + 2, 1e17, -1e17, 1e17 + 16, 9007199254740993.0,
@@ -334,7 +340,7 @@ _ARRAY_LEAVES = st.one_of(
 
 def _assert_written_as_its_pair_lists(vec, pretty):
     payload = {"basis": [vec, vec[::-1]], "rank": len(vec)}
-    expected = {"basis": [cvec_to_json(vec), cvec_to_json(vec[::-1])], "rank": len(vec)}
+    expected = {"basis": [_pair_lists(vec), _pair_lists(vec[::-1])], "rank": len(vec)}
     assert dumps_canonical(payload, pretty=pretty) == dumps_canonical(expected, pretty=pretty)
 
 
@@ -359,7 +365,7 @@ def test_single_precision_array_is_written_as_its_pair_lists(pretty):
 def test_complex_array_refuses_non_finite_as_its_lists_do(bad, pretty):
     vec = np.array([0.5 + 0j, complex(0.5, bad)])
     with pytest.raises(ValueError) as from_lists:
-        dumps_canonical([cvec_to_json(vec)], pretty=pretty)
+        dumps_canonical([_pair_lists(vec)], pretty=pretty)
     with pytest.raises(ValueError) as from_array:
         dumps_canonical([vec], pretty=pretty)
     message = f"cannot serialize non-finite float {bad!r}"
@@ -414,9 +420,9 @@ def _report_payloads(draw):
 
 
 def _with_pair_lists(payload):
-    """``payload`` with every 1-D complex array replaced by its ``cvec_to_json`` list."""
+    """``payload`` with every 1-D complex array replaced by its ``[re, im]`` lists."""
     if isinstance(payload, np.ndarray) and payload.ndim == 1 and payload.dtype.kind == "c":
-        return cvec_to_json(payload)
+        return _pair_lists(payload)
     if isinstance(payload, dict):
         return {k: _with_pair_lists(v) for k, v in payload.items()}
     if isinstance(payload, (list, tuple)):
@@ -450,6 +456,19 @@ def test_every_report_payload_is_written_as_its_pair_lists(payloads, pretty):
 @given(_report_payloads())
 def test_no_report_payload_holds_pair_lists(payloads):
     assert not any(map(_holds_pair_lists, payloads))
+
+
+# verify's counterexamples hold the suites' own arrays, a matrix as the list of its rows
+@pytest.mark.parametrize("tol", [2.0, 0.5, 1e-17])
+@pytest.mark.parametrize("seed", [1729, 5])
+def test_every_verify_counterexample_is_written_as_its_pair_lists(seed, tol):
+    results = run_all(seed, instances=5, tol=Tolerance(tol))
+    payloads = [r.counterexample for r in results if not r.passed]
+    assert not any(map(_holds_pair_lists, payloads))
+    assert sum(_holds_pair_lists(_with_pair_lists(p)) for p in payloads) >= 2
+    for payload, pretty in itertools.product(payloads, (False, True)):
+        expected = dumps_canonical(_with_pair_lists(payload), pretty=pretty)
+        assert dumps_canonical(payload, pretty=pretty) == expected
 
 
 @pytest.mark.parametrize(

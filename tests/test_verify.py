@@ -1,6 +1,10 @@
 """The verification-suite machinery itself: determinism and falsifiability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,3 +138,13 @@ def test_cli_report_carries_the_suite_fields_in_order(three_outcomes, capsys):
     assert [s.get("counterexample") for s in suites] == [
         None, {"k": 1}, {"error": "RuntimeError: boom"}
     ]
+
+
+def test_importing_verify_leaves_the_file_format_unloaded():
+    # the suites hand their arrays to whoever writes the report; they need no file format
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(verify.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    script = "import sys, entanglekit.verify\nprint('entanglekit.statefile' in sys.modules)\n"
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert (run.stdout, run.stderr) == ("False\n", "")
