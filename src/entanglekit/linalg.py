@@ -15,6 +15,7 @@ import numpy as np
 
 DEFAULT_EPS = 1e-9
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_HERMITIAN_BLOCK = 128  # rows per block of the Hermiticity sweep
 
 
 @dataclass(frozen=True)
@@ -135,9 +136,25 @@ def is_hermitian(m, tol: Tolerance = Tolerance()) -> bool:
 
 
 def _is_hermitian(m: np.ndarray, tol: Tolerance) -> bool:
-    """``is_hermitian`` of a square matrix ``as_matrix`` has already coerced."""
-    scale = max(1.0, float(np.abs(m).max()))
-    return bool(np.abs(m - m.conj().T).max() <= tol.eps * scale)
+    """``is_hermitian`` of a square matrix ``as_matrix`` has already coerced.
+
+    The rule is ``max|m - m^H| <= eps * max(1, max|m|)``.  It is decided on
+    the upper triangle alone, swept in blocks of ``_HERMITIAN_BLOCK`` rows,
+    so no full-size temporary is built.  That is the rule bit for bit:
+    ``|m_ij - conj(m_ji)|`` and ``|m_ji - conj(m_ij)|`` have real parts of
+    opposite sign and the same imaginary part (IEEE subtraction is exactly
+    sign-symmetric, addition commutes) and ``abs`` ignores signs, so the
+    triangle holds every value of the full difference.  ``max|m|`` is
+    computed only when the worst difference exceeds ``eps``, the least
+    threshold the rule can have.  Up to ``_HERMITIAN_BLOCK`` rows, the one
+    block is the whole matrix.
+    """
+    k = _HERMITIAN_BLOCK
+    worst = max(
+        float(np.abs(m[a : a + k, a:] - m[a:, a : a + k].conj().T).max())
+        for a in range(0, m.shape[0], k)
+    )
+    return worst <= tol.eps or worst <= tol.eps * max(1.0, float(np.abs(m).max()))
 
 
 def is_positive(m, tol: Tolerance = Tolerance()) -> bool:

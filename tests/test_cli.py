@@ -1,10 +1,14 @@
 """CLI behavior on the canonical sample states: verdicts, exit codes, determinism."""
 
+import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -425,9 +429,6 @@ def test_the_dims_rule(capsys, command, kind, dims, code, err):
 
 class TestStdinAndEnv:
     def test_stdin_input(self, capsys, monkeypatch, tmp_path):
-        import io
-        import sys
-
         text = Path(BELL).read_text()
         monkeypatch.setattr(
             sys, "stdin", type("S", (), {"buffer": io.BytesIO(text.encode())})()
@@ -467,6 +468,57 @@ class TestReportShape:
         code2, out2, _ = _run(capsys, "classify", BELL, "--json")
         assert code1 == code2 == 0
         assert _strip_timing(out1) == _strip_timing(out2)
+
+
+class TestInputDigest:
+    """``input_digest`` is the sha256 of the input bytes, taken on a thread beside the parse."""
+
+    BELL_DIGEST = "sha256:" + hashlib.sha256(Path(BELL).read_bytes()).hexdigest()
+
+    def test_digest_of_a_file(self, capsys):
+        code, report = _run_json(capsys, "classify", BELL)
+        assert (code, report["input_digest"]) == (0, self.BELL_DIGEST)
+
+    def test_digest_of_stdin(self, capsys, monkeypatch):
+        raw = Path(BELL).read_bytes()
+        monkeypatch.setattr(sys, "stdin", type("S", (), {"buffer": io.BytesIO(raw)})())
+        code, report = _run_json(capsys, "classify", "-")
+        assert (code, report["input_digest"]) == (0, self.BELL_DIGEST)
+
+    @pytest.mark.parametrize(
+        "argv, text, code",
+        [
+            (["classify"], Path(BELL).read_text(), 0),
+            (["classify"], '{"type": "wavefunction"}', 2),
+            (["schmidt", "--dims", "2", "2"], '{"type": "pure", "vec": [[0.7071, 0], [0.7071, 0]]}', 3),
+            (["schmidt"], '{"type": "bipartite", "dims": [2, 2], "vec": [[0,0],[0,0],[0,0],[0,0]]}', 4),
+        ],
+        ids=["ok", "schema", "invariant", "zero-vector"],
+    )
+    def test_the_hashing_thread_is_joined_before_main_returns(
+        self, capsys, monkeypatch, tmp_path, argv, text, code
+    ):
+        sha256 = hashlib.sha256
+
+        class SlowSha256:
+            """sha256 that outlasts the parse, so a thread left running would still be counted."""
+
+            def __init__(self):
+                self._h = sha256()
+
+            def update(self, data):
+                time.sleep(0.1)
+                self._h.update(data)
+
+            def hexdigest(self):
+                return self._h.hexdigest()
+
+        monkeypatch.setattr(hashlib, "sha256", SlowSha256)
+        state = tmp_path / "state.json"
+        state.write_text(text)
+        baseline = threading.active_count()
+        assert _run(capsys, argv[0], str(state), *argv[1:])[0] == code
+        assert threading.active_count() == baseline
 
 
 class TestVerifyCommand:

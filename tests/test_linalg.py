@@ -16,6 +16,7 @@ from entanglekit.classical import (
     classical_pure,
 )
 from entanglekit.linalg import (
+    _HERMITIAN_BLOCK,
     DEFAULT_EPS,
     Tolerance,
     as_matrix,
@@ -217,6 +218,67 @@ class TestHermitian:
         for _ in range(50):
             x = _rand_complex(rng, 4)
             assert abs(complex(np.vdot(x, m @ x)).imag) <= 1e-9 * np.linalg.norm(x) ** 2
+
+
+def _full_matrix_rule(m, tol):
+    """``_is_hermitian`` before the one-triangle sweep, kept as the reference."""
+    scale = max(1.0, float(np.abs(m).max()))
+    return bool(np.abs(m - m.conj().T).max() <= tol.eps * scale)
+
+
+@st.composite
+def _one_entry_off_hermitian(draw):
+    """A Hermitian matrix with ``max|m| > 1``, signed zeros, and one planted asymmetry.
+
+    The asymmetry sits in the lower triangle, in the upper triangle, or on
+    the diagonal as an imaginary part; its size lies at, just inside or just
+    outside ``eps`` or ``eps * max|m|``.  It is planted against a signed
+    zero, so the difference is its size exactly.
+    """
+    n = draw(st.integers(1, 300))
+    eps = draw(st.sampled_from([1e-13, 1e-9, 1e-6, 1e-3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = _rand_complex(rng, n, n)
+    m = (a + a.conj().T) / 2  # Hermitian bit for bit
+    k = draw(st.integers(0, n - 1))
+    m[k, k] = draw(st.floats(1.5, 1e3))
+    signed_zeros = rng.choice([0.0, -0.0], size=(n, n, 2)).view(complex)[..., 0]
+    zeros = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.1, 1.0]))
+    zeros &= ~np.eye(n, dtype=bool)
+    m[zeros] = signed_zeros[zeros]
+    # anywhere, within the sweep's last block of rows, or either side of a block edge
+    edges = [e for b in range(_HERMITIAN_BLOCK, n, _HERMITIAN_BLOCK) for e in (b - 1, b)]
+    index = draw(st.sampled_from([
+        st.integers(0, n - 1),
+        st.integers((n - 1) // _HERMITIAN_BLOCK * _HERMITIAN_BLOCK, n - 1),
+        st.sampled_from(edges or [0]),
+    ]))
+    i, j = sorted((draw(index), draw(index)))
+    where = draw(st.sampled_from(["lower", "upper", "diagonal"]))
+    if where != "diagonal" and i == j:
+        where = "diagonal"
+    threshold = eps * draw(st.sampled_from([1.0, float(np.abs(m).max())]))
+    factor = draw(st.sampled_from([0.5, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 2.0]))
+    size = draw(st.sampled_from([1.0, -1.0])) * threshold * factor
+    if where == "diagonal":
+        m[i, i] = m[i, i].real + 0.5j * size
+    else:
+        if where == "lower":
+            i, j = j, i
+        m[j, i] = complex(*rng.choice([0.0, -0.0], size=2))
+        m[i, j] = size if draw(st.booleans()) else 1j * size
+    m.flags.writeable = False
+    return m, Tolerance(eps)
+
+
+class TestHermitianSweep:
+    """The one-triangle sweep decides as the full-matrix rule, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_one_entry_off_hermitian())
+    def test_same_answer_as_the_full_matrix_rule(self, planted):
+        m, tol = planted
+        assert is_hermitian(m, tol) == _full_matrix_rule(m, tol)
 
 
 def _rand_full_rank_density(rng, d):
