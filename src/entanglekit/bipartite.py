@@ -137,19 +137,14 @@ def schmidt(t: BipartiteVector, tol: Tolerance = Tolerance()) -> SchmidtDecompos
     if _norm(t.vec) == 0.0:
         raise ZeroVectorError("cannot Schmidt-decompose the zero vector")
     u, s, vh = np.linalg.svd(coefficient_matrix(t), full_matrices=False)
-    left, right = [], []
-    for k in range(s.shape[0]):
-        l = u[:, k].copy()
-        r = vh[k, :].copy()
+    left, right = u.T.copy(), vh.copy()  # one contiguous row per Schmidt vector
+    for l, r in zip(left, right):
         anchors = np.nonzero(np.abs(l) > _PHASE_ANCHOR_FLOOR)[0]
         if anchors.size:
             phase = l[anchors[0]] / abs(l[anchors[0]])
             l *= np.conj(phase)
             r *= phase
-        l.flags.writeable = r.flags.writeable = False
-        left.append(l)
-        right.append(r)
-    s.flags.writeable = False
+    s.flags.writeable = left.flags.writeable = right.flags.writeable = False
     return SchmidtDecomposition(
         coeffs=s, left=tuple(left), right=tuple(right), rank=int(count_above(s, tol)), dims=t.dims
     )

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .bipartite import BipartiteDims, Side
-from .linalg import Tolerance, _built, check_weights, count_above
+from .linalg import Tolerance, _built, _convex, check_weights, count_above
 
 
 @dataclass(frozen=True)
@@ -135,13 +135,7 @@ class ClassicalSeparableCert:
     terms: tuple[tuple[float, ClassicalState, ClassicalState], ...]
 
     def __post_init__(self):
-        terms = tuple(self.terms)
-        if not terms:
-            raise ValueError("certificate needs at least one term")
-        weights = check_weights(
-            [p for p, _, _ in terms], "certificate weights", lambda k: "certificate weight"
-        )
-        terms = tuple((p, fx, gy) for p, (_, fx, gy) in zip(weights, terms))
+        terms = _convex(self.terms, "certificate", "certificate weights", "certificate weight")
         object.__setattr__(self, "terms", terms)
         for _, fx, gy in terms:
             if not (fx.is_pure and gy.is_pure):

@@ -64,6 +64,15 @@ def check_weights(weights, what: str, name=None) -> list[float]:
     return checked
 
 
+def _convex(terms, noun: str, what: str, name=None) -> tuple:
+    """A convex sum's (weight, ...) terms, weights by ``check_weights``; ``name`` names a bad one."""
+    terms = tuple(terms)
+    if not terms:
+        raise ValueError(f"{noun} needs at least one term")
+    weights = check_weights([p for p, *_ in terms], what, None if name is None else lambda k: name)
+    return tuple((p, *rest) for p, (_, *rest) in zip(weights, terms))
+
+
 def as_vector(entries) -> np.ndarray:
     """Coerce to a read-only 1-D complex vector, rejecting NaN/Inf entries."""
     v = np.array(entries, dtype=complex)

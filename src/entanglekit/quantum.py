@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ZeroVectorError
-from .linalg import Tolerance, _built, _checked_matrix, _is_positive, _norm, as_matrix, as_vector, check_weights
+from .linalg import Tolerance, _built, _checked_matrix, _convex, _is_positive, _norm, as_matrix, as_vector
 
 
 def check_unit_norm(v: np.ndarray, tol: Tolerance) -> None:
@@ -99,14 +99,10 @@ class MixedEnsemble:
     terms: tuple[tuple[float, PureState], ...]
 
     def __post_init__(self):
-        terms = tuple(self.terms)
-        if not terms:
-            raise ValueError("ensemble needs at least one term")
-        dims = {x.dim for _, x in terms}
+        object.__setattr__(self, "terms", _convex(self.terms, "ensemble", "ensemble weights"))
+        dims = {x.dim for _, x in self.terms}
         if len(dims) != 1:
             raise ValueError(f"ensemble states must share one dimension, got {sorted(dims)}")
-        weights = check_weights([p for p, _ in terms], "ensemble weights")
-        object.__setattr__(self, "terms", tuple((p, x) for p, (_, x) in zip(weights, terms)))
 
     @property
     def dim(self) -> int:

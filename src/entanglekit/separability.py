@@ -19,7 +19,7 @@ import numpy as np
 
 from .bipartite import BipartiteDims, BipartiteVector, SchmidtDecomposition, schmidt
 from .classical import ClassicalSeparableCert, CompositeClassicalState, classify_classical
-from .linalg import Tolerance, _built, _norm, _outer_flat, check_weights, count_above
+from .linalg import Tolerance, _built, _convex, _norm, _outer_flat, count_above
 from .quantum import DensityOperator, PureState, _built_density, check_unit_norm
 
 
@@ -31,11 +31,7 @@ class SeparableDecomposition:
     terms: tuple[tuple[float, PureState, PureState], ...]
 
     def __post_init__(self):
-        terms = tuple(self.terms)
-        if not terms:
-            raise ValueError("decomposition needs at least one term")
-        weights = check_weights([p for p, _, _ in terms], "weights", lambda k: "weights")
-        terms = tuple((p, x, y) for p, (_, x, y) in zip(weights, terms))
+        terms = _convex(self.terms, "decomposition", "weights", "weights")
         object.__setattr__(self, "terms", terms)
         for _, x, y in terms:
             if x.dim != self.dims.d1 or y.dim != self.dims.d2:

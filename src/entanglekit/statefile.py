@@ -45,12 +45,13 @@ brackets made whitespace and no slot empty, is decoded by orjson as one flat
 list of numbers into a slice of one complex array, which the density keeps,
 checked and read-only, without a copy.  No tree of the matrix is built: at
 D=1024 it held about 3 M objects and doubled the reading process's peak
-memory.  Any file this path declines, at any step (a number orjson refuses
-included), is decoded whole by json, so the values and the refusals are
-json's; the valid densities it declines hold a later ``]]]`` (in a string,
-say), a second top-level ``"mat"`` key, or the slot's spelling elsewhere in
-the file.  orjson, which recurses on the C stack without a limit, is never
-given a tree.
+memory.  Any file this path declines, at any step (a number orjson refuses,
+an infinity as a double included), is decoded whole by json, so the values
+and the refusals are json's; the path itself checks no number for
+finiteness, which the density checks.  The valid densities it declines hold
+a later ``]]]`` (in a string, say), a second top-level ``"mat"`` key, or the
+slot's spelling elsewhere in the file.  orjson, which recurses on the C
+stack without a limit, is never given a tree.
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ def _chunked_density(data: bytes) -> Optional[dict]:
     tail = len(data[end:].translate(None, _NOT_SKELETON))
     mat = skeleton[head : len(skeleton) - tail]
     cols = mat.find(b"]]") // 4  # "[[" and then "[,]," for each pair but the last, "[,"
-    if cols < 1:
+    if cols < 1:  # "[[[]]" has no pair; the check below refuses it, but builds 3x the input first
         return None
     rows = (len(mat) - 1) // (4 * cols + 2)
     row = b"[" + b"[,]," * (cols - 1) + b"[,]]"
@@ -325,8 +326,6 @@ def _chunked_density(data: bytes) -> Optional[dict]:
             return None
         values[filled : filled + len(numbers)] = numbers  # each as float() converts it
         filled += len(numbers)
-    if not np.isfinite(values).all():
-        return None
     tree["mat"] = _HandedOver(matrix)  # held nowhere else, so the density keeps it uncopied
     return tree
 

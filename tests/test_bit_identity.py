@@ -1,19 +1,25 @@
 """The dispatch-free helpers give the same bits as the numpy calls they replace.
 
-``verify`` repeats a vector Kronecker product, a vector norm, a weight check
-and an exact rank thousands of times per run.  Each is computed without
-numpy's per-call overhead, and each property below pins it to the bits,
-or the words, of the form it replaced.
+``verify`` repeats a vector Kronecker product, a vector norm, a weight check,
+an exact rank and a Schmidt form thousands of times per run.  Each is
+computed without numpy's per-call overhead or a copy per vector, and each
+property below pins it to the bits, or the words, of the form it replaced.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from entanglekit.bipartite import BipartiteDims
+from entanglekit.bipartite import (
+    _PHASE_ANCHOR_FLOOR,
+    BipartiteDims,
+    BipartiteVector,
+    coefficient_matrix,
+    schmidt,
+)
 from entanglekit.classical import (
     ClassicalSeparableCert,
     ClassicalState,
@@ -21,7 +27,7 @@ from entanglekit.classical import (
     PhaseSpace,
     classical_pure,
 )
-from entanglekit.linalg import _norm, _outer_flat
+from entanglekit.linalg import Tolerance, _norm, _outer_flat, count_above
 from entanglekit.quantum import PureState
 from entanglekit.separability import SeparableDecomposition
 from entanglekit.verify import _exact_rank
@@ -80,6 +86,50 @@ class TestNorm:
             assert np.float64(_norm(v)).tobytes() == np.float64(np.linalg.norm(v)).tobytes()
 
 
+def _per_vector_schmidt(t: BipartiteVector, tol: Tolerance):
+    """Reference: the Schmidt form as it was made with one copy of each vector, phase by phase."""
+    u, s, vh = np.linalg.svd(coefficient_matrix(t), full_matrices=False)
+    left, right = [], []
+    for k in range(s.shape[0]):
+        l = u[:, k].copy()
+        r = vh[k, :].copy()
+        anchors = np.nonzero(np.abs(l) > _PHASE_ANCHOR_FLOOR)[0]
+        if anchors.size:
+            phase = l[anchors[0]] / abs(l[anchors[0]])
+            l *= np.conj(phase)
+            r *= phase
+        left.append(l)
+        right.append(r)
+    return s, left, right, int(count_above(s, tol))
+
+
+@st.composite
+def _bipartite_vectors(draw):
+    """Nonzero vectors of 1-6 x 1-6 dims: plain; products, whose other Schmidt
+    vectors hold entries near 0; with leading zeros, which move the phase
+    anchor; or with every entry below the anchor floor."""
+    d1, d2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["plain", "product", "leading-zeros", "below-the-floor"]))
+    entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+
+    def vector(n):
+        v = np.empty(n, dtype=complex)
+        v.real = draw(st.lists(entries, min_size=n, max_size=n))
+        v.imag = draw(st.lists(entries, min_size=n, max_size=n))
+        return v
+
+    if kind == "product":
+        v = _outer_flat(vector(d1), vector(d2))
+    else:
+        v = vector(d1 * d2)
+    if kind == "leading-zeros":
+        v[: draw(st.integers(0, d1 * d2 - 1))] = 0.0
+    elif kind == "below-the-floor":
+        v *= _PHASE_ANCHOR_FLOOR / 2
+    assume(_norm(v) > 0.0)
+    return BipartiteVector(v, BipartiteDims(d1, d2))
+
+
 def _fraction_rank(int_matrix) -> int:
     """Reference: Gauss-Jordan elimination over the rationals."""
     a = [[Fraction(int(v)) for v in row] for row in int_matrix]
@@ -127,6 +177,20 @@ class TestExactRank:
         assert _exact_rank(np.zeros((3, 4), dtype=int)) == 0
         assert _exact_rank(np.eye(7, dtype=int)) == 7
         assert _exact_rank(np.array([[1, 2, 3], [2, 4, 6], [0, 0, 1]])) == 2
+
+
+class TestSchmidtFactors:
+    @settings(max_examples=500, deadline=None)
+    @given(t=_bipartite_vectors(), eps=st.sampled_from([1e-17, 1e-9, 1e-3, 0.5]))
+    def test_equals_the_per_vector_loop(self, t, eps):
+        tol = Tolerance(eps)
+        coeffs, left, right, rank = _per_vector_schmidt(t, tol)
+        dec = schmidt(t, tol)
+        assert _same_array(dec.coeffs, coeffs) and dec.rank == rank
+        assert len(dec.left) == len(left) and len(dec.right) == len(right)
+        assert all(map(_same_array, dec.left, left)) and all(map(_same_array, dec.right, right))
+        for v in (dec.coeffs, *dec.left, *dec.right):
+            assert not v.flags.writeable and v.flags.c_contiguous
 
 
 _E1 = PureState(np.array([1.0, 0.0]))

@@ -264,6 +264,10 @@ REFUSALS = [
     ("ensemble-of-mixed-dims",
      lambda: MixedEnsemble(((0.5, E1), (0.5, PureState(np.array([1.0, 0.0, 0.0]))))),
      "ensemble states must share one dimension, got [2, 3]"),
+    # the weights are checked before the states' dimensions
+    ("ensemble-of-mixed-dims-and-bad-weights",
+     lambda: MixedEnsemble(((0.5, E1), (0.4, PureState(np.array([1.0, 0.0, 0.0]))))),
+     "ensemble weights must sum to 1, got 0.9"),
 ]
 
 

@@ -24,6 +24,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 from unittest import mock
@@ -696,6 +697,11 @@ DECODER_EDGES = [
      '{"type":"density","dim":2,"mat":[[[2.0,0.0]]],"mat":' + COMPACT_MAT + "}"),
     ("compact-duplicate-mat-last-bad", _compact_density(COMPACT_MAT)[:-1] + ',"mat":1}'),
     ("compact-1e400", _compact_density("[[[1e400,0.0],[0.0,0.0]],[[0.0,0.0],[0.5,0.0]]]")),
+    # numbers infinite as doubles: the chunked read takes orjson's refusal as its only check
+    ("compact-minus-1e309", _compact_density("[[[-1e309,0.0],[0.0,0.0]],[[0.0,0.0],[0.5,0.0]]]")),
+    ("compact-1.8e308", _compact_density("[[[1.8e308,0.0],[0.0,0.0]],[[0.0,0.0],[0.5,0.0]]]")),
+    ("compact-integer-310-digits",
+     _compact_density(f"[[[{'1' * 310},0.0],[0.0,0.0]],[[0.0,0.0],[0.5,0.0]]]")),
     ("compact-minus-zero", _compact_density("[[[0.5,-0],[-0.0,-0.0]],[[-0,0.0],[0.5,-0.0]]]")),
     # a number byte beside a bracket, which the skeleton check cannot see
     ("compact-exponent-after-a-pair", _compact_density("[[[0.5,0]e0,[0,0]],[[0,0],[0.5,0]]]")),
@@ -777,6 +783,19 @@ EDGES = [(c, t.encode()) for c, t in DECODER_EDGES] + BYTE_EDGES
 @pytest.mark.parametrize("data", [d for _, d in EDGES], ids=[c for c, _ in EDGES])
 def test_decoder_edges_read_as_json_reads_them(data):
     assert _read_flat(data) == _outcome(_json_only, data)
+
+
+def test_a_matrix_of_empty_rows_is_declined_before_a_skeleton_is_built_for_it():
+    # rows of "[[]]" hold no pair: the skeleton comparison would refuse them too, but only
+    # after building the skeleton it expects, about 3x the input (a peak of about 8x it)
+    data = _compact_density("[" + ",".join(["[[]]"] * 200_000) + "]").encode()
+    tracemalloc.start()
+    try:
+        declined = statefile._chunked_density(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert declined is None and peak < 3 * len(data)
 
 
 _SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -877,6 +896,28 @@ def test_orjson_reads_an_integer_as_float_of_int_does(literal):
         assert value == int(literal)
     else:
         assert value.hex() == expected.hex(), literal
+
+
+INFINITE_AS_A_DOUBLE = [
+    ("compact-minus-1e309", "-1e309", "number must be finite, got -inf"),
+    ("compact-1.8e308", "1.8e308", "number must be finite, got inf"),
+    ("compact-integer-310-digits", "1" * 310, "number does not fit a double: an integer with 310 digits"),
+]
+
+
+@pytest.mark.parametrize("case, literal, message", INFINITE_AS_A_DOUBLE,
+                         ids=[c[0] for c in INFINITE_AS_A_DOUBLE])
+def test_orjson_refuses_a_number_infinite_as_a_double(case, literal, message):
+    # the chunked read checks no number for finiteness: orjson's refusal sends the file to
+    # json, whose refusal is a schema error (exit 2); an orjson that returned an infinity
+    # would fail here, where otherwise only the density's own check would catch it (exit 3)
+    import orjson
+
+    with pytest.raises(orjson.JSONDecodeError, match="infinity"):
+        orjson.loads(f"[0.5,{literal}]")
+    with pytest.raises(SchemaError) as info:
+        loads_state(dict(DECODER_EDGES)[case].encode())
+    assert str(info.value) == f"$.mat[0][0][0]: {message}"
 
 
 # How often each read runs json.loads: once, on the whole file or on the rest
