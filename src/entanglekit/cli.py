@@ -255,13 +255,12 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         if args.command == "verify":
             results = run_all(seed=args.seed, instances=args.instances, tol=tol)
-            report["tolerance"] = tol.eps
-            report["result"] = {
+            result = {
                 "seed": args.seed,
                 "suites": [{k: v for k, v in vars(r).items() if v is not None} for r in results],
                 "all_passed": all(r.passed for r in results),
             }
-            exit_code = 0 if report["result"]["all_passed"] else 1
+            exit_code = 0 if result["all_passed"] else 1
         else:
             raw = _read_input(args.path)
             handler = {
@@ -285,9 +284,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             finally:
                 hasher.join()
             report["input_digest"] = "sha256:" + digest.hexdigest()
-            report["tolerance"] = tol.eps
-            report["result"] = result
             exit_code = 0
+        report["tolerance"] = tol.eps
+        report["result"] = result
     except SchemaError as exc:
         print(f"entanglekit: schema error: {exc}", file=sys.stderr)
         return 2

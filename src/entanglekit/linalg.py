@@ -43,19 +43,17 @@ def _built(cls, **fields):
     return state
 
 
-def check_weights(weights, what: str, name=None) -> list[float]:
+def check_weights(weights, what: str, name) -> list[float]:
     """Return the weights as floats if each is finite and >= 0 and, summed in order, they make 1.
 
-    The sum may miss 1 by ``DEFAULT_EPS``.  A bad weight at position k is
-    named by ``name(k)``, with its value, or by ``what`` without ``name``;
-    ``name`` is called only then.
+    The sum may miss 1 by ``DEFAULT_EPS``; ``what`` names the weights in
+    that refusal.  A bad weight at position k is named by ``name(k)``, with
+    its value; ``name`` is called only then.
     """
     checked = []
     for k, p in enumerate(weights):
         p = float(p)
         if not math.isfinite(p) or p < 0.0:
-            if name is None:
-                raise ValueError(f"{what} must be finite and >= 0")
             raise ValueError(f"{name(k)} must be finite and >= 0, got {p!r}")
         checked.append(p)
     total = sum(checked)
@@ -64,39 +62,33 @@ def check_weights(weights, what: str, name=None) -> list[float]:
     return checked
 
 
-def _convex(terms, noun: str, what: str, name=None) -> tuple:
+def _convex(terms, noun: str, what: str, name: str) -> tuple:
     """A convex sum's (weight, ...) terms, weights by ``check_weights``; ``name`` names a bad one."""
     terms = tuple(terms)
     if not terms:
         raise ValueError(f"{noun} needs at least one term")
-    weights = check_weights([p for p, *_ in terms], what, None if name is None else lambda k: name)
+    weights = check_weights([p for p, *_ in terms], what, lambda k: name)
     return tuple((p, *rest) for p, (_, *rest) in zip(weights, terms))
 
 
 def as_vector(entries) -> np.ndarray:
     """Coerce to a read-only 1-D complex vector, rejecting NaN/Inf entries."""
-    v = np.array(entries, dtype=complex)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"expected a non-empty 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector entries must be finite")
-    v.flags.writeable = False
-    return v
+    return _checked(np.array(entries, dtype=complex), 1, "vector")
 
 
 def as_matrix(entries) -> np.ndarray:
     """Coerce to a read-only 2-D complex matrix, rejecting NaN/Inf entries."""
-    return _checked_matrix(np.array(entries, dtype=complex))
+    return _checked(np.array(entries, dtype=complex), 2, "matrix")
 
 
-def _checked_matrix(m: np.ndarray) -> np.ndarray:
-    """m, a complex array, made read-only once it is a non-empty 2-D matrix of finite entries."""
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
-    m.flags.writeable = False
-    return m
+def _checked(a: np.ndarray, ndim: int, noun: str) -> np.ndarray:
+    """a, a complex array, made read-only once it is a non-empty ``ndim``-D array of finite entries."""
+    if a.ndim != ndim or a.size == 0:
+        raise ValueError(f"expected a non-empty {ndim}-D {noun}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{noun} entries must be finite")
+    a.flags.writeable = False
+    return a
 
 
 def _norm(v: np.ndarray) -> float:

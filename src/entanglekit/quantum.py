@@ -2,10 +2,10 @@
 
 Normalization policy: constructors REJECT non-normalized input instead of
 silently renormalizing, so a bad upstream state can never masquerade as a
-valid one.  Densities are validated when read, trusted when built: the
-library functions that assemble a density from states it has already
-validated (a projector, a product, a convex sum, a partial trace) wrap the
-result with ``_built_density`` and run no second check.
+valid one.  Densities are validated when read, trusted when built:
+``projector``, ``mix`` and ``partial_trace`` assemble a density from states
+already validated (a product state is a projector, a separable sum a mix)
+and wrap it with ``_built_density``, which runs no second check.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ZeroVectorError
-from .linalg import Tolerance, _built, _checked_matrix, _convex, _is_positive, _norm, as_matrix, as_vector
+from .linalg import Tolerance, _built, _checked, _convex, _is_positive, _norm, as_matrix, as_vector
 
 
 def check_unit_norm(v: np.ndarray, tol: Tolerance) -> None:
@@ -57,16 +57,18 @@ class DensityOperator:
     tol: InitVar[Tolerance] = Tolerance()
 
     def __post_init__(self, tol):
-        if isinstance(self.mat, _HandedOver):
-            m = _checked_matrix(self.mat.array)
-        else:
-            m = as_matrix(self.mat)
+        handed_over = isinstance(self.mat, _HandedOver)
+        m = _checked(self.mat.array, 2, "matrix") if handed_over else as_matrix(self.mat)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
         if not _is_positive(m, tol):
             raise ValueError("density operator must be positive")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > tol.eps:
+        try:
+            off = abs(tr - 1.0)
+        except OverflowError:  # finite parts, a modulus past the float range
+            off = np.inf
+        if off > tol.eps:
             raise ValueError(f"density operator must have unit trace, got {tr!r}")
         object.__setattr__(self, "mat", m)
 
@@ -86,8 +88,7 @@ class _HandedOver(NamedTuple):
 
 
 def _built_density(m: np.ndarray) -> DensityOperator:
-    """A ``DensityOperator`` on m, assembled from validated states: complex, read-only, unchecked."""
-    m = np.asarray(m, dtype=complex)
+    """A ``DensityOperator`` on m, a new complex matrix of validated states: made read-only, unchecked."""
     m.flags.writeable = False
     return _built(DensityOperator, mat=m)
 
@@ -99,8 +100,9 @@ class MixedEnsemble:
     terms: tuple[tuple[float, PureState], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _convex(self.terms, "ensemble", "ensemble weights"))
-        dims = {x.dim for _, x in self.terms}
+        terms = _convex(self.terms, "ensemble", "ensemble weights", "ensemble weight")
+        object.__setattr__(self, "terms", terms)
+        dims = {x.dim for _, x in terms}
         if len(dims) != 1:
             raise ValueError(f"ensemble states must share one dimension, got {sorted(dims)}")
 

@@ -20,7 +20,7 @@ import numpy as np
 from .bipartite import BipartiteDims, BipartiteVector, SchmidtDecomposition, schmidt
 from .classical import ClassicalSeparableCert, CompositeClassicalState, classify_classical
 from .linalg import Tolerance, _built, _convex, _norm, _outer_flat, count_above
-from .quantum import DensityOperator, PureState, _built_density, check_unit_norm
+from .quantum import DensityOperator, MixedEnsemble, PureState, check_unit_norm, mix, projector
 
 
 @dataclass(frozen=True)
@@ -103,26 +103,22 @@ class Classification:
 
 
 def product_pure(x: PureState, y: PureState) -> DensityOperator:
-    """Projector onto x (x) y.
+    """Projector onto x (x) y, the ``projector`` of their product vector.
 
     It equals ``kron_op(projector(x), projector(y))``; the
     ``product-projector-identity`` verify suite checks that identity.
     """
-    t = _outer_flat(x.vec, y.vec)
-    return _built_density(np.outer(t, t.conj()))
+    return projector(_built(PureState, vec=_outer_flat(x.vec, y.vec)))
 
 
 def separable_density(dec: SeparableDecomposition) -> DensityOperator:
-    """Convex combination of the decomposition's product projectors.
+    """``mix`` of the decomposition's product pure states, each with its weight.
 
-    The terms' factors and weights are already validated, so the sum is a
-    density by construction and is not checked again.
+    The terms' factors and weights are already validated, so neither the
+    product states nor the sum is checked again.
     """
-    acc = np.zeros((dec.dims.total, dec.dims.total), dtype=complex)
-    for p, x, y in dec.terms:
-        t = _outer_flat(x.vec, y.vec)
-        acc += p * np.outer(t, t.conj())
-    return _built_density(acc)
+    products = tuple((p, _built(PureState, vec=_outer_flat(x.vec, y.vec))) for p, x, y in dec.terms)
+    return mix(_built(MixedEnsemble, terms=products))
 
 
 def range_basis(rho: DensityOperator, tol: Tolerance = Tolerance()) -> list[np.ndarray]:

@@ -28,8 +28,8 @@ from entanglekit.classical import (
     classical_pure,
 )
 from entanglekit.linalg import Tolerance, _norm, _outer_flat, count_above
-from entanglekit.quantum import PureState
-from entanglekit.separability import SeparableDecomposition
+from entanglekit.quantum import MixedEnsemble, PureState
+from entanglekit.separability import SeparableDecomposition, product_pure, separable_density
 from entanglekit.verify import _exact_rank
 
 _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e150, -1e150, 1.0, -1.0]
@@ -193,7 +193,75 @@ class TestSchmidtFactors:
             assert not v.flags.writeable and v.flags.c_contiguous
 
 
+def _per_term_product(x: PureState, y: PureState) -> np.ndarray:
+    """Reference: ``product_pure``'s matrix as it was made, by its own outer product."""
+    t = _outer_flat(x.vec, y.vec)
+    return np.outer(t, t.conj())
+
+
+def _per_term_sum(dec: SeparableDecomposition) -> np.ndarray:
+    """Reference: ``separable_density``'s matrix as it was made, by its own loop over the terms."""
+    acc = np.zeros((dec.dims.total, dec.dims.total), dtype=complex)
+    for p, x, y in dec.terms:
+        t = _outer_flat(x.vec, y.vec)
+        acc += p * np.outer(t, t.conj())
+    return acc
+
+
+@st.composite
+def _unit_states(draw, n):
+    """A pure state of dimension n whose entries may hold 0.0 and -0.0 in either part."""
+    entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+    v = np.empty(n, dtype=complex)
+    v.real = draw(st.lists(entries, min_size=n, max_size=n))
+    v.imag = draw(st.lists(entries, min_size=n, max_size=n))
+    nrm = _norm(v)
+    assume(nrm > 1e-150)
+    return PureState(v / nrm)
+
+
+@st.composite
+def _decompositions(draw):
+    """A decomposition of 1-8 terms on 1-5 x 1-5 dims, some weights 0.0."""
+    d1, d2, n = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    weight = st.sampled_from([0.0, 0.25, 1.0, 3.0]) | st.floats(0.0, 1.0)
+    raw = draw(st.lists(weight, min_size=n, max_size=n))
+    assume(sum(raw) > 0.0)
+    weights = [w / sum(raw) for w in raw]
+    terms = tuple((w, draw(_unit_states(d1)), draw(_unit_states(d2))) for w in weights)
+    return SeparableDecomposition(BipartiteDims(d1, d2), terms)
+
+
+def _same_bits(rho, reference: np.ndarray) -> bool:
+    """rho's matrix is read-only and holds reference's bits; -0.0 and 0.0 differ here."""
+    m = rho.mat
+    return not m.flags.writeable and m.shape == reference.shape and np.array_equal(
+        m.view(np.uint64), reference.view(np.uint64)
+    )
+
+
+class TestProductAndSeparableDensities:
+    @settings(max_examples=300, deadline=None)
+    @given(dec=_decompositions())
+    def test_equal_the_per_term_loops(self, dec):
+        assert _same_bits(separable_density(dec), _per_term_sum(dec))
+        for _, x, y in dec.terms:
+            assert _same_bits(product_pure(x, y), _per_term_product(x, y))
+
+    def test_signed_zeros_are_kept(self):
+        x, y = PureState(np.array([1.0, -0.0])), PureState(np.array([0.0, -1.0]))
+        rho = product_pure(x, y)
+        assert _same_bits(rho, _per_term_product(x, y))
+        zeros = rho.mat.view(np.float64)[rho.mat.view(np.float64) == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        assert not _same_bits(rho, rho.mat + 0.0)  # -0.0 + 0.0 is 0.0, and the bits tell
+
+
 _E1 = PureState(np.array([1.0, 0.0]))
+
+
+def _ensemble(weights):
+    return MixedEnsemble(tuple((w, _E1) for w in weights))
 
 
 def _classical(weights):
@@ -224,6 +292,7 @@ _WEIGHTED = {
     "CompositeClassicalState": (_composite, lambda k: f"probability of ('a', {f'y{k}'!r})"),
     "ClassicalSeparableCert": (_cert, lambda k: "certificate weight"),
     "SeparableDecomposition": (_decomposition, lambda k: "weights"),
+    "MixedEnsemble": (_ensemble, lambda k: "ensemble weight"),
 }
 
 

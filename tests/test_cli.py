@@ -811,3 +811,24 @@ class TestHugeEntries:
             code, out, err = _run(capsys, command[0], str(path), *command[1:], "--dims", "1", "2")
         assert [str(w.message) for w in caught] == []
         assert (code, out, err) == (3, "", f"entanglekit: {message}\n")
+
+
+class TestTraceModulusOverflow:
+    """A 1x1 density whose trace has finite parts and a modulus past the float range."""
+
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [
+            ("[1e+308, 1.7976931348623157e+308]", "(1e+308+1.7976931348623157e+308j)"),
+            ("[1.4938877491736455e+308, 1e+308]", "(1.4938877491736455e+308+1e+308j)"),
+        ],
+        ids=["im-at-the-max", "re-and-im-near-the-max"],
+    )
+    def test_is_refused_as_not_of_unit_trace(self, capsys, tmp_path, entry, shown):
+        path = tmp_path / "huge-trace.json"
+        path.write_text(f'{{"type": "density", "dim": 1, "mat": [[{entry}]]}}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(capsys, "classify", str(path), "--dims", "1", "1")
+        assert [str(w.message) for w in caught] == []
+        assert (code, out, err) == (3, "", f"entanglekit: density operator must have unit trace, got {shown}\n")

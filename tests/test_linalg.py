@@ -470,7 +470,7 @@ _WEIGHTED = {
     ),
     "MixedEnsemble": (
         lambda w0, w1: MixedEnsemble(((w0, _E1), (w1, _E2))),
-        "ensemble weights must be finite and >= 0",
+        "ensemble weight must be finite and >= 0, got {}",
         "ensemble weights",
     ),
     "SeparableDecomposition": (
@@ -501,7 +501,7 @@ class TestCheckWeights:
         build(0.5, 0.5 + 0.5 * DEFAULT_EPS)
 
     def test_returns_floats_in_order(self):
-        assert check_weights([1, np.float64(0.0)], "w") == [1.0, 0.0]
+        assert check_weights([1, np.float64(0.0)], "w", lambda k: "w") == [1.0, 0.0]
 
 
 class TestValueConstruction:

@@ -1,8 +1,15 @@
 """The package's public names and the verify suites, pinned.
 
 The suite names are the benchmark's ``verify.suite.*`` metrics, so their
-order is part of the surface too.
+order is part of the surface too.  Each module other than ``__init__``
+uses every name it imports: a name imported and never used is a stale
+dependency that no test run would show.
 """
+
+import ast
+from pathlib import Path
+
+import pytest
 
 import entanglekit
 from entanglekit.verify import run_all
@@ -98,3 +105,37 @@ def test_public_names_are_pinned():
 
 def test_verify_suites_run_in_order():
     assert [r.name for r in run_all(instances=1)] == SUITES
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names that ``source`` binds by an import and never reads, in import order."""
+    tree = ast.parse(source)
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in imports
+        if getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+_MODULES = sorted(p for p in Path(entanglekit.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.stem)
+def test_every_imported_name_is_used(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_an_unused_import_is_named():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from .quantum import DensityOperator, _built_density\n"
+        "def f(m) -> DensityOperator:\n"
+        "    return np.asarray(m)\n"
+    )
+    assert _unused_imports(source) == ["os", "_built_density"]

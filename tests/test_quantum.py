@@ -152,6 +152,16 @@ class TestDensityOperatorArray:
         with pytest.raises(ValueError, match="finite"):
             DensityOperator(_HandedOver(np.array([[np.nan]], dtype=complex)))
 
+    @pytest.mark.parametrize(
+        "entry", [complex(1e308, 1.7976931348623157e308), complex(1.4938877491736455e308, 1e308)]
+    )
+    def test_a_trace_whose_modulus_overflows_is_not_unit(self, entry):
+        for mat in (np.array([[entry]]), _HandedOver(np.array([[entry]]))):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError) as exc:
+                    DensityOperator(mat)
+            assert str(exc.value) == f"density operator must have unit trace, got {entry!r}"
+
 
 class TestIsDensity:
     def test_maximally_mixed(self):
