@@ -19,6 +19,7 @@ or any exit code returned.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import os
 import sys
@@ -43,6 +44,9 @@ from .statefile import (
     state_to_json,
 )
 from .verify import DEFAULT_INSTANCES, DEFAULT_SEED, run_all
+
+# the imports' objects live until exit: frozen, no collection (the ones at exit included) walks them
+gc.freeze()
 
 TOL_ENV_VAR = "ENTANGLEKIT_TOL"
 

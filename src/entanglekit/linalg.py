@@ -149,12 +149,18 @@ def _is_hermitian(m: np.ndarray, tol: Tolerance) -> bool:
     computed only when the worst difference exceeds ``eps``, the least
     threshold the rule can have.  Up to ``_HERMITIAN_BLOCK`` rows, the one
     block is the whole matrix.
+
+    One case departs from the rule: an asymmetry that overflows to ``inf``
+    is refused.  The rule would accept it when ``max|m|`` overflows too,
+    as ``inf <= inf``.
     """
     k = _HERMITIAN_BLOCK
     worst = max(
         float(np.abs(m[a : a + k, a:] - m[a:, a : a + k].conj().T).max())
         for a in range(0, m.shape[0], k)
     )
+    if worst == math.inf:
+        return False
     return worst <= tol.eps or worst <= tol.eps * max(1.0, float(np.abs(m).max()))
 
 

@@ -61,13 +61,14 @@ class DensityOperator:
         m = _checked(self.mat.array, 2, "matrix") if handed_over else as_matrix(self.mat)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
-        if not _is_positive(m, tol):
-            raise ValueError("density operator must be positive")
         tr = complex(np.trace(m))
         try:
             off = abs(tr - 1.0)
-        except OverflowError:  # finite parts, a modulus past the float range
-            off = np.inf
+        except OverflowError:  # finite parts, a modulus past the float range: refused for
+            off = np.inf  # its trace, though it may fail the positivity check as well
+        else:
+            if not _is_positive(m, tol):
+                raise ValueError("density operator must be positive")
         if off > tol.eps:
             raise ValueError(f"density operator must have unit trace, got {tr!r}")
         object.__setattr__(self, "mat", m)

@@ -1,5 +1,6 @@
 """CLI behavior on the canonical sample states: verdicts, exit codes, determinism."""
 
+import gc
 import hashlib
 import io
 import json
@@ -832,3 +833,51 @@ class TestTraceModulusOverflow:
             code, out, err = _run(capsys, "classify", str(path), "--dims", "1", "1")
         assert [str(w.message) for w in caught] == []
         assert (code, out, err) == (3, "", f"entanglekit: density operator must have unit trace, got {shown}\n")
+
+
+class TestAsymmetryOverflow:
+    """A 2x2 density whose asymmetry, and largest modulus, overflow: not Hermitian, so not positive."""
+
+    @pytest.mark.parametrize("command", [("classify",), ("ptrace", "--keep", "2")], ids=lambda c: c[0])
+    def test_is_refused_as_not_positive(self, capsys, tmp_path, command):
+        path = tmp_path / "huge-asymmetry.json"
+        path.write_text('{"type": "density", "dim": 2, "mat": '
+                        '[[[0.5, 0.0], [1.3e308, 1.3e308]], [[0.0, 0.0], [0.5, 0.0]]]}')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(capsys, command[0], str(path), *command[1:], "--dims", "1", "2", "--json")
+        assert [str(w.message) for w in caught] == []
+        assert (code, out, err) == (3, "", "entanglekit: density operator must be positive\n")
+
+
+def _fresh_interpreter(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, env=env, cwd=ROOT,
+                          timeout=120)
+
+
+class TestHeapFreeze:
+    """Importing the CLI freezes the heap its imports built; the library leaves its caller's heap alone."""
+
+    def test_the_library_freezes_nothing(self):
+        proc = _fresh_interpreter("import gc, entanglekit; print(gc.get_freeze_count())")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"0\n", b"")
+
+    def test_the_cli_freezes_what_its_imports_built(self):
+        proc = _fresh_interpreter("import gc, entanglekit.cli; print(gc.get_freeze_count(), len(gc.get_objects()))")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        frozen, tracked = map(int, proc.stdout.split())
+        assert frozen > 0 and frozen > 10 * tracked
+
+    def test_main_freezes_nothing_more(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert _run(capsys, "classify", BELL)[0] == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_the_entry_line_writes_the_whole_report_to_a_pipe(self):
+        # the console script's entry line, as the benchmark starts it
+        proc = _fresh_interpreter("import sys; from entanglekit.cli import main; sys.exit(main())",
+                                  "classify", "sample_states/bell.json", "--json")
+        golden = (ROOT / "tests" / "golden" / "bell__classify.json").read_text()
+        assert (proc.returncode, _strip_timing(proc.stdout.decode()), proc.stderr) == (0, golden, b"")

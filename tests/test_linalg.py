@@ -219,6 +219,24 @@ class TestHermitian:
             x = _rand_complex(rng, 4)
             assert abs(complex(np.vdot(x, m @ x)).imag) <= 1e-9 * np.linalg.norm(x) ** 2
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.array([[1e308 + 1.7976931348623157e308j]]),
+            np.array([[0.5, 1.3e308 + 1.3e308j], [0.0, 0.5]]),
+        ],
+        ids=["1x1-imaginary", "2x2-off-diagonal"],
+    )
+    def test_an_asymmetry_that_overflows_is_refused(self, m):
+        # max|m| overflows too, so the full-matrix rule would read inf <= inf
+        with np.errstate(over="ignore"):
+            assert not is_hermitian(m)
+
+    def test_a_finite_asymmetry_is_judged_when_the_modulus_overflows(self):
+        m = np.array([[0.5, 1.3e308 + 1.3e308j], [1.3e308 - 1.3e308j, 0.5]])
+        with np.errstate(over="ignore"):
+            assert is_hermitian(m)
+
 
 def _full_matrix_rule(m, tol):
     """``_is_hermitian`` before the one-triangle sweep, kept as the reference."""
