@@ -15,7 +15,12 @@ import numpy as np
 
 DEFAULT_EPS = 1e-9
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
-_HERMITIAN_BLOCK = 128  # rows per block of the Hermiticity sweep
+_HERMITIAN_BLOCK = 128  # rows per block of the Hermiticity sweep and of the residual sweep
+# The most pivots _low_rank_factor takes before it gives up.  Giving up then
+# costs 0.23 ms at n = 256 and 0.29 ms at n = 576, on one core: a seventh
+# and a forty-sixth of the Cholesky factorization it would have replaced
+# (1.6 and 13 ms), and under a seventieth of eigh (18 and 230 ms).
+_LOW_RANK_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -172,28 +177,114 @@ def is_positive(m, tol: Tolerance = Tolerance()) -> bool:
     return _is_positive(m, tol)
 
 
+def _gamma(k: int) -> float:
+    """Higham's ``g(k) = k u / (1 - k u)``, the relative error bound of k roundings."""
+    return k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+
+
+def _low_rank_factor(m: np.ndarray, tol: Tolerance):
+    """``(L, s, beta)`` with ``||H - L L^H||_2 <= beta``, for H of low rank; else None.
+
+    H is the Hermitian matrix given by m's lower triangle and the real part
+    of its diagonal, the one ``cholesky`` and ``eigvalsh`` read.  L, n x k,
+    comes from a Cholesky factorization of H with diagonal pivoting (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Sec. 10.3),
+    stopped once the positive part of the residual diagonal sums to at most
+    ``eps/8``, and ``s`` is ``||L||_F^2`` as computed.  It costs O(n^2 k),
+    against the O(n^3) of a full factorization.  None once the factor
+    would need more than ``_LOW_RANK_STEPS`` pivots, and at once when n is
+    below four times that, where ``cholesky`` and ``eigh`` cost no more
+    than the pivots would (0.014 and 0.12 ms at n = 32, on one core).
+
+    The stopping rule needs no proof: ``beta`` bounds the explicit residual
+    ``R = H - L L^H`` of the computed L, swept in blocks of
+    ``_HERMITIAN_BLOCK`` columns of the lower triangle, with no full-size
+    temporary.  Each entry of R is computed from an inner product of length
+    k and one subtraction, so, for complex arithmetic,
+    ``|fl(R) - R| <= c (|H| + |L| |L^H|)`` with ``c = 2 g(k+3)``; since
+    ``|H| <= |R| + |L| |L^H|``, that is ``<= c/(1-c) (|fl(R)| + 2 |L| |L^H|)``.
+    Taking norms, ``||R||_2 <= f + c/(1-c) (f + 2 s)`` with ``f >= ||fl(R)||_F``.
+    f is the computed Frobenius norm of fl(R) (R is Hermitian, so each
+    strictly lower entry counts twice), and summing its n^2 squares, like
+    computing s, errs by at most ``g(n^2+4)`` relative; one more such factor
+    covers the arithmetic of beta itself.  A product that underflows errs
+    absolutely instead, by at most ``u`` times the least normal number
+    (Higham, Sec. 2.1), which is below ``eta``, the least subnormal; so the
+    sum of squares gains ``2 n^2 eta``, f ``n (k+2) eta`` and s
+    ``2 n k eta``.  Overflow gives an infinite or NaN beta, which no caller
+    accepts.
+    """
+    n = m.shape[0]
+    if n < 4 * _LOW_RANK_STEPS:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = m.diagonal().real.copy()  # the residual diagonal
+        lt = np.empty((_LOW_RANK_STEPS, n), dtype=complex)  # row j is column j of L
+        for k in range(_LOW_RANK_STEPS + 1):
+            if np.maximum(d, 0.0).sum() <= tol.eps / 8:
+                break
+            if k == _LOW_RANK_STEPS:
+                return None
+            p = int(d.argmax())
+            col = np.concatenate((m[p, :p].conj(), m[p:, p]))  # column p of H
+            col[p] = m[p, p].real
+            col -= lt[:k].T @ lt[:k, p].conj()
+            col /= math.sqrt(d[p])
+            lt[k] = col
+            d -= col.real**2 + col.imag**2
+            d[p] = 0.0
+        l = lt[:k]
+        s = float(np.vdot(l, l).real)
+        diag = m.diagonal().real - (l.real**2 + l.imag**2).sum(axis=0)
+        squares = float(diag @ diag)
+        b = _HERMITIAN_BLOCK
+        for a in range(0, n, b):
+            r = l[:, a:].T @ l[:, a : a + b].conj()
+            np.subtract(m[a:, a : a + b], r, out=r)
+            w = r.shape[1]
+            below, inside = r[w:], np.tril(r[:w], -1)
+            squares += 2 * float(np.vdot(below, below).real + np.vdot(inside, inside).real)
+        g, c, eta = _gamma(n * n + 4), 2 * _gamma(k + 3), math.ulp(0.0)
+        f = math.sqrt(squares + 2 * n * n * eta) * (1 + g) + n * (k + 2) * eta
+        beta = (f + c / (1 - c) * (f + 2 * (s + 2 * n * k * eta))) * (1 + g)
+    return l.T, s, beta
+
+
 def _is_positive(m: np.ndarray, tol: Tolerance) -> bool:
     """``is_positive`` of a square matrix ``as_matrix`` has already coerced.
 
-    The rule is ``w[0] >= -eps * max(1, w[-1])`` on ``w = eigvalsh(m)``.  A
-    Cholesky screen accepts first, without the eigenvalues, where it proves
-    that the rule would accept; anything else gets ``eigvalsh``.  Both
-    factorizations read the Hermitian matrix H given by m's lower triangle
-    and the real part of its diagonal.
+    The rule is ``w[0] >= -eps * max(1, w[-1])`` on ``w = eigvalsh(m)``.  Two
+    screens accept first, without the eigenvalues, where they prove that
+    the rule would accept; anything else gets ``eigvalsh``.  All of them
+    read the Hermitian matrix H given by m's lower triangle and the real
+    part of its diagonal.
 
-    The screen factors ``A = H + (eps/2) I``.  If that completes with
-    computed factor R, then ``R^H R = fl(A) + dA`` with
-    ``|dA| <= g(n+1) |R^H| |R|``, where ``g(k) = k u / (1 - k u)`` and u is
-    the unit roundoff (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., Thm 10.3).  Rounding A's diagonal adds at most
-    ``u |A_ii|``, so ``A = R^H R - F`` with ``|F| <= g(n+2) |R^H| |R|``,
-    and ``||F||_2 <= g(n+2) s`` for ``s = ||R||_F^2``.  Hence
+    ``eigvalsh`` returns the exact eigenvalues of some ``H + E`` with
+    ``||E||_2 <= p(n) u ||H||_2``, where u is the unit roundoff; both
+    screens allow ``p(n) = n^2``.
+
+    The low-rank screen takes ``(L, s, beta)`` from ``_low_rank_factor``, so
+    ``H = L L^H + R`` with ``||R||_2 <= beta``.  ``L L^H`` is positive, so
+    ``lambda_min(H) >= -beta`` (Weyl), and ``||H||_2 <= ||L||_F^2 + beta``,
+    at most ``2 s + beta``, with 2s allowing for the rounding of s.  Hence
+
+        w[0] >= -beta - n^2 u (2 s + beta),
+
+    and when that stays above ``-eps/2`` the rule accepts.  It runs in
+    O(n^2 k) for H of rank k up to ``_LOW_RANK_STEPS``; a larger rank, a
+    small n, or a margin too thin goes to the Cholesky screen.
+
+    The Cholesky screen factors ``A = H + (eps/2) I``.  If that completes
+    with computed factor R, then ``R^H R = fl(A) + dA`` with
+    ``|dA| <= g(n+1) |R^H| |R|``, where ``g(k) = k u / (1 - k u)`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 10.3).
+    Rounding A's diagonal adds at most ``u |A_ii|``, so ``A = R^H R - F``
+    with ``|F| <= g(n+2) |R^H| |R|``, and ``||F||_2 <= g(n+2) s`` for
+    ``s = ||R||_F^2``.  Hence
 
         lambda_min(H) >= -eps/2 - g(n+2) s,   ||H||_2 <= s + g(n+2) s + eps/2.
 
-    ``eigvalsh`` returns the exact eigenvalues of some ``H + E`` with
-    ``||E||_2 <= p(n) u ||H||_2``.  Allowing ``p(n) = n^2``, and taking 2s
-    for ``s + g(n+2) s`` and for the rounding of s itself, gives
+    Taking 2s for ``s + g(n+2) s`` and for the rounding of s itself gives
 
         w[0] >= -eps/2 - g(n+2) s - n^2 u (2 s + eps/2).
 
@@ -204,6 +295,12 @@ def _is_positive(m: np.ndarray, tol: Tolerance) -> bool:
     if not _is_hermitian(m, tol):
         return False
     n = m.shape[0]
+    u = _UNIT_ROUNDOFF
+    factor = _low_rank_factor(m, tol)
+    if factor is not None:
+        _, s, beta = factor
+        if beta + n * n * u * (2 * s + beta) < tol.eps / 2:
+            return True
     a = m.copy()
     a.reshape(-1)[:: n + 1] += tol.eps / 2
     try:
@@ -211,9 +308,8 @@ def _is_positive(m: np.ndarray, tol: Tolerance) -> bool:
     except np.linalg.LinAlgError:
         pass
     else:
-        u = _UNIT_ROUNDOFF
         s = float(np.vdot(r, r).real)
-        factored = (n + 2) * u / (1 - (n + 2) * u) * s
+        factored = _gamma(n + 2) * s
         solved = n * n * u * (2 * s + tol.eps / 2)
         if factored + solved < tol.eps / 2:
             return True

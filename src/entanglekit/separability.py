@@ -19,7 +19,16 @@ import numpy as np
 
 from .bipartite import BipartiteDims, BipartiteVector, SchmidtDecomposition, schmidt
 from .classical import ClassicalSeparableCert, CompositeClassicalState, classify_classical
-from .linalg import Tolerance, _built, _convex, _norm, _outer_flat, count_above
+from .linalg import (
+    _UNIT_ROUNDOFF,
+    Tolerance,
+    _built,
+    _convex,
+    _low_rank_factor,
+    _norm,
+    _outer_flat,
+    count_above,
+)
 from .quantum import DensityOperator, MixedEnsemble, PureState, check_unit_norm, mix, projector
 
 
@@ -125,14 +134,62 @@ def range_basis(rho: DensityOperator, tol: Tolerance = Tolerance()) -> list[np.n
     """Orthonormal basis of the column space: eigenvectors above threshold.
 
     ``rho`` was validated when it was built, so its matrix goes straight to
-    ``eigh``.  The vectors come in descending order of eigenvalue, and are
-    read-only.
+    the decompositions.  A density of rank 2 to ``_LOW_RANK_STEPS``, at n of
+    at least four times that, gets its basis from ``_ritz_basis``, by
+    Rayleigh-Ritz on its pivoted Cholesky factor, when the margins prove
+    that ``eigh`` would count the same rank; that basis spans the same range
+    as ``eigh``'s eigenvectors, with other phases and last bits.  Anything
+    else, rank one included, takes the eigenvectors of ``eigh`` above the
+    cut.  The vectors come in descending order of eigenvalue, or of Ritz
+    value, and are read-only.
     """
-    values, vectors = np.linalg.eigh(rho.mat)
-    values, vectors = values[::-1], vectors[:, ::-1]
-    basis = vectors[:, : count_above(values, tol)].T.copy()  # one contiguous row per vector
+    basis = _ritz_basis(rho.mat, tol)
+    if basis is None:
+        values, vectors = np.linalg.eigh(rho.mat)
+        values, vectors = values[::-1], vectors[:, ::-1]
+        basis = vectors[:, : count_above(values, tol)].T.copy()  # one contiguous row per vector
     basis.flags.writeable = False
     return list(basis)
+
+
+def _ritz_basis(m: np.ndarray, tol: Tolerance) -> Optional[np.ndarray]:
+    """Rows spanning the range of m, of rank k >= 2, from its low-rank factor; or None.
+
+    With ``(L, s, beta)`` from ``_low_rank_factor``, ``H = L L^H + R`` and
+    ``||R||_2 <= beta``.  The basis is ``Q V``: ``Q R_L`` is the QR
+    factorization of L, and V the eigenvectors of the k x k ``R_L R_L^H``,
+    whose eigenvalues ``mu`` are those of ``L L^H``.  By Weyl, H has k
+    eigenvalues within beta of mu and the rest within beta of 0.  The
+    eigenvalues ``eigh`` computes are exact for some ``H + E`` with
+    ``||E||_2 <= n^2 u ||H||_2 <= n^2 u (2 s + beta)``, as in
+    ``_is_positive``, so each lies within ``outside = beta + n^2 u (2 s + beta)``
+    of those.  Householder QR is backward stable columnwise (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 19.4),
+    with an error of order ``n k u ||L||_F`` whose constant the theorem
+    leaves open; taking ``16 n k u`` for it, the singular values of R_L lie
+    that close to L's, so mu, their squares, within ``32 n k u s``, and the
+    k x k product and ``eigh`` add about ``k^2 u s``.  ``ritz = 96 n k u s``
+    covers all of it, with the rounding of s.  When ``outside < eps/2`` no
+    eigenvalue outside the k clears the cut ``eps * max(1, largest)``, and
+    when the least mu, less ``outside + ritz``, clears the cut as the
+    largest mu, plus the same, sets it, all k do: ``count_above`` on
+    ``eigh``'s eigenvalues counts k.  Otherwise None, and so for rank 0 or
+    1, for n below ``4 * _LOW_RANK_STEPS``, and past the cap.
+    """
+    factor = _low_rank_factor(m, tol)
+    if factor is None or factor[0].shape[1] < 2:
+        return None
+    l, s, beta = factor
+    n, k = l.shape
+    outside = beta + n * n * _UNIT_ROUNDOFF * (2 * s + beta)
+    if not outside < tol.eps / 2:  # also when beta is NaN or infinite
+        return None
+    q, r = np.linalg.qr(l)
+    mu, v = np.linalg.eigh(r @ r.conj().T)
+    spread = outside + 96 * n * k * _UNIT_ROUNDOFF * s  # outside, plus ritz
+    if not mu[0] - spread > tol.eps * max(1.0, float(mu[-1]) + spread):
+        return None
+    return v[:, ::-1].T @ q.T  # one contiguous row per vector, by descending Ritz value
 
 
 def check_range_criterion(dec: SeparableDecomposition, tol: Tolerance = Tolerance()) -> bool:

@@ -17,6 +17,7 @@ from entanglekit.classical import (
 )
 from entanglekit.linalg import (
     _HERMITIAN_BLOCK,
+    _LOW_RANK_STEPS,
     DEFAULT_EPS,
     Tolerance,
     as_matrix,
@@ -24,6 +25,7 @@ from entanglekit.linalg import (
     check_weights,
     count_above,
     is_hermitian,
+    _low_rank_factor,
     is_positive,
     rank,
 )
@@ -384,8 +386,85 @@ def _planted_spectra(draw):
     return (m + m.conj().T) / 2, Tolerance(eps)
 
 
+@st.composite
+def _low_rank_spectra(draw):
+    """A Hermitian matrix of rank up to the cap, with its lowest eigenvalue planted as above.
+
+    Half the draws of n are at least four times the cap, where the
+    low-rank screen runs.
+    """
+    n = draw(st.integers(16, 96) | st.integers(4 * _LOW_RANK_STEPS, 96))
+    r = min(draw(st.integers(1, _LOW_RANK_STEPS)), n - 1)
+    eps = draw(st.sampled_from([1e-13, 1e-9, 1e-6, 1e-3]))
+    top = draw(st.floats(0.0, 10.0))
+    floor = eps * max(1.0, top)
+    low = draw(st.sampled_from([0.0, -eps / 4, -eps / 2, -0.9 * floor, -1.1 * floor]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spectrum = np.zeros(n)
+    spectrum[0] = low
+    spectrum[n - r :] = [*rng.uniform(0.0, top, r - 1), top]
+    q, _ = np.linalg.qr(_rand_complex(rng, n, n))
+    m = (q * spectrum) @ q.conj().T
+    return (m + m.conj().T) / 2, Tolerance(eps)
+
+
+def _low_rank_density(rng, n, weights):
+    q, _ = np.linalg.qr(_rand_complex(rng, n, len(weights)))
+    m = (q * weights) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+class TestLowRankFactor:
+    """``_low_rank_factor``: a bound on the residual of the matrix its lower triangle defines."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_low_rank_spectra())
+    def test_beta_bounds_the_residual(self, planted):
+        m, tol = planted
+        rng = np.random.default_rng(int(m.shape[0]))
+        # the factor reads the lower triangle and the real diagonal alone
+        m = np.tril(m) + np.triu(_rand_complex(rng, *m.shape), 1) + 1j * np.diag(rng.standard_normal(m.shape[0]))
+        factor = _low_rank_factor(m, tol)
+        if factor is None:
+            return
+        l, s, beta = factor
+        h = np.tril(m, -1)
+        h = h + h.conj().T + np.diag(m.diagonal().real)
+        assert float(np.linalg.norm(h - l @ l.conj().T, 2)) <= beta
+        assert abs(s - float(np.linalg.norm(l) ** 2)) <= 1e-12 * max(1.0, s)
+
+    @pytest.mark.parametrize("scale", [1e-180, 1e-300])
+    def test_beta_holds_where_the_squares_underflow(self, scale):
+        m = scale * _low_rank_density(np.random.default_rng(33), 64, [0.4, 0.3, 0.2, 0.1])
+        l, _, beta = _low_rank_factor(m, Tolerance(1e-13))
+        assert float(np.linalg.norm(m - l @ l.conj().T, 2)) <= beta
+
+    def test_small_or_high_rank_is_declined(self):
+        rng = np.random.default_rng(30)
+        assert _low_rank_factor(_low_rank_density(rng, 4 * _LOW_RANK_STEPS - 1, [1.0]), TOL) is None
+        weights = np.full(_LOW_RANK_STEPS + 1, 1.0 / (_LOW_RANK_STEPS + 1))
+        assert _low_rank_factor(_low_rank_density(rng, 64, weights), TOL) is None
+
+    def test_exact_low_rank_is_factored_at_rounding_level(self):
+        m = _low_rank_density(np.random.default_rng(31), 64, [0.4, 0.3, 0.2, 0.1])
+        l, s, beta = _low_rank_factor(m, TOL)
+        assert l.shape == (64, 4)
+        assert beta <= 1e3 * 64 * np.finfo(float).eps
+
+
 class TestPositiveScreen:
-    """The Cholesky screen accepts only what the ``eigvalsh`` rule accepts."""
+    """The low-rank and Cholesky screens accept only what the ``eigvalsh`` rule accepts."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_low_rank_spectra())
+    def test_low_rank_same_answer_as_the_eigvalsh_rule(self, planted):
+        m, tol = planted
+        assert is_positive(m, tol) == _eigvalsh_rule(m, tol)
+
+    def test_low_rank_screen_decides_a_density_alone(self, decompositions):
+        m = _low_rank_density(np.random.default_rng(32), 64, [0.4, 0.3, 0.2, 0.1])
+        assert is_positive(m, TOL)
+        assert decompositions == {}
 
     @settings(max_examples=400, deadline=None)
     @given(_planted_spectra())

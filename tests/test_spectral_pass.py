@@ -8,6 +8,10 @@ fixture in ``conftest.py``), through the same hooks the benchmark's tracer
 uses, so a second pass cannot come back unnoticed.
 The densities the library builds from validated states are not checked
 again; a property test confirms that they are densities all the same.
+A density of rank 2 to ``_LOW_RANK_STEPS``, at D >= 64, may take its range
+basis from Rayleigh-Ritz on its pivoted factor instead of ``eigh``: a
+different orthonormal basis of the same range, so its report is held to
+the range contract, ``_assert_range_contract``, and not to the old bytes.
 """
 
 import numpy as np
@@ -17,15 +21,17 @@ from hypothesis import strategies as st
 
 from entanglekit.bipartite import BipartiteDims, BipartiteVector, kron_op, kron_vec, partial_trace, schmidt
 from entanglekit.classical import ClassicalState, PhaseSpace, classical_tensor, is_product_composite
-from entanglekit.linalg import Tolerance
+from entanglekit.linalg import _LOW_RANK_STEPS, _UNIT_ROUNDOFF, Tolerance, count_above
 from entanglekit.quantum import DensityOperator, MixedEnsemble, PureState, is_density, mix, projector
 from entanglekit.separability import (
     Classification,
     RangeReport,
     SeparableDecomposition,
     Verdict,
+    _ritz_basis,
     classify,
     product_pure,
+    range_basis,
     separable_density,
 )
 from entanglekit.statefile import (
@@ -83,6 +89,31 @@ def _old_separable_density(dec, tol):
 
 def _report_bytes(classification):
     return dumps_canonical(classification_to_json(classification))
+
+
+def _assert_range_contract(rho, dims, tol):
+    """``range_basis`` as ``eigh`` would give it, up to the choice of basis.
+
+    The count is ``eigh``'s; the rows are read-only and orthonormal within
+    ``32 n u``; they span rho up to the cut, ``||(I - P) rho||_2`` at most
+    ``eps * max(1, largest) + 32 n u``; and ``classify`` reports the
+    Schmidt ranks of the basis it holds.
+    """
+    n = rho.dim
+    values = np.linalg.eigh(rho.mat)[0][::-1]
+    basis = range_basis(rho, tol)
+    assert len(basis) == count_above(values, tol)
+    assert not any(b.flags.writeable for b in basis)
+    bound = 32 * n * _UNIT_ROUNDOFF
+    b = np.array(basis).reshape(len(basis), n)
+    assert float(np.abs(b.conj() @ b.T - np.eye(len(b))).max(initial=0.0)) <= bound
+    outside = rho.mat - b.T @ (b.conj() @ rho.mat)
+    assert float(np.linalg.norm(outside, 2)) <= tol.eps * max(1.0, float(values[0])) + bound
+    if len(basis) >= 2:
+        report = classify(rho, dims, tol).certificate
+        held = np.array(report.basis).reshape(len(basis), dims.d1, dims.d2)
+        assert list(report.schmidt_ranks) == count_above(np.linalg.svd(held, compute_uv=False), tol).tolist()
+
 
 
 def _unit(rng, d):
@@ -171,6 +202,64 @@ class TestDensityClassify:
             classify(rho, BipartiteDims(2, 2), tol)
 
 
+@st.composite
+def _low_rank_densities(draw):
+    """A density of rank 2 to the cap at D from 16 to 144, perhaps with one more eigenvalue near the cut.
+
+    Most draws have D >= 64, where the Rayleigh-Ritz basis can be taken.
+    """
+    side = st.integers(4, 12) | st.integers(8, 12)
+    dims = BipartiteDims(draw(side), draw(side))
+    planted = draw(st.sampled_from([0.0, 0.5 * TOL.eps, 2 * TOL.eps]))
+    rank = min(draw(st.integers(2, _LOW_RANK_STEPS)), dims.total - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = _orthonormal_columns(rng, dims.total, rank + 1)
+    weights = [*(rng.dirichlet(np.ones(rank)) * (1.0 - planted)), planted]
+    return _density(weights, [q[:, k] for k in range(rank + 1)]), dims
+
+
+class TestRangeBasisContract:
+    """A low-rank density's range basis, by Rayleigh-Ritz or by ``eigh``, against ``eigh``'s count."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_low_rank_densities())
+    def test_same_count_orthonormal_spanning_rows(self, drawn):
+        rho, dims = drawn
+        _assert_range_contract(rho, dims, TOL)
+
+    def test_low_rank_basis_is_rayleigh_ritz(self):
+        q = _orthonormal_columns(np.random.default_rng(40), 64, 4)
+        rho = _density([0.4, 0.3, 0.2, 0.1], [q[:, k] for k in range(4)])
+        ritz = _ritz_basis(rho.mat, TOL)
+        assert ritz is not None
+        np.testing.assert_array_equal(np.array(range_basis(rho, TOL)), ritz)
+        _assert_range_contract(rho, BipartiteDims(8, 8), TOL)
+
+    @pytest.mark.parametrize("planted", [0.5 * TOL.eps, 0.9 * TOL.eps])
+    def test_an_eigenvalue_below_the_cut_goes_to_eigh(self, planted):
+        # the pivoted factor takes the planted direction, whose Ritz value then fails the margin
+        q = _orthonormal_columns(np.random.default_rng(41), 64, 4)
+        rho = _density([0.5, 0.3, 0.2 - planted, planted], [q[:, k] for k in range(4)])
+        assert _ritz_basis(rho.mat, TOL) is None
+        _assert_range_contract(rho, BipartiteDims(8, 8), TOL)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d1=st.integers(4, 12),
+        d2=st.integers(4, 12),
+        rank=st.sampled_from([1, _LOW_RANK_STEPS + 1, _LOW_RANK_STEPS + 4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rank_one_and_past_the_cap_keep_the_eigh_bytes(self, d1, d2, rank, seed):
+        dims = BipartiteDims(d1, d2)
+        rank = min(rank, dims.total)
+        rng = np.random.default_rng(seed)
+        q = _orthonormal_columns(rng, dims.total, rank)
+        rho = _density(rng.dirichlet(np.ones(rank)), [q[:, k] for k in range(rank)])
+        assert _ritz_basis(rho.mat, TOL) is None
+        assert _report_bytes(classify(rho, dims, TOL)) == _report_bytes(_old_classify_density(rho, dims, TOL))
+
+
 class TestSeparableDensity:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -219,6 +308,21 @@ class TestDecompositionBudget:
         result = classify(loads_state(text.encode(), TOL), BipartiteDims(4, 4), TOL)
         assert len(result.certificate.basis) == 4
         assert decompositions == {"cholesky": 1, "eigh": 1, "svd": 1}
+
+    def test_a_low_rank_density_makes_no_full_size_decomposition(self, monkeypatch):
+        q = _orthonormal_columns(np.random.default_rng(3), 64, 4)
+        rho = _density([0.4, 0.3, 0.2, 0.1], [q[:, k] for k in range(4)])
+        text = dumps_canonical(state_to_json(rho))
+        calls = []
+        for name in ("cholesky", "eigh", "eigvalsh", "svd"):
+            def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        result = classify(loads_state(text.encode(), TOL), BipartiteDims(8, 8), TOL)
+        assert len(result.certificate.basis) == 4
+        assert calls == [("eigh", (4, 4)), ("svd", (4, 8, 8))]
 
     def test_a_non_positive_density_is_judged_by_eigvalsh(self, decompositions):
         mat = np.diag([0.5, 0.5 + 1e-6, -1e-6, 0.0]).astype(complex)
