@@ -17,7 +17,7 @@ tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -57,14 +57,16 @@ class PhaseSpace:
         return self._index[label]
 
 
-def _on_support(probs: dict, points, kind: str) -> dict:
-    """Check ``probs`` as weights on ``points``, in their order, and keep the support."""
+def _on_support(probs: dict, points, kind: str, tol: Tolerance) -> dict:
+    """Check ``probs`` as weights on ``points``, in their order, at ``tol``, and keep the support."""
     weights = dict.fromkeys(points, 0.0)
     for key in probs:
         if key not in weights:
             raise ValueError(f"probability assigned to unknown {kind} {key!r}")
         weights[key] = probs[key]
-    checked = check_weights(weights.values(), "probabilities", lambda k: f"probability of {points[k]!r}")
+    checked = check_weights(
+        weights.values(), "probabilities", lambda k: f"probability of {points[k]!r}", tol
+    )
     return {pt: p for pt, p in zip(weights, checked) if p > 0.0}
 
 
@@ -74,9 +76,10 @@ class ClassicalState:
 
     space: PhaseSpace
     probs: dict[str, float]
+    tol: InitVar[Tolerance] = Tolerance()
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _on_support(self.probs, self.space.labels, "label"))
+    def __post_init__(self, tol):
+        object.__setattr__(self, "probs", _on_support(self.probs, self.space.labels, "label", tol))
 
     def prob(self, label: str) -> float:
         self.space.index(label)
@@ -98,10 +101,11 @@ class CompositeClassicalState:
     space_x: PhaseSpace
     space_y: PhaseSpace
     probs: dict[tuple[str, str], float]
+    tol: InitVar[Tolerance] = Tolerance()
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         points = [(x, y) for x in self.space_x.labels for y in self.space_y.labels]
-        object.__setattr__(self, "probs", _on_support(self.probs, points, "point"))
+        object.__setattr__(self, "probs", _on_support(self.probs, points, "point", tol))
 
     def prob(self, x: str, y: str) -> float:
         self.space_x.index(x)

@@ -48,12 +48,12 @@ def _built(cls, **fields):
     return state
 
 
-def check_weights(weights, what: str, name) -> list[float]:
+def check_weights(weights, what: str, name, tol: Tolerance = Tolerance()) -> list[float]:
     """Return the weights as floats if each is finite and >= 0 and, summed in order, they make 1.
 
-    The sum may miss 1 by ``DEFAULT_EPS``; ``what`` names the weights in
-    that refusal.  A bad weight at position k is named by ``name(k)``, with
-    its value; ``name`` is called only then.
+    The sum may miss 1 by ``tol.eps``, as a density's trace may; ``what``
+    names the weights in that refusal.  A bad weight at position k is named
+    by ``name(k)``, with its value; ``name`` is called only then.
     """
     checked = []
     for k, p in enumerate(weights):
@@ -62,17 +62,17 @@ def check_weights(weights, what: str, name) -> list[float]:
             raise ValueError(f"{name(k)} must be finite and >= 0, got {p!r}")
         checked.append(p)
     total = sum(checked)
-    if abs(total - 1.0) > DEFAULT_EPS:
+    if abs(total - 1.0) > tol.eps:
         raise ValueError(f"{what} must sum to 1, got {total!r}")
     return checked
 
 
-def _convex(terms, noun: str, what: str, name: str) -> tuple:
-    """A convex sum's (weight, ...) terms, weights by ``check_weights``; ``name`` names a bad one."""
+def _convex(terms, noun: str, what: str, name: str, tol: Tolerance = Tolerance()) -> tuple:
+    """A convex sum's (weight, ...) terms, weights by ``check_weights`` at ``tol``; ``name`` names a bad one."""
     terms = tuple(terms)
     if not terms:
         raise ValueError(f"{noun} needs at least one term")
-    weights = check_weights([p for p, *_ in terms], what, lambda k: name)
+    weights = check_weights([p for p, *_ in terms], what, lambda k: name, tol)
     return tuple((p, *rest) for p, (_, *rest) in zip(weights, terms))
 
 
@@ -174,7 +174,7 @@ def is_positive(m, tol: Tolerance = Tolerance()) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    return _is_positive(m, tol)
+    return _is_positive(m, tol, _low_rank_factor(m, tol))
 
 
 def _gamma(k: int) -> float:
@@ -233,7 +233,7 @@ def _low_rank_factor(m: np.ndarray, tol: Tolerance):
             lt[k] = col
             d -= col.real**2 + col.imag**2
             d[p] = 0.0
-        l = lt[:k]
+        l = lt[:k].copy()  # the factor holds its k rows, not the cap's
         s = float(np.vdot(l, l).real)
         diag = m.diagonal().real - (l.real**2 + l.imag**2).sum(axis=0)
         squares = float(diag @ diag)
@@ -250,7 +250,22 @@ def _low_rank_factor(m: np.ndarray, tol: Tolerance):
     return l.T, s, beta
 
 
-def _is_positive(m: np.ndarray, tol: Tolerance) -> bool:
+def _factor_slack(factor) -> float:
+    """How far an eigenvalue of H that ``eigvalsh`` or ``eigh`` computes may lie from one of ``L L^H``.
+
+    For ``(L, s, beta)`` of ``_low_rank_factor``, ``H = L L^H + R`` with
+    ``||R||_2 <= beta``, so by Weyl each eigenvalue of H lies within beta of
+    the same-ranked one of ``L L^H``, which is positive.  The computed ones
+    are exact for some ``H + E``, ``||E||_2 <= n^2 u ||H||_2`` as in
+    ``_is_positive``, and ``||H||_2 <= ||L||_F^2 + beta <= 2 s + beta``, 2s
+    allowing for the rounding of s: the slack is ``beta + n^2 u (2 s + beta)``.
+    """
+    l, s, beta = factor
+    n = l.shape[0]
+    return beta + n * n * _UNIT_ROUNDOFF * (2 * s + beta)
+
+
+def _is_positive(m: np.ndarray, tol: Tolerance, factor) -> bool:
     """``is_positive`` of a square matrix ``as_matrix`` has already coerced.
 
     The rule is ``w[0] >= -eps * max(1, w[-1])`` on ``w = eigvalsh(m)``.  Two
@@ -263,16 +278,10 @@ def _is_positive(m: np.ndarray, tol: Tolerance) -> bool:
     ``||E||_2 <= p(n) u ||H||_2``, where u is the unit roundoff; both
     screens allow ``p(n) = n^2``.
 
-    The low-rank screen takes ``(L, s, beta)`` from ``_low_rank_factor``, so
-    ``H = L L^H + R`` with ``||R||_2 <= beta``.  ``L L^H`` is positive, so
-    ``lambda_min(H) >= -beta`` (Weyl), and ``||H||_2 <= ||L||_F^2 + beta``,
-    at most ``2 s + beta``, with 2s allowing for the rounding of s.  Hence
-
-        w[0] >= -beta - n^2 u (2 s + beta),
-
-    and when that stays above ``-eps/2`` the rule accepts.  It runs in
-    O(n^2 k) for H of rank k up to ``_LOW_RANK_STEPS``; a larger rank, a
-    small n, or a margin too thin goes to the Cholesky screen.
+    The low-rank screen reads ``factor``, m's ``_low_rank_factor``, which a
+    ``DensityOperator`` keeps: ``w[0] >= -_factor_slack(factor)``, so a slack
+    below ``eps/2`` accepts.  A None factor (a rank past ``_LOW_RANK_STEPS``,
+    a small n) or a thinner margin goes to the Cholesky screen.
 
     The Cholesky screen factors ``A = H + (eps/2) I``.  If that completes
     with computed factor R, then ``R^H R = fl(A) + dA`` with
@@ -294,13 +303,10 @@ def _is_positive(m: np.ndarray, tol: Tolerance) -> bool:
     """
     if not _is_hermitian(m, tol):
         return False
+    if factor is not None and _factor_slack(factor) < tol.eps / 2:
+        return True
     n = m.shape[0]
     u = _UNIT_ROUNDOFF
-    factor = _low_rank_factor(m, tol)
-    if factor is not None:
-        _, s, beta = factor
-        if beta + n * n * u * (2 * s + beta) < tol.eps / 2:
-            return True
     a = m.copy()
     a.reshape(-1)[:: n + 1] += tol.eps / 2
     try:

@@ -6,17 +6,33 @@ valid one.  Densities are validated when read, trusted when built:
 ``projector``, ``mix`` and ``partial_trace`` assemble a density from states
 already validated (a product state is a projector, a separable sum a mix)
 and wrap it with ``_built_density``, which runs no second check.
+
+Each density is factored once, by ``DensityOperator._low_rank``: its
+positivity screen computes the pivoted factor at validation, a built
+density on first use, and every range question reads the one kept.  A
+factor serves any tolerance: each question checks its margins at its own,
+and takes ``eigh`` when they are too thin.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ZeroVectorError
-from .linalg import Tolerance, _built, _checked, _convex, _is_positive, _norm, as_matrix, as_vector
+from .linalg import (
+    Tolerance,
+    _built,
+    _checked,
+    _convex,
+    _is_positive,
+    _low_rank_factor,
+    _norm,
+    as_matrix,
+    as_vector,
+)
 
 
 def check_unit_norm(v: np.ndarray, tol: Tolerance) -> None:
@@ -55,27 +71,35 @@ class DensityOperator:
 
     mat: np.ndarray
     tol: InitVar[Tolerance] = Tolerance()
+    # mat's _low_rank_factor (None: declined), or False until _low_rank computes it
+    _factor: object = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self, tol):
         handed_over = isinstance(self.mat, _HandedOver)
         m = _checked(self.mat.array, 2, "matrix") if handed_over else as_matrix(self.mat)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"density operator must be square, got shape {m.shape}")
+        object.__setattr__(self, "mat", m)
         tr = complex(np.trace(m))
         try:
             off = abs(tr - 1.0)
         except OverflowError:  # finite parts, a modulus past the float range: refused for
             off = np.inf  # its trace, though it may fail the positivity check as well
         else:
-            if not _is_positive(m, tol):
+            if not _is_positive(m, tol, self._low_rank(tol)):
                 raise ValueError("density operator must be positive")
         if off > tol.eps:
             raise ValueError(f"density operator must have unit trace, got {tr!r}")
-        object.__setattr__(self, "mat", m)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    def _low_rank(self, tol: Tolerance):
+        """mat's ``_low_rank_factor``: the one computed first, at validation or now at ``tol``, and kept."""
+        if self._factor is False:
+            object.__setattr__(self, "_factor", _low_rank_factor(self.mat, tol))
+        return self._factor
 
 
 class _HandedOver(NamedTuple):

@@ -11,7 +11,7 @@ necessary condition only and this library does not guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from enum import Enum
 from typing import Optional, Union
 
@@ -24,6 +24,7 @@ from .linalg import (
     Tolerance,
     _built,
     _convex,
+    _factor_slack,
     _low_rank_factor,
     _norm,
     _outer_flat,
@@ -38,9 +39,10 @@ class SeparableDecomposition:
 
     dims: BipartiteDims
     terms: tuple[tuple[float, PureState, PureState], ...]
+    tol: InitVar[Tolerance] = Tolerance()
 
-    def __post_init__(self):
-        terms = _convex(self.terms, "decomposition", "weights", "weights")
+    def __post_init__(self, tol):
+        terms = _convex(self.terms, "decomposition", "weights", "weights", tol)
         object.__setattr__(self, "terms", terms)
         for _, x, y in terms:
             if x.dim != self.dims.d1 or y.dim != self.dims.d2:
@@ -131,57 +133,62 @@ def separable_density(dec: SeparableDecomposition) -> DensityOperator:
 
 
 def range_basis(rho: DensityOperator, tol: Tolerance = Tolerance()) -> list[np.ndarray]:
-    """Orthonormal basis of the column space: eigenvectors above threshold.
+    """Orthonormal basis of the column space: ``_range``'s read-only rows, by descending eigenvalue."""
+    return list(_range(rho, tol)[0])
+
+
+def _range(rho: DensityOperator, tol: Tolerance) -> tuple[np.ndarray, float]:
+    """Read-only rows spanning rho's range, by descending value, and the largest eigenvalue or Ritz value.
 
     ``rho`` was validated when it was built, so its matrix goes straight to
-    the decompositions.  A density of rank 2 to ``_LOW_RANK_STEPS``, at n of
-    at least four times that, gets its basis from ``_ritz_basis``, by
-    Rayleigh-Ritz on its pivoted Cholesky factor, when the margins prove
-    that ``eigh`` would count the same rank; that basis spans the same range
-    as ``eigh``'s eigenvectors, with other phases and last bits.  Anything
-    else, rank one included, takes the eigenvectors of ``eigh`` above the
-    cut.  The vectors come in descending order of eigenvalue, or of Ritz
-    value, and are read-only.
+    the decompositions.  ``_ritz`` gives the rows from rho's one factor,
+    ``rho._low_rank``, when its margins at ``tol`` prove ``eigh``'s
+    count: the same range, with other phases and last bits.  Anything else
+    (rank one, or a factor computed at a looser tolerance) gets ``eigh``'s
+    eigenvectors above the cut.
     """
-    basis = _ritz_basis(rho.mat, tol)
-    if basis is None:
+    ritz = _ritz(rho._low_rank(tol), tol)
+    if ritz is None:
         values, vectors = np.linalg.eigh(rho.mat)
         values, vectors = values[::-1], vectors[:, ::-1]
-        basis = vectors[:, : count_above(values, tol)].T.copy()  # one contiguous row per vector
-    basis.flags.writeable = False
-    return list(basis)
+        ritz = vectors[:, : count_above(values, tol)].T.copy(), float(values[0])  # one row per vector
+    ritz[0].flags.writeable = False
+    return ritz
 
 
 def _ritz_basis(m: np.ndarray, tol: Tolerance) -> Optional[np.ndarray]:
-    """Rows spanning the range of m, of rank k >= 2, from its low-rank factor; or None.
+    """``_ritz``'s rows from m's own ``_low_rank_factor``, or None: the Ritz path of a bare matrix."""
+    ritz = _ritz(_low_rank_factor(m, tol), tol)
+    return None if ritz is None else ritz[0]
 
-    With ``(L, s, beta)`` from ``_low_rank_factor``, ``H = L L^H + R`` and
-    ``||R||_2 <= beta``.  The basis is ``Q V``: ``Q R_L`` is the QR
-    factorization of L, and V the eigenvectors of the k x k ``R_L R_L^H``,
-    whose eigenvalues ``mu`` are those of ``L L^H``.  By Weyl, H has k
-    eigenvalues within beta of mu and the rest within beta of 0.  The
-    eigenvalues ``eigh`` computes are exact for some ``H + E`` with
-    ``||E||_2 <= n^2 u ||H||_2 <= n^2 u (2 s + beta)``, as in
-    ``_is_positive``, so each lies within ``outside = beta + n^2 u (2 s + beta)``
-    of those.  Householder QR is backward stable columnwise (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 19.4),
-    with an error of order ``n k u ||L||_F`` whose constant the theorem
-    leaves open; taking ``16 n k u`` for it, the singular values of R_L lie
-    that close to L's, so mu, their squares, within ``32 n k u s``, and the
-    k x k product and ``eigh`` add about ``k^2 u s``.  ``ritz = 96 n k u s``
-    covers all of it, with the rounding of s.  When ``outside < eps/2`` no
-    eigenvalue outside the k clears the cut ``eps * max(1, largest)``, and
-    when the least mu, less ``outside + ritz``, clears the cut as the
-    largest mu, plus the same, sets it, all k do: ``count_above`` on
-    ``eigh``'s eigenvalues counts k.  Otherwise None, and so for rank 0 or
-    1, for n below ``4 * _LOW_RANK_STEPS``, and past the cap.
+
+def _ritz(factor, tol: Tolerance) -> Optional[tuple[np.ndarray, float]]:
+    """Rows spanning H's range, of rank k >= 2, from H's low-rank factor, and the top Ritz value; or None.
+
+    With ``(L, s, beta)`` from ``_low_rank_factor``, the basis is ``Q V``:
+    ``Q R_L`` is the QR factorization of L, and V the eigenvectors of the
+    k x k ``R_L R_L^H``, whose eigenvalues ``mu`` are those of ``L L^H``.
+    Each eigenvalue ``eigh`` computes of H lies within
+    ``outside = _factor_slack(factor)`` of a mu or of 0.  Householder QR is
+    backward stable columnwise (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., Thm 19.4), with an error of order
+    ``n k u ||L||_F`` whose constant the theorem leaves open; taking
+    ``16 n k u`` for it, the singular values of R_L lie that close to L's,
+    so mu, their squares, within ``32 n k u s``, and the k x k product and
+    ``eigh`` add about ``k^2 u s``.  ``ritz = 96 n k u s`` covers all of
+    it, with the rounding of s.  When ``outside < eps/2`` no eigenvalue
+    outside the k clears the cut ``eps * max(1, largest)``, and when the
+    least mu, less ``outside + ritz``, clears the cut as the largest mu,
+    plus the same, sets it, all k do: ``count_above`` on ``eigh``'s
+    eigenvalues counts k.  That reads L, s and beta alone, so it holds at
+    any ``tol``, whatever the factor's.  Otherwise None, as for rank 0 or
+    1 and a None factor.
     """
-    factor = _low_rank_factor(m, tol)
     if factor is None or factor[0].shape[1] < 2:
         return None
-    l, s, beta = factor
+    l, s, _ = factor
     n, k = l.shape
-    outside = beta + n * n * _UNIT_ROUNDOFF * (2 * s + beta)
+    outside = _factor_slack(factor)
     if not outside < tol.eps / 2:  # also when beta is NaN or infinite
         return None
     q, r = np.linalg.qr(l)
@@ -189,13 +196,13 @@ def _ritz_basis(m: np.ndarray, tol: Tolerance) -> Optional[np.ndarray]:
     spread = outside + 96 * n * k * _UNIT_ROUNDOFF * s  # outside, plus ritz
     if not mu[0] - spread > tol.eps * max(1.0, float(mu[-1]) + spread):
         return None
-    return v[:, ::-1].T @ q.T  # one contiguous row per vector, by descending Ritz value
+    return v[:, ::-1].T @ q.T, float(mu[-1])  # one contiguous row per vector, by descending Ritz value
 
 
 def check_range_criterion(dec: SeparableDecomposition, tol: Tolerance = Tolerance()) -> bool:
     """Verify span{x_i (x) y_i} equals the range of the assembled density.
 
-    The range keeps the eigenvalues above ``cut = eps * max(1, largest)``;
+    The range is ``_range``'s, above ``cut = eps * max(1, largest)``;
     as ``p |t><t| <= rho``, each term's product vector t must satisfy
     ``p * |(I - P_range) t|**2 <= cut``, and the range must lie in the span
     of the terms with p > 0.  True for every valid decomposition; a False
@@ -203,11 +210,8 @@ def check_range_criterion(dec: SeparableDecomposition, tol: Tolerance = Toleranc
     When eps lies above every eigenvalue the range is empty: the cut is then
     ``eps`` and the reverse containment holds vacuously.
     """
-    values, vectors = np.linalg.eigh(separable_density(dec).mat)
-    values, vectors = values[::-1], vectors[:, ::-1]
-    k = count_above(values, tol)
-    basis = vectors[:, :k].T.copy()  # one contiguous row per range vector
-    cut = tol.eps * max(1.0, float(values[0])) if k else tol.eps
+    basis, largest = _range(separable_density(dec), tol)
+    cut = tol.eps * max(1.0, largest) if len(basis) else tol.eps
     terms = [(p, _outer_flat(x.vec, y.vec)) for p, x, y in dec.terms if p > 0.0]
     for p, t in terms:
         outside = t - basis.T @ (basis.conj() @ t)

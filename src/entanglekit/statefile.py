@@ -176,7 +176,7 @@ def parse_state(obj, tol: Tolerance = Tolerance()) -> State:
         probs = {
             _as(k, "a string", "$.probs"): _as_number(v, f"$.probs.{k}") for k, v in raw.items()
         }
-        return ClassicalState(space, probs)
+        return ClassicalState(space, probs, tol)
 
     if kind == "classical2":
         space_x = PhaseSpace(_as_labels(_require(obj, "spaceX", "$"), "$.spaceX"))
@@ -191,7 +191,7 @@ def parse_state(obj, tol: Tolerance = Tolerance()) -> State:
             if key in probs:
                 raise SchemaError(f"duplicate point {key!r}", eloc)
             probs[key] = _as_number(triple[2], f"{eloc}[2]")
-        return CompositeClassicalState(space_x, space_y, probs)
+        return CompositeClassicalState(space_x, space_y, probs, tol)
 
     if kind == "pure":
         return PureState(_as_cvec(_require(obj, "vec", "$"), "$.vec"), tol)
@@ -220,7 +220,7 @@ def parse_state(obj, tol: Tolerance = Tolerance()) -> State:
             x = PureState(_as_cvec(_require(entry, "x", eloc), f"{eloc}.x"), tol)
             y = PureState(_as_cvec(_require(entry, "y", eloc), f"{eloc}.y"), tol)
             terms.append((p, x, y))
-        return SeparableDecomposition(dims, tuple(terms))
+        return SeparableDecomposition(dims, tuple(terms), tol)
 
     raise SchemaError(f"unknown state type {kind!r}; expected one of {STATE_TYPES}", "$.type")
 

@@ -746,6 +746,50 @@ class TestBuiltClassicalStatesAtTheEdge:
             loads_state(reduced, Tolerance())
 
 
+class TestWeightsAtTheRunTolerance:
+    """Weights must sum to 1 within the run's tolerance, as a density's trace must."""
+
+    @staticmethod
+    def _files(tmp_path, excess):
+        """A classical2 and a separable file whose two weights sum to 1 + excess."""
+        w = 0.5 + excess / 2
+        e = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        states = {
+            "classical2": {"type": "classical2", "spaceX": ["a", "b"], "spaceY": ["c", "d"],
+                           "probs": [["a", "c", w], ["b", "d", w]]},
+            "separable": {"type": "separable", "dims": [2, 2],
+                          "terms": [{"p": w, "x": e[0], "y": e[0]}, {"p": w, "x": e[1], "y": e[1]}]},
+        }
+        for kind, state in states.items():
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(state))
+            yield kind, str(path)
+
+    def test_a_loose_tolerance_accepts_what_the_default_refuses(self, capsys, tmp_path):
+        for kind, path in self._files(tmp_path, 1e-6):
+            code, out, err = _run(capsys, "classify", path)
+            assert (code, out) == (3, ""), kind
+            assert "must sum to 1" in err, kind
+            code, report = _run_json(capsys, "classify", path, "--tol", "1e-3")
+            assert code == 0, kind
+            assert report["result"]["verdict"] in ("ClassicalSeparable", "QuantumSeparableByConstruction")
+
+    def test_a_tight_tolerance_refuses_what_the_default_accepts(self, capsys, tmp_path):
+        for kind, path in self._files(tmp_path, 1e-10):
+            code, out, err = _run(capsys, "classify", path)
+            assert code == 0, (kind, err)
+            code, out, err = _run(capsys, "classify", path, "--tol", "1e-12")
+            assert (code, out) == (3, ""), kind
+            assert err.startswith("entanglekit: ") and "must sum to 1, got 1.0000000001" in err, kind
+
+    def test_a_classical_file_is_read_at_the_given_tolerance(self):
+        probs = {"a": 0.5 + 5e-7, "b": 0.5 + 5e-7}
+        text = json.dumps({"type": "classical", "space": ["a", "b"], "probs": probs})
+        assert loads_state(text.encode(), Tolerance(1e-3)).probs == probs
+        with pytest.raises(ValueError, match="^probabilities must sum to 1"):
+            loads_state(text.encode(), Tolerance())
+
+
 class TestToleranceAboveEveryCoefficient:
     """A unit vector has Schmidt rank >= 1, so a tolerance that leaves rank 0 is refused."""
 

@@ -14,6 +14,8 @@ different orthonormal basis of the same range, so its report is held to
 the range contract, ``_assert_range_contract``, and not to the old bytes.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,14 @@ from hypothesis import strategies as st
 
 from entanglekit.bipartite import BipartiteDims, BipartiteVector, kron_op, kron_vec, partial_trace, schmidt
 from entanglekit.classical import ClassicalState, PhaseSpace, classical_tensor, is_product_composite
-from entanglekit.linalg import _LOW_RANK_STEPS, _UNIT_ROUNDOFF, Tolerance, count_above
+from entanglekit.linalg import (
+    _LOW_RANK_STEPS,
+    _UNIT_ROUNDOFF,
+    Tolerance,
+    _low_rank_factor,
+    _outer_flat,
+    count_above,
+)
 from entanglekit.quantum import DensityOperator, MixedEnsemble, PureState, is_density, mix, projector
 from entanglekit.separability import (
     Classification,
@@ -29,6 +38,7 @@ from entanglekit.separability import (
     SeparableDecomposition,
     Verdict,
     _ritz_basis,
+    check_range_criterion,
     classify,
     product_pure,
     range_basis,
@@ -85,6 +95,47 @@ def _old_separable_density(dec, tol):
     for p, x, y in dec.terms:
         acc += p * _old_product_pure(x, y, tol).mat
     return DensityOperator(acc, tol)
+
+
+def _old_check_range_criterion(dec, tol):
+    """``check_range_criterion`` on ``eigh``'s range basis: the reference its Ritz path must agree with."""
+    values, vectors = _old_eig_hermitian(separable_density(dec).mat)
+    k = count_above(values, tol)
+    basis = vectors[:, :k].T.copy()
+    cut = tol.eps * max(1.0, float(values[0])) if k else tol.eps
+    terms = [(p, _outer_flat(x.vec, y.vec)) for p, x, y in dec.terms if p > 0.0]
+    for p, t in terms:
+        outside = t - basis.T @ (basis.conj() @ t)
+        if p * float(np.vdot(outside, outside).real) > cut:
+            return False
+    u, s, _ = np.linalg.svd(np.column_stack([t for _, t in terms]), full_matrices=False)
+    span = u[:, : count_above(s, tol)]
+    return all(np.linalg.norm(b - span @ (span.conj().T @ b)) <= tol.eps * np.linalg.norm(b) for b in basis)
+
+
+def _count_factorizations(monkeypatch):
+    """Shapes of the matrices ``_low_rank_factor`` is called on, through every entanglekit module holding it."""
+    shapes = []
+
+    def counted(m, tol):
+        shapes.append(m.shape)
+        return _low_rank_factor(m, tol)
+
+    for name, module in list(sys.modules.items()):
+        if name == "entanglekit" or name.startswith("entanglekit."):
+            for key, value in list(vars(module).items()):
+                if value is _low_rank_factor:
+                    monkeypatch.setattr(module, key, counted)
+    return shapes
+
+
+def _product_decomposition(rng, d1, d2, k, tol=TOL):
+    """k random product terms with Dirichlet weights on a d1 x d2 space."""
+    terms = tuple(
+        (float(w), PureState(_unit(rng, d1), tol), PureState(_unit(rng, d2), tol))
+        for w in rng.dirichlet(np.ones(k))
+    )
+    return SeparableDecomposition(BipartiteDims(d1, d2), terms)
 
 
 def _report_bytes(classification):
@@ -259,6 +310,22 @@ class TestRangeBasisContract:
         assert _ritz_basis(rho.mat, TOL) is None
         assert _report_bytes(classify(rho, dims, TOL)) == _report_bytes(_old_classify_density(rho, dims, TOL))
 
+    def test_a_factor_kept_at_one_tolerance_serves_another(self, monkeypatch):
+        # validated at 1e-6, the factor stops at the four large eigenvalues, with
+        # beta near the planted 1e-8: too thin a margin at 1e-9, where eigh
+        # counts five, and ample at 1e-3, where the Ritz rows count four
+        q = _orthonormal_columns(np.random.default_rng(42), 64, 5)
+        weights = [0.4, 0.3, 0.2, 0.1 - 1e-8, 1e-8]
+        mat = sum(w * np.outer(q[:, k], q[:, k].conj()) for k, w in enumerate(weights))
+        rho = DensityOperator(mat, Tolerance(1e-6))
+        kept = rho._factor
+        assert kept[0].shape == (64, 4)
+        shapes = _count_factorizations(monkeypatch)
+        for eps, count in [(1e-9, 5), (1e-3, 4)]:
+            _assert_range_contract(rho, BipartiteDims(8, 8), Tolerance(eps))
+            assert len(range_basis(rho, Tolerance(eps))) == count
+        assert shapes == [] and rho._factor is kept
+
 
 class TestSeparableDensity:
     @settings(max_examples=60, deadline=None)
@@ -323,6 +390,42 @@ class TestDecompositionBudget:
         result = classify(loads_state(text.encode(), TOL), BipartiteDims(8, 8), TOL)
         assert len(result.certificate.basis) == 4
         assert calls == [("eigh", (4, 4)), ("svd", (4, 8, 8))]
+
+    def test_parse_and_classify_factor_a_density_once(self, monkeypatch):
+        q = _orthonormal_columns(np.random.default_rng(3), 64, 4)
+        rho = _density([0.4, 0.3, 0.2, 0.1], [q[:, k] for k in range(4)])
+        text = dumps_canonical(state_to_json(rho))
+        shapes = _count_factorizations(monkeypatch)
+        result = classify(loads_state(text.encode(), TOL), BipartiteDims(8, 8), TOL)
+        assert len(result.certificate.basis) == 4
+        assert shapes == [(64, 64)]
+
+    def test_range_criterion_of_four_terms_makes_no_full_size_decomposition(self, monkeypatch):
+        dec = _product_decomposition(np.random.default_rng(5), 8, 8, 4)
+        shapes = _count_factorizations(monkeypatch)
+        calls = []
+        for name in ("cholesky", "eigh", "eigvalsh", "svd"):
+            def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        assert check_range_criterion(dec, TOL)
+        assert calls == [("eigh", (4, 4)), ("svd", (64, 4))]
+        assert shapes == [(64, 64)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d1=st.integers(8, 12),
+        d2=st.integers(8, 12),
+        k=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        eps=st.sampled_from([1e-9, 1e-6, 1e-3]),
+    )
+    def test_range_criterion_decides_as_on_the_eigh_basis(self, d1, d2, k, seed, eps):
+        tol = Tolerance(eps)
+        dec = _product_decomposition(np.random.default_rng(seed), d1, d2, k, tol)
+        assert check_range_criterion(dec, tol) == _old_check_range_criterion(dec, tol)
 
     def test_a_non_positive_density_is_judged_by_eigvalsh(self, decompositions):
         mat = np.diag([0.5, 0.5 + 1e-6, -1e-6, 0.0]).astype(complex)
