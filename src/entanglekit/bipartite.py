@@ -10,6 +10,10 @@ constructions one would otherwise need, so no symbolic functionals appear
 anywhere.  Every operation below (Kronecker products, the product inner
 product, Schmidt analysis, partial trace) commits to this one index
 convention.
+
+Built values are trusted: ``kron_vec``, past its two factors' check, and
+``SchmidtDecomposition.reconstruct`` refuse only a vector that overflows,
+and ``partial_trace`` returns its reduction as computed, unchecked.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import ZeroVectorError
-from .linalg import Tolerance, _norm, _outer_flat, as_matrix, as_vector, count_above
+from .linalg import Tolerance, _built, _checked, _norm, _outer_flat, as_matrix, as_vector, count_above
 from .quantum import DensityOperator, _built_density
 
 Side = Literal["first", "second"]
@@ -94,18 +98,19 @@ class SchmidtDecomposition:
     dims: BipartiteDims
 
     def reconstruct(self) -> BipartiteVector:
-        """Sum the weighted elementary tensors back into a flat vector."""
+        """Sum the weighted elementary tensors back into a flat vector, refused if it overflows."""
         vec = np.zeros(self.dims.total, dtype=complex)
         for c, l, r in zip(self.coeffs, self.left, self.right):
             vec += c * _outer_flat(l, r)
-        return BipartiteVector(vec, self.dims)
+        return _built(BipartiteVector, vec=_checked(vec, 1, "vector"), dims=self.dims)
 
 
 def kron_vec(x, y) -> BipartiteVector:
-    """Tensor product of two vectors, flat with the first factor slow."""
+    """Tensor product of two vectors, flat with the first factor slow; refused if it overflows."""
     x = as_vector(x)
     y = as_vector(y)
-    return BipartiteVector(_outer_flat(x, y), BipartiteDims(x.shape[0], y.shape[0]))
+    vec = _checked(_outer_flat(x, y), 1, "vector")
+    return _built(BipartiteVector, vec=vec, dims=BipartiteDims(x.shape[0], y.shape[0]))
 
 
 def kron_op(a, b) -> np.ndarray:
@@ -151,11 +156,7 @@ def schmidt(t: BipartiteVector, tol: Tolerance = Tolerance()) -> SchmidtDecompos
 
 
 def partial_trace(rho: DensityOperator, dims: BipartiteDims, keep: Side) -> DensityOperator:
-    """Contract a bipartite density operator over the discarded factor.
-
-    The reduction of a density is a density, so the result is not checked
-    again: at the tolerance edges it is returned as computed.
-    """
+    """Contract a density operator over the discarded factor; the reduction is not checked again."""
     if rho.dim != dims.total:
         raise ValueError(f"state dimension {rho.dim} does not factor as {dims}")
     r4 = rho.mat.reshape(dims.d1, dims.d2, dims.d1, dims.d2)

@@ -7,12 +7,12 @@ cartesian product of two label sets, and every operation here is exact
 rational-style arithmetic on doubles: no renormalization ever happens
 behind the caller's back.
 
-States are validated when read, trusted when built: the point masses,
-products, marginals and certificates the library builds from validated
-states are made with ``_built`` and not checked again.  A product or a
-marginal of a state at the edge of the weight rule is kept as computed,
-and may miss the rule when read back, as a partial trace may miss the
-tolerance.
+States are validated when read, trusted when built: ``classical_pure``,
+``classical_tensor``, ``marginal``, ``classify_classical``,
+``is_product_composite`` and ``ClassicalSeparableCert.recombine`` make
+their results from validated states with ``_built``, unchecked.  A result
+of a state at the edge of the weight rule is kept as computed, and may
+miss the rule when read back, as a partial trace may miss the tolerance.
 """
 
 from __future__ import annotations
@@ -144,16 +144,19 @@ class ClassicalSeparableCert:
         for _, fx, gy in terms:
             if not (fx.is_pure and gy.is_pure):
                 raise ValueError("certificate factors must be pure states")
+            if (fx.space, gy.space) != (terms[0][1].space, terms[0][2].space):
+                raise ValueError("certificate factors must lie on the first term's phase spaces")
 
     def recombine(self) -> CompositeClassicalState:
-        """Evaluate the convex sum of product terms back into a composite state."""
+        """Evaluate the convex sum of product terms back into a composite state, in space order."""
         _, fx0, gy0 = self.terms[0]
-        probs: dict[tuple[str, str], float] = {}
+        sums = dict.fromkeys(((x, y) for x in fx0.space.labels for y in gy0.space.labels), 0.0)
         for p, fx, gy in self.terms:
             for x, px in fx.probs.items():
                 for y, py in gy.probs.items():
-                    probs[(x, y)] = probs.get((x, y), 0.0) + p * px * py
-        return CompositeClassicalState(fx0.space, gy0.space, probs)
+                    sums[(x, y)] += p * px * py
+        probs = {pt: p for pt, p in sums.items() if p > 0.0}
+        return _built(CompositeClassicalState, space_x=fx0.space, space_y=gy0.space, probs=probs)
 
 
 def classical_pure(space: PhaseSpace, label: str) -> ClassicalState:
@@ -212,15 +215,9 @@ def is_product_composite(
     b = vh[0, :].real * float(s[0])
     if a.sum() < 0.0:
         a, b = -a, -b
-    a = np.clip(a, 0.0, None)
-    b = np.clip(b, 0.0, None)
+    a, b = np.clip(a, 0.0, None), np.clip(b, 0.0, None)
     scale = float(a.sum())
-    f = ClassicalState(
-        h.space_x,
-        {lab: float(a[i] / scale) for i, lab in enumerate(h.space_x.labels) if a[i] > 0.0},
+    return tuple(
+        _built(ClassicalState, space=s, probs={k: float(p) for k, p in zip(s.labels, w) if p > 0.0})
+        for s, w in ((h.space_x, a / scale), (h.space_y, b * scale))
     )
-    g = ClassicalState(
-        h.space_y,
-        {lab: float(b[j] * scale) for j, lab in enumerate(h.space_y.labels) if b[j] > 0.0},
-    )
-    return f, g

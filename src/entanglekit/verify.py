@@ -64,7 +64,9 @@ class _Counterexample(Exception):
 
 
 def rand_complex(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = rng.standard_normal((2, *shape))  # real parts first, as two calls draw them
+    return z
 
 
 def rand_unit_vector(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Tensor products, Schmidt analysis, and partial traces."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entanglekit import linalg
 from entanglekit.bipartite import (
     BipartiteDims,
     BipartiteVector,
@@ -13,6 +16,12 @@ from entanglekit.bipartite import (
     kron_vec,
     partial_trace,
     schmidt,
+)
+from entanglekit.classical import (
+    CompositeClassicalState,
+    PhaseSpace,
+    classify_classical,
+    is_product_composite,
 )
 from entanglekit.errors import ZeroVectorError
 from entanglekit.linalg import rank
@@ -310,6 +319,47 @@ class TestBipartiteVector:
 
     def test_zero_vector_is_a_legal_value(self):
         assert BipartiteVector(np.zeros(4), D22).norm == 0.0
+
+
+class TestTrustedResults:
+    """kron_vec checks its two factors; what the library builds from checked values is trusted."""
+
+    def test_calls_to_the_weight_and_vector_checks(self, monkeypatch):
+        x, y = np.array([0.6, 0.8j]), np.array([1.0, 0.0, 1j]) / np.sqrt(2)
+        dec = schmidt(_bell())
+        probs = {("a", "c"): 0.2, ("a", "d"): 0.3, ("b", "c"): 0.2, ("b", "d"): 0.3}
+        h = CompositeClassicalState(PhaseSpace(("a", "b")), PhaseSpace(("c", "d")), probs)
+        cert = classify_classical(h)
+        calls = []
+        for name in ("check_weights", "as_vector"):
+            original = getattr(linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            for mod_name, module in list(sys.modules.items()):
+                if mod_name.startswith("entanglekit") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+
+        kron_vec(x, y)
+        assert calls == ["as_vector", "as_vector"]
+        calls.clear()
+        dec.reconstruct()
+        assert is_product_composite(h) is not None
+        cert.recombine()
+        assert calls == []
+
+    def test_a_product_that_overflows_is_refused(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+            kron_vec([1e200, 1.0], [1e200])
+        assert str(info.value) == "vector entries must be finite"
+
+    def test_reconstruction_is_read_only(self):
+        vec = schmidt(_bell()).reconstruct().vec
+        assert not vec.flags.writeable
+        with pytest.raises(ValueError):
+            vec[0] = 0.0
 
 
 # constructor refusals no other test reaches: (case, build, message)

@@ -30,7 +30,7 @@ from entanglekit.classical import (
 from entanglekit.linalg import Tolerance, _norm, _outer_flat, count_above
 from entanglekit.quantum import MixedEnsemble, PureState
 from entanglekit.separability import SeparableDecomposition, product_pure, separable_density
-from entanglekit.verify import _exact_rank
+from entanglekit.verify import _exact_rank, rand_complex
 
 _SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e150, -1e150, 1.0, -1.0]
 _reals = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
@@ -84,6 +84,16 @@ class TestNorm:
     def test_equals_np_linalg_norm(self, v):
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.float64(_norm(v)).tobytes() == np.float64(np.linalg.norm(v)).tobytes()
+
+
+class TestRandComplex:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**63), d=st.integers(1, 12), square=st.booleans())
+    def test_equals_two_draws(self, seed, d, square):
+        shape = (d, d) if square else (d,)
+        rng = np.random.default_rng(seed)
+        reference = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert _same_array(rand_complex(np.random.default_rng(seed), *shape), reference)
 
 
 def _per_vector_schmidt(t: BipartiteVector, tol: Tolerance):

@@ -1,8 +1,9 @@
 """Classical densities: purity, decomposition, products, marginals.
 
 The states the library builds from validated states (a point mass, a
-product, a marginal, a certificate) are not checked again; property tests
-confirm that they are classical states all the same.
+product, a marginal, a certificate, a product's factors, a recombination)
+are not checked again; property tests confirm that they are classical
+states all the same.
 """
 
 import math
@@ -253,6 +254,10 @@ REFUSALS = [
      "probability assigned to unknown point ('a', 'c', 'e')"),
     ("cert-without-terms", lambda: ClassicalSeparableCert(()),
      "certificate needs at least one term"),
+    ("cert-on-two-spaces", lambda: ClassicalSeparableCert(
+        ((0.5, classical_pure(AB, "a"), classical_pure(CD, "c")),
+         (0.5, classical_pure(CD, "d"), classical_pure(CD, "c")))),
+     "certificate factors must lie on the first term's phase spaces"),
 ]
 
 
@@ -299,6 +304,27 @@ class TestTrustedBuilds:
         assert marginal(h, "second").probs == {"c": 0.5, "d": 0.2 + 0.3}
         assert len(classify_classical(h).terms) == 3
         assert classify(h).verdict is Verdict.CLASSICAL_SEPARABLE
+
+
+# four weights of 0.25 + 2.5e-7 sum to 1.000001: inside the rule at 1e-3, not at the default
+_LOOSE = Tolerance(1e-3)
+_POINTS = [(x, y) for x in "ab" for y in "cd"]
+_LOOSE_H = CompositeClassicalState(AB, CD, dict.fromkeys(_POINTS, 0.25 + 2.5e-7), _LOOSE)
+
+
+class TestBuiltAtTheRunTolerance:
+    """A composite accepted at a loose tolerance gets its factors and its recombination back."""
+
+    def test_product_factors(self):
+        recovered = is_product_composite(_LOOSE_H, _LOOSE)
+        assert recovered is not None
+        rebuilt = classical_tensor(*recovered)
+        assert max(abs(rebuilt.prob(*pt) - _LOOSE_H.prob(*pt)) for pt in _POINTS) <= 1e-12
+
+    def test_recombine_gives_the_probabilities_in_order(self):
+        recombined = classify_classical(_LOOSE_H).recombine()
+        assert (recombined.space_x, recombined.space_y) == (AB, CD)
+        assert list(recombined.probs.items()) == list(_LOOSE_H.probs.items())
 
 
 _EDGE = 0.9e-9  # a weight sum this far from 1 still passes the rule
