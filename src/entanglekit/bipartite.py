@@ -100,16 +100,17 @@ class SchmidtDecomposition:
     def reconstruct(self) -> BipartiteVector:
         """Sum the weighted elementary tensors back into a flat vector, refused if it overflows."""
         vec = np.zeros(self.dims.total, dtype=complex)
-        for c, l, r in zip(self.coeffs, self.left, self.right):
-            vec += c * _outer_flat(l, r)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
+            for c, l, r in zip(self.coeffs, self.left, self.right):
+                vec += c * _outer_flat(l, r)
         return _built(BipartiteVector, vec=_checked(vec, 1, "vector"), dims=self.dims)
 
 
 def kron_vec(x, y) -> BipartiteVector:
     """Tensor product of two vectors, flat with the first factor slow; refused if it overflows."""
-    x = as_vector(x)
-    y = as_vector(y)
-    vec = _checked(_outer_flat(x, y), 1, "vector")
+    x, y = as_vector(x), as_vector(y)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _checked, not warned of
+        vec = _checked(_outer_flat(x, y), 1, "vector")
     return _built(BipartiteVector, vec=vec, dims=BipartiteDims(x.shape[0], y.shape[0]))
 
 

@@ -25,7 +25,6 @@ from .linalg import (
     _built,
     _convex,
     _factor_slack,
-    _low_rank_factor,
     _norm,
     _outer_flat,
     count_above,
@@ -142,10 +141,10 @@ def _range(rho: DensityOperator, tol: Tolerance) -> tuple[np.ndarray, float]:
 
     ``rho`` was validated when it was built, so its matrix goes straight to
     the decompositions.  ``_ritz`` gives the rows from rho's one factor,
-    ``rho._low_rank``, when its margins at ``tol`` prove ``eigh``'s
-    count: the same range, with other phases and last bits.  Anything else
-    (rank one, or a factor computed at a looser tolerance) gets ``eigh``'s
-    eigenvectors above the cut.
+    ``rho._low_rank``, of any rank, when its margins at ``tol`` prove
+    ``eigh``'s count: the same range, with other phases and last bits.
+    Anything else (no factor, one with no columns, a thin margin) gets
+    ``eigh``'s eigenvectors above the cut.
     """
     ritz = _ritz(rho._low_rank(tol), tol)
     if ritz is None:
@@ -156,14 +155,8 @@ def _range(rho: DensityOperator, tol: Tolerance) -> tuple[np.ndarray, float]:
     return ritz
 
 
-def _ritz_basis(m: np.ndarray, tol: Tolerance) -> Optional[np.ndarray]:
-    """``_ritz``'s rows from m's own ``_low_rank_factor``, or None: the Ritz path of a bare matrix."""
-    ritz = _ritz(_low_rank_factor(m, tol), tol)
-    return None if ritz is None else ritz[0]
-
-
 def _ritz(factor, tol: Tolerance) -> Optional[tuple[np.ndarray, float]]:
-    """Rows spanning H's range, of rank k >= 2, from H's low-rank factor, and the top Ritz value; or None.
+    """Rows spanning H's range, of rank k >= 1, from H's low-rank factor, and the top Ritz value; or None.
 
     With ``(L, s, beta)`` from ``_low_rank_factor``, the basis is ``Q V``:
     ``Q R_L`` is the QR factorization of L, and V the eigenvectors of the
@@ -181,22 +174,28 @@ def _ritz(factor, tol: Tolerance) -> Optional[tuple[np.ndarray, float]]:
     least mu, less ``outside + ritz``, clears the cut as the largest mu,
     plus the same, sets it, all k do: ``count_above`` on ``eigh``'s
     eigenvalues counts k.  That reads L, s and beta alone, so it holds at
-    any ``tol``, whatever the factor's.  Otherwise None, as for rank 0 or
-    1 and a None factor.
+    any ``tol``, whatever the factor's.  Otherwise None, as for no factor.
+    Each row is turned to a real first entry >= 0 (a 0 stays), the way
+    ``eigh`` leaves its vectors, so a rank-one row is +- ``eigh``'s; L's rows
+    go to QR reversed, so that no ``1 - tau`` rounds a small first entry.
     """
-    if factor is None or factor[0].shape[1] < 2:
+    if factor is None or factor[0].shape[1] == 0:
         return None
     l, s, _ = factor
     n, k = l.shape
     outside = _factor_slack(factor)
     if not outside < tol.eps / 2:  # also when beta is NaN or infinite
         return None
-    q, r = np.linalg.qr(l)
+    q, r = np.linalg.qr(l[::-1])
     mu, v = np.linalg.eigh(r @ r.conj().T)
     spread = outside + 96 * n * k * _UNIT_ROUNDOFF * s  # outside, plus ritz
     if not mu[0] - spread > tol.eps * max(1.0, float(mu[-1]) + spread):
         return None
-    return v[:, ::-1].T @ q.T, float(mu[-1])  # one contiguous row per vector, by descending Ritz value
+    rows = v[:, ::-1].T @ q[::-1].T  # one contiguous row per vector, by descending Ritz value
+    size = np.abs(rows[:, :1])
+    rows *= np.divide(rows[:, :1].conj(), size, out=np.ones_like(rows[:, :1]), where=size > 0)
+    rows[:, :1] = size  # exactly real
+    return rows, float(mu[-1])
 
 
 def check_range_criterion(dec: SeparableDecomposition, tol: Tolerance = Tolerance()) -> bool:
@@ -276,15 +275,15 @@ def classify(
             raise ValueError("dims are required to classify a density operator")
         if dims.total != state.dim:
             raise ValueError(f"state dimension {state.dim} does not factor as {dims}")
-        basis = range_basis(state, tol)
-        if not basis:
+        basis = _range(state, tol)[0]
+        if not len(basis):
             raise ValueError(
                 f"tolerance {tol.eps!r} lies above every eigenvalue of the density; "
                 "a density has rank >= 1"
             )
         if len(basis) == 1:
             return _classify_pure_vector(_built(BipartiteVector, vec=basis[0], dims=dims), tol)
-        coeffs = np.linalg.svd(np.reshape(basis, (len(basis), dims.d1, dims.d2)), compute_uv=False)
+        coeffs = np.linalg.svd(basis.reshape(len(basis), dims.d1, dims.d2), compute_uv=False)
         ranks = tuple(count_above(coeffs, tol).tolist())
         report = RangeReport(tuple(basis), ranks, all(r == 1 for r in ranks))
         return Classification(Verdict.UNDETERMINED, report)

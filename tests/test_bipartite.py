@@ -1,6 +1,7 @@
 """Tensor products, Schmidt analysis, and partial traces."""
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from entanglekit import linalg
 from entanglekit.bipartite import (
     BipartiteDims,
     BipartiteVector,
+    SchmidtDecomposition,
     coefficient_matrix,
     kron_op,
     kron_vec,
@@ -351,8 +353,19 @@ class TestTrustedResults:
         assert calls == []
 
     def test_a_product_that_overflows_is_refused(self):
-        with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
-            kron_vec([1e200, 1.0], [1e200])
+        # refused with no RuntimeWarning, which -W error would raise in the ValueError's place
+        for x, y in [([1e200, 1.0], [1e200]), ([1e200 + 1e200j], [1e200 - 1e200j])]:
+            with warnings.catch_warnings(), pytest.raises(ValueError) as info:
+                warnings.simplefilter("error")
+                kron_vec(x, y)
+            assert str(info.value) == "vector entries must be finite"
+
+    def test_a_reconstruction_that_overflows_is_refused(self):
+        big = np.array([1e200 + 1e200j, 0.0])
+        dec = SchmidtDecomposition(np.array([1e200, 1e200]), (big, big[::-1]), (big, big[::-1]), 2, D22)
+        with warnings.catch_warnings(), pytest.raises(ValueError) as info:
+            warnings.simplefilter("error")
+            dec.reconstruct()
         assert str(info.value) == "vector entries must be finite"
 
     def test_reconstruction_is_read_only(self):

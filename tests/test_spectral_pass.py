@@ -8,10 +8,13 @@ fixture in ``conftest.py``), through the same hooks the benchmark's tracer
 uses, so a second pass cannot come back unnoticed.
 The densities the library builds from validated states are not checked
 again; a property test confirms that they are densities all the same.
-A density of rank 2 to ``_LOW_RANK_STEPS``, at D >= 64, may take its range
+A density of rank 1 to ``_LOW_RANK_STEPS``, at D >= 64, may take its range
 basis from Rayleigh-Ritz on its pivoted factor instead of ``eigh``: a
 different orthonormal basis of the same range, so its report is held to
 the range contract, ``_assert_range_contract``, and not to the old bytes.
+Each Ritz row's first entry is real and >= 0, as in ``eigh``'s vectors, so
+a rank-one density's row is +-``eigh``'s vector, and its verdict and
+factors are the old ones up to that sign.
 """
 
 import sys
@@ -37,7 +40,8 @@ from entanglekit.separability import (
     RangeReport,
     SeparableDecomposition,
     Verdict,
-    _ritz_basis,
+    _range,
+    _ritz,
     check_range_criterion,
     classify,
     product_pure,
@@ -129,6 +133,18 @@ def _count_factorizations(monkeypatch):
     return shapes
 
 
+def _record_decompositions(monkeypatch):
+    """The ``numpy.linalg`` factorizations called from now on, as (name, shape of the matrix) pairs."""
+    calls = []
+    for name in ("cholesky", "eigh", "eigvalsh", "svd"):
+        def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
 def _product_decomposition(rng, d1, d2, k, tol=TOL):
     """k random product terms with Dirichlet weights on a d1 x d2 space."""
     terms = tuple(
@@ -136,6 +152,11 @@ def _product_decomposition(rng, d1, d2, k, tol=TOL):
         for w in rng.dirichlet(np.ones(k))
     )
     return SeparableDecomposition(BipartiteDims(d1, d2), terms)
+
+
+def _assert_same_up_to_sign(a, b, bound=1e-13):
+    sign = 1.0 if np.vdot(b, a).real >= 0 else -1.0
+    assert float(np.abs(a - sign * b).max()) <= bound
 
 
 def _report_bytes(classification):
@@ -252,6 +273,15 @@ class TestDensityClassify:
         with pytest.raises(ValueError, match=r"^tolerance 0\.3 lies above every eigenvalue"):
             classify(rho, BipartiteDims(2, 2), tol)
 
+    def test_empty_range_of_a_factor_with_no_columns_is_refused(self):
+        # at D = 64 the trace is within eps/8 before any pivot: the factor has no
+        # columns, and the range is eigh's, empty, as before
+        tol = Tolerance(10.0)
+        rho = DensityOperator(_density([1.0], [_unit(np.random.default_rng(6), 64)]).mat, tol)
+        assert rho._factor[0].shape == (64, 0)
+        with pytest.raises(ValueError, match=r"^tolerance 10\.0 lies above every eigenvalue"):
+            classify(rho, BipartiteDims(8, 8), tol)
+
 
 @st.composite
 def _low_rank_densities(draw):
@@ -281,9 +311,9 @@ class TestRangeBasisContract:
     def test_low_rank_basis_is_rayleigh_ritz(self):
         q = _orthonormal_columns(np.random.default_rng(40), 64, 4)
         rho = _density([0.4, 0.3, 0.2, 0.1], [q[:, k] for k in range(4)])
-        ritz = _ritz_basis(rho.mat, TOL)
+        ritz = _ritz(_low_rank_factor(rho.mat, TOL), TOL)
         assert ritz is not None
-        np.testing.assert_array_equal(np.array(range_basis(rho, TOL)), ritz)
+        np.testing.assert_array_equal(np.array(range_basis(rho, TOL)), ritz[0])
         _assert_range_contract(rho, BipartiteDims(8, 8), TOL)
 
     @pytest.mark.parametrize("planted", [0.5 * TOL.eps, 0.9 * TOL.eps])
@@ -291,24 +321,60 @@ class TestRangeBasisContract:
         # the pivoted factor takes the planted direction, whose Ritz value then fails the margin
         q = _orthonormal_columns(np.random.default_rng(41), 64, 4)
         rho = _density([0.5, 0.3, 0.2 - planted, planted], [q[:, k] for k in range(4)])
-        assert _ritz_basis(rho.mat, TOL) is None
+        assert _ritz(_low_rank_factor(rho.mat, TOL), TOL) is None
         _assert_range_contract(rho, BipartiteDims(8, 8), TOL)
 
     @settings(max_examples=40, deadline=None)
     @given(
         d1=st.integers(4, 12),
         d2=st.integers(4, 12),
-        rank=st.sampled_from([1, _LOW_RANK_STEPS + 1, _LOW_RANK_STEPS + 4]),
+        rank=st.sampled_from([_LOW_RANK_STEPS + 1, _LOW_RANK_STEPS + 4]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_rank_one_and_past_the_cap_keep_the_eigh_bytes(self, d1, d2, rank, seed):
+    def test_past_the_cap_keeps_the_eigh_bytes(self, d1, d2, rank, seed):
         dims = BipartiteDims(d1, d2)
         rank = min(rank, dims.total)
         rng = np.random.default_rng(seed)
         q = _orthonormal_columns(rng, dims.total, rank)
         rho = _density(rng.dirichlet(np.ones(rank)), [q[:, k] for k in range(rank)])
-        assert _ritz_basis(rho.mat, TOL) is None
+        assert _ritz(_low_rank_factor(rho.mat, TOL), TOL) is None
         assert _report_bytes(classify(rho, dims, TOL)) == _report_bytes(_old_classify_density(rho, dims, TOL))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d1=st.integers(8, 12),
+        d2=st.integers(8, 12),
+        product=st.booleans(),
+        first=st.sampled_from([1.0, 1e-6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rank_one_row_is_eighs_vector_up_to_sign(self, d1, d2, product, first, seed):
+        # first scales an entangled vector's first entry, which must still set the row's
+        # phase to eigh's; a product's x would anchor its Schmidt phase on that entry,
+        # which the SVD gives only to about u / |x[0]|, on either path
+        dims = BipartiteDims(d1, d2)
+        rng = np.random.default_rng(seed)
+        t = np.kron(_unit(rng, d1), _unit(rng, d2)) if product else _unit(rng, dims.total)
+        t[0] *= 1.0 if product else first
+        rho = _density([1.0], [t / np.linalg.norm(t)])
+        rows = _range(rho, TOL)[0]
+        assert rows.shape == (1, dims.total)
+        assert rows[0, 0].imag == 0.0 and rows[0, 0].real >= 0.0
+        _assert_same_up_to_sign(rows[0], np.linalg.eigh(rho.mat)[1][:, -1])
+        new, old = classify(rho, dims, TOL), _old_classify_density(rho, dims, TOL)
+        assert new.verdict is old.verdict
+        if product:
+            # the Schmidt phase anchors x, so only y carries the sign
+            assert new.verdict is Verdict.QUANTUM_PRODUCT_PURE
+            (x, y), (old_x, old_y) = [(r.certificate.x, r.certificate.y) for r in (new, old)]
+            np.testing.assert_allclose(x, old_x, rtol=0, atol=1e-13)
+            _assert_same_up_to_sign(y, old_y)
+            _assert_same_up_to_sign(np.kron(x, y), np.kron(old_x, old_y))
+        else:
+            assert new.verdict is Verdict.QUANTUM_ENTANGLED_PURE
+            new_dec, old_dec = new.certificate.schmidt, old.certificate.schmidt
+            np.testing.assert_allclose(new_dec.coeffs, old_dec.coeffs, rtol=0, atol=1e-13)
+            _assert_same_up_to_sign(new_dec.reconstruct().vec, old_dec.reconstruct().vec)
 
     def test_a_factor_kept_at_one_tolerance_serves_another(self, monkeypatch):
         # validated at 1e-6, the factor stops at the four large eigenvalues, with
@@ -380,13 +446,7 @@ class TestDecompositionBudget:
         q = _orthonormal_columns(np.random.default_rng(3), 64, 4)
         rho = _density([0.4, 0.3, 0.2, 0.1], [q[:, k] for k in range(4)])
         text = dumps_canonical(state_to_json(rho))
-        calls = []
-        for name in ("cholesky", "eigh", "eigvalsh", "svd"):
-            def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-                calls.append((_name, np.shape(a)))
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, recorded)
+        calls = _record_decompositions(monkeypatch)
         result = classify(loads_state(text.encode(), TOL), BipartiteDims(8, 8), TOL)
         assert len(result.certificate.basis) == 4
         assert calls == [("eigh", (4, 4)), ("svd", (4, 8, 8))]
@@ -400,16 +460,20 @@ class TestDecompositionBudget:
         assert len(result.certificate.basis) == 4
         assert shapes == [(64, 64)]
 
+    def test_parse_and_classify_a_rank_one_density_makes_no_full_size_eigh(self, monkeypatch):
+        t = _unit(np.random.default_rng(4), 64)
+        text = dumps_canonical(state_to_json(_density([1.0], [t])))
+        shapes = _count_factorizations(monkeypatch)
+        calls = _record_decompositions(monkeypatch)
+        result = classify(loads_state(text.encode(), TOL), BipartiteDims(8, 8), TOL)
+        assert result.verdict is Verdict.QUANTUM_ENTANGLED_PURE
+        assert calls == [("eigh", (1, 1)), ("svd", (8, 8))]
+        assert shapes == [(64, 64)]
+
     def test_range_criterion_of_four_terms_makes_no_full_size_decomposition(self, monkeypatch):
         dec = _product_decomposition(np.random.default_rng(5), 8, 8, 4)
         shapes = _count_factorizations(monkeypatch)
-        calls = []
-        for name in ("cholesky", "eigh", "eigvalsh", "svd"):
-            def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-                calls.append((_name, np.shape(a)))
-                return _original(a, *args, **kwargs)
-
-            monkeypatch.setattr(np.linalg, name, recorded)
+        calls = _record_decompositions(monkeypatch)
         assert check_range_criterion(dec, TOL)
         assert calls == [("eigh", (4, 4)), ("svd", (64, 4))]
         assert shapes == [(64, 64)]
@@ -418,7 +482,7 @@ class TestDecompositionBudget:
     @given(
         d1=st.integers(8, 12),
         d2=st.integers(8, 12),
-        k=st.integers(2, 16),
+        k=st.integers(1, 16),
         seed=st.integers(0, 2**32 - 1),
         eps=st.sampled_from([1e-9, 1e-6, 1e-3]),
     )
